@@ -4,8 +4,13 @@ A Branch records one irreducible local component through finite data: the
 two intersection multiplicities (p, q), the polar and truncated holomorphic
 parts of its parametrization, the conormal multiplicity m, and the monic
 characteristic polynomial of the attached monodromy.  ``unramify`` passes to
-the common ramification order, splitting each branch into p_l copies indexed
-by p_l-th roots of unity.
+the common ramification order p, splitting each branch into p_l copies indexed
+by p_l-th roots of unity.  It is the one place where a branch is rewritten in
+the ramified variable: both the formal decomposition and the blow-up oracle
+read the copies it returns.  Each copy carries its polar and holomorphic
+parts twisted by its root, and its own known prefix: a holomorphic part
+exact to order T in t becomes exact to order (p/p_l)*(T+1) - 1 in the
+ramified variable.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .cyclotomic import CycloNum, CycloPoly, root_of_unity
+from .cyclotomic import CycloNum, CycloPoly
 from .laurent import LaurentPoly, subst_root_power, support_gcd
 
 __all__ = [
@@ -53,21 +58,26 @@ class Branch:
 class UnramifiedBranch:
     """One root-of-unity copy of a branch after the common ramification.
 
-    ``alpha_sub`` is the polar part rewritten in the ramified variable; only
-    the constant term of the holomorphic part survives as data here, the rest
-    stays on the originating Branch.
+    ``alpha_sub`` and ``delta_sub`` are the polar and holomorphic parts
+    rewritten in the ramified variable; ``delta_sub`` is exact up to and
+    including exponent ``truncation``, and unknown beyond it.
     """
 
     label: str
     root_index: int
     alpha_sub: LaurentPoly
-    delta0: CycloNum
+    delta_sub: LaurentPoly
+    truncation: int
     m: int
     zeta: CycloPoly
 
     @property
     def origin(self) -> tuple[str, int]:
         return (self.label, self.root_index)
+
+    @property
+    def delta0(self) -> CycloNum:
+        return self.delta_sub.const_term()
 
 
 @dataclass(frozen=True)
@@ -156,12 +166,13 @@ def ramification_order(branches) -> int:
     return p
 
 
-def unramify(branches) -> list[UnramifiedBranch]:
+def unramify(branches, truncation: int = DEFAULT_TRUNCATION) -> list[UnramifiedBranch]:
     """Split each branch into its root-of-unity copies at the lcm ramification.
 
-    Branch l yields p_l copies; copy i twists alpha by the i-th p_l-th root
-    of unity and rescales the variable by p/p_l.  Multiplicity and monodromy
-    polynomial transport unchanged.
+    Branch l yields p_l copies; copy i substitutes t -> zeta_{p_l}^i t^(p/p_l)
+    in alpha and delta.  A delta exact to order ``truncation`` stays exact to
+    order (p/p_l)*(truncation+1) - 1 after the substitution.  Multiplicity
+    and monodromy polynomial transport unchanged.
     """
     branches = list(branches)
     if not branches:
@@ -171,12 +182,12 @@ def unramify(branches) -> list[UnramifiedBranch]:
     for b in branches:
         k = p // b.p
         for i in range(1, b.p + 1):
-            xi = root_of_unity(b.p, i)
             out.append(UnramifiedBranch(
                 label=b.label,
                 root_index=i,
-                alpha_sub=subst_root_power(b.alpha, xi, k),
-                delta0=b.delta.const_term(),
+                alpha_sub=subst_root_power(b.alpha, b.p, i, k),
+                delta_sub=subst_root_power(b.delta, b.p, i, k),
+                truncation=k * (truncation + 1) - 1,
                 m=b.m,
                 zeta=b.zeta,
             ))

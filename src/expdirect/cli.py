@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .branch import Branch, DEFAULT_TRUNCATION, validate_all
-from .cyclotomic import OrderLimitError, root_of_unity, set_order_limit
+from .branch import DEFAULT_TRUNCATION, validate_all
+from .cyclotomic import DEFAULT_ORDER_LIMIT, OrderLimitError, set_order_limit
 from .decomposition import FormalDecomposition, decompose
-from .laurent import LaurentPoly, subst_root_power
 from .newton import (
     NewtonPolygon,
     irregularity,
@@ -94,28 +93,6 @@ def _validation_failures(branches, truncation):
     return msgs
 
 
-def _unramified_oracle_branches(branches, p):
-    """p = 1 branch copies with the holomorphic part substituted at depth."""
-    out = []
-    for b in branches:
-        k = p // b.p
-        for i in range(1, b.p + 1):
-            xi = root_of_unity(b.p, i)
-            alpha_sub = subst_root_power(b.alpha, xi, k)
-            delta_sub = subst_root_power(b.delta, xi, k) if not b.delta.is_zero() \
-                else LaurentPoly.zero()
-            out.append(Branch(
-                label=f"{b.label}#{i}",
-                p=1,
-                q=alpha_sub.pole_order(),
-                alpha=alpha_sub,
-                delta=delta_sub,
-                m=b.m,
-                zeta=b.zeta,
-            ))
-    return out
-
-
 def run_point(c: str, k: int, branches, options: Options) -> PointReport:
     """Invariants, decomposition, and optional oracle checks for one germ."""
     warnings = []
@@ -127,11 +104,9 @@ def run_point(c: str, k: int, branches, options: Options) -> PointReport:
     oracle = None
     consistent = True
     if options.oracle and branches:
-        flat = _unramified_oracle_branches(branches, dec.p)
-        depth = (options.truncation + 1) * max(dec.p // b.p for b in branches) - 1
         reports = []
         for factor in dec.factors:
-            rep = verify_corollary(flat, factor.alpha, truncation=depth)
+            rep = verify_corollary(dec.copies, factor.alpha)
             reports.append(rep)
             consistent = consistent and rep.consistent
         oracle = tuple(reports)
@@ -264,8 +239,7 @@ def _cmd_report(args, options: Options) -> int:
 
 
 def _cmd_verify(args, options: Options) -> int:
-    doc, code = run_file(args.input, Options(
-        truncation=options.truncation, max_order=options.max_order, oracle=True))
+    doc, code = run_file(args.input, options)
     slim = {"points": [
         {"c": pt["c"], "k": pt["k"], "oracle": pt.get("oracle", []),
          "consistent": pt["consistent"]}
@@ -331,6 +305,15 @@ _COMMANDS = {
 }
 
 
+def _bounded_int(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expdirect",
@@ -351,13 +334,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="input JSON file")
         p.add_argument("--output", help="output file (default: stdout)")
-        p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
+        p.add_argument("--truncation", type=_bounded_int(0),
+                       default=DEFAULT_TRUNCATION,
                        help="declared exactness order of holomorphic parts")
-        p.add_argument("--max-order", type=int, default=None,
+        p.add_argument("--max-order", type=_bounded_int(1), default=None,
                        help="cap on cyclotomic orders")
         if name in ("invariants", "report"):
             p.add_argument("--svg", help="write the Newton polygon(s) as SVG")
-        if name in ("verify", "report"):
+        if name == "report":
             p.add_argument("--oracle", choices=["on", "off"], default="on",
                            help="run the blow-up cross-check")
         if name == "resolve":
@@ -373,8 +357,7 @@ def main(argv=None) -> int:
         max_order=args.max_order,
         oracle=getattr(args, "oracle", "on") == "on",
     )
-    if args.max_order is not None:
-        set_order_limit(args.max_order)
+    set_order_limit(DEFAULT_ORDER_LIMIT if args.max_order is None else args.max_order)
     try:
         return _COMMANDS[args.command](args, options)
     except (SchemaError, json.JSONDecodeError, FileNotFoundError,

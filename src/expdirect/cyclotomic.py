@@ -25,13 +25,14 @@ __all__ = [
     "lift",
     "eq",
     "totient",
+    "DEFAULT_ORDER_LIMIT",
     "get_order_limit",
     "set_order_limit",
 ]
 
 # Guardrail against phi(N) blow-up when lifting to large common orders.
-_DEFAULT_ORDER_LIMIT = 10_000
-_order_limit = _DEFAULT_ORDER_LIMIT
+DEFAULT_ORDER_LIMIT = 10_000
+_order_limit = DEFAULT_ORDER_LIMIT
 
 
 class IncompatibleOrderError(ValueError):
@@ -591,12 +592,6 @@ class CycloPoly:
         while not b.is_zero():
             a, b = b, a % b
         return a if a.is_zero() else a.monic()
-
-    def evaluate(self, x: CycloNum) -> CycloNum:
-        acc = CycloNum.zero(x.order)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __eq__(self, other):
         if not isinstance(other, CycloPoly):

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .branch import Branch, UnramifiedBranch, ramification_order, require_valid, unramify
+from .branch import (DEFAULT_TRUNCATION, Branch, UnramifiedBranch,
+                     ramification_order, require_valid, unramify)
 from .cyclotomic import CycloNum, CycloPoly
 from .laurent import LaurentPoly
 
@@ -32,7 +33,12 @@ __all__ = [
 
 
 class StarConditionError(ValueError):
-    """Monodromy assembly requested while the separation condition fails."""
+    """Monodromy assembly requested while the separation condition fails;
+    ``witness`` is the first violating pair of copy origins, when known."""
+
+    def __init__(self, message: str, witness=None):
+        self.witness = witness
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -55,10 +61,13 @@ class ExponentialFactor:
 
 @dataclass(frozen=True)
 class FormalDecomposition:
+    """Exponential factors at ramification p, and the copies they group."""
+
     p: int
     factors: tuple[ExponentialFactor, ...]
     star_holds: bool
     star_witness: tuple[tuple[str, int], tuple[str, int]] | None = None
+    copies: tuple[UnramifiedBranch, ...] = ()
 
 
 def laurent_sort_key(f: LaurentPoly, order: int):
@@ -140,7 +149,8 @@ def char_polys(factors: list[ExponentialFactor],
     holds, witness = star_condition(ub)
     if not holds:
         raise StarConditionError(
-            f"separation condition fails for {witness[0]} and {witness[1]}"
+            f"separation condition fails for {witness[0]} and {witness[1]}",
+            witness,
         )
     zetas = {u.origin: u.zeta for u in ub}
     out = []
@@ -165,22 +175,26 @@ def char_polys(factors: list[ExponentialFactor],
     return out
 
 
-def decompose(branches: list[Branch], truncation: int = 8) -> FormalDecomposition:
+def decompose(branches: list[Branch],
+              truncation: int = DEFAULT_TRUNCATION) -> FormalDecomposition:
     """Full decomposition driver over validated branch data.
 
     Empty input is the purely regular case: trivial ramification, no factors.
-    Factor order is deterministic and independent of input order.
+    Factor order is deterministic and independent of input order.  The
+    unramified copies are returned too, for the blow-up oracle to replay.
     """
     branches = list(branches)
     if not branches:
         return FormalDecomposition(p=1, factors=(), star_holds=True)
     require_valid(branches, truncation)
     p = ramification_order(branches)
-    ub = unramify(branches)
+    ub = unramify(branches, truncation)
     factors = exponential_factors(ub)
-    holds, witness = star_condition(ub)
-    if holds:
+    try:
         factors = char_polys(factors, ub)
+        holds, witness = True, None
+    except StarConditionError as err:
+        holds, witness = False, err.witness
     for f in factors:
         assert f.rank_branchwise >= 1
     return FormalDecomposition(
@@ -188,4 +202,5 @@ def decompose(branches: list[Branch], truncation: int = 8) -> FormalDecompositio
         factors=tuple(factors),
         star_holds=holds,
         star_witness=witness,
+        copies=tuple(ub),
     )

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, gcd
 
-from .cyclotomic import CycloNum
+from .cyclotomic import CycloNum, root_of_unity
 
 __all__ = [
     "LaurentPoly",
@@ -167,22 +167,17 @@ class LaurentPoly:
         return f"LaurentPoly({' + '.join(bits)})"
 
 
-def subst_root_power(f: LaurentPoly, xi: CycloNum, k: int) -> LaurentPoly:
-    """Substitute the variable by xi times its k-th power: f(t) -> f(xi*t^k).
+def subst_root_power(f: LaurentPoly, n: int, i: int, k: int) -> LaurentPoly:
+    """Substitute the variable by a root of unity times its k-th power:
+    f(t) -> f(zeta_n^i * t^k).
 
-    xi must be a root of unity at its declared order; each term a*t^j becomes
-    a*xi^j*t^(j*k).
+    Each term a*t^e becomes a*zeta_n^(i*e)*t^(e*k), so no power or inverse of
+    the root is ever formed.
     """
     if k <= 0:
         raise ValueError(f"substitution exponent must be positive, got {k}")
-    # Roots of unity inside Q(zeta_N) are exactly the lcm(2, N)-th roots.
-    torsion = xi.order if xi.order % 2 == 0 else 2 * xi.order
-    if xi**torsion != 1:
-        raise ValueError("substitution twist must be a root of unity")
-    out: dict[int, CycloNum] = {}
-    for e, c in f.terms.items():
-        out[e * k] = c * xi**e
-    return LaurentPoly(out)
+    return LaurentPoly({e * k: c * root_of_unity(n, i * e)
+                        for e, c in f.terms.items()})
 
 
 def support_gcd(f: LaurentPoly, extra: int) -> int:
@@ -319,12 +314,6 @@ class BiPoly:
             s = out.get(j)
             out[j] = p if s is None else s + p
         return LaurentPoly(out)
-
-    def d_dv(self) -> "BiPoly":
-        return BiPoly({(i, j - 1): c * j for (i, j), c in self.terms.items() if j})
-
-    def d_du(self) -> "BiPoly":
-        return BiPoly({(i - 1, j): c * i for (i, j), c in self.terms.items() if i})
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):

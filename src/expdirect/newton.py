@@ -28,11 +28,6 @@ __all__ = [
 ]
 
 
-def _frac(x) -> Fraction:
-    f = Fraction(x)
-    return f
-
-
 @dataclass(frozen=True)
 class NewtonPolygon:
     """Slope-merged finite edges (width, height), sorted by slope ascending."""
@@ -43,7 +38,7 @@ class NewtonPolygon:
     def from_edges(edges) -> "NewtonPolygon":
         merged: dict[Fraction, list[Fraction]] = {}
         for w, h in edges:
-            w, h = _frac(w), _frac(h)
+            w, h = Fraction(w), Fraction(h)
             if w <= 0 or h <= 0:
                 raise ValueError(f"edge ({w}, {h}) must have positive width and height")
             s = h / w
@@ -95,7 +90,7 @@ def irregularity(poly: NewtonPolygon) -> Fraction:
 
 
 def dilate_vertical(poly: NewtonPolygon, ratio) -> NewtonPolygon:
-    ratio = _frac(ratio)
+    ratio = Fraction(ratio)
     if ratio <= 0:
         raise ValueError("dilation ratio must be positive")
     return NewtonPolygon.from_edges([(w, h * ratio) for w, h in poly.edges])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .branch import Branch
-from .cyclotomic import CycloNum, CycloPoly, root_of_unity
+from .cyclotomic import CycloPoly
 from .decomposition import FormalDecomposition, decompose, laurent_sort_key
 from .laurent import LaurentPoly, subst_root_power, support_gcd
 
@@ -91,8 +91,7 @@ def orbit_closure(p: int, alpha: LaurentPoly) -> list[LaurentPoly]:
     order = 1
     twisted = []
     for i in range(1, p + 1):
-        xi = root_of_unity(p, i)
-        f = subst_root_power(alpha, xi, 1)
+        f = subst_root_power(alpha, p, i, 1)
         twisted.append(f)
         for c in f.terms.values():
             order = order * c.order // gcd(order, c.order)

@@ -12,9 +12,11 @@ The chain is completely mechanical: every center is the unique intersection
 of the numerator curve's strict transform with the newest exceptional
 component, found by solving a linear equation; every chart step is the map
 x = u, y = u*v after a recentering translation of v.  Strict transforms of
-branch parametrizations are replayed through the same chart script on
-truncated power series with explicit known-prefix tracking, so a coefficient
-beyond the declared truncation is an error, never a silent wrong value.
+the unramified branch copies (``branch.unramify``) are replayed through the
+same chart script on truncated power series.  Each copy carries its own
+known prefix, (p/p_l)*(truncation+1) - 1 for a branch of ramification p_l,
+so a coefficient beyond what that branch declared is an error, never a
+silent wrong value.
 
 The stratified Euler-characteristic and monodromy-zeta assemblies over the
 distinguished component live here too; they telescope to values depending
@@ -24,10 +26,11 @@ verify against the direct formulas.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .branch import Branch
+from .branch import UnramifiedBranch
 from .cyclotomic import CycloNum, CycloPoly, PolyFraction
 from .decomposition import StarConditionError
 from .laurent import (
@@ -297,21 +300,21 @@ class _Series:
                        self.known_below - 1, self._depth_offset)
 
 
-def _initial_y_series(b: Branch, truncation: int) -> _Series:
+def _initial_y_series(u: UnramifiedBranch) -> _Series:
     """y(t) = t^q / (B(t) + t^q delta(t)) as a truncated series.
 
     B is the polynomial t^q * alpha(t); delta coefficients are exact up to
-    the declared truncation, which bounds the known prefix.
+    the copy's truncation, which bounds the known prefix.
     """
-    qb = b.q
-    denom: dict[int, CycloNum] = {e + qb: c for e, c in b.alpha.terms.items()}
-    for e, c in b.delta.terms.items():
+    qb = u.alpha_sub.pole_order()
+    denom: dict[int, CycloNum] = {e + qb: c for e, c in u.alpha_sub.terms.items()}
+    for e, c in u.delta_sub.terms.items():
         k = e + qb
         denom[k] = denom.get(k, CycloNum.zero()) + c
-    known = qb + truncation + 1
+    known = qb + u.truncation + 1
     c0 = denom.get(0)
     if c0 is None or c0.is_zero():
-        raise ValueError(f"branch {b.label}: alpha has no pole of order q")
+        raise ValueError(f"branch {u.label}: alpha has no pole of order q")
     inv: dict[int, CycloNum] = {0: c0.inv()}
     for k in range(1, known):
         acc = CycloNum.zero()
@@ -322,27 +325,24 @@ def _initial_y_series(b: Branch, truncation: int) -> _Series:
         if not acc.is_zero():
             inv[k] = -acc * inv[0]
     terms = {e + qb: c for e, c in inv.items()}
-    return _Series(terms, known + qb, depth_offset=truncation)
+    return _Series(terms, known + qb, depth_offset=u.truncation)
 
 
-def strict_transform(b: Branch, tree: ResolutionTree,
-                     truncation: int = 8) -> StrictTransformResult:
-    """Replay an unramified branch parametrization through the blow-up chain.
+def strict_transform(u: UnramifiedBranch,
+                     tree: ResolutionTree) -> StrictTransformResult:
+    """Replay an unramified branch copy through the blow-up chain.
 
-    The branch must have p = 1 (pass ramified data through unramification
-    first).  It meets the distinguished component exactly when its limit
-    point tracks every blow-up center; the intersection coordinate is then
-    the constant term of the transformed second coordinate.
+    The copy meets the distinguished component exactly when its limit point
+    tracks every blow-up center; the intersection coordinate is then the
+    constant term of the transformed second coordinate.
     """
-    if b.p != 1:
-        raise ValueError("strict transforms are defined for branches with p = 1")
-    v = _initial_y_series(b, truncation)
+    v = _initial_y_series(u)
     for step in tree.steps:
         v = v.minus_const(step.shift)
         if not v.const().is_zero():
-            return StrictTransformResult(b.label, False, None)
+            return StrictTransformResult(u.label, False, None)
         v = v.divide_by_var()
-    return StrictTransformResult(b.label, True, v.const())
+    return StrictTransformResult(u.label, True, v.const())
 
 
 @dataclass(frozen=True)
@@ -361,30 +361,30 @@ class CorollaryReport:
         return self.membership_agrees and self.star_agrees
 
 
-def verify_corollary(branches: list[Branch], alpha: LaurentPoly,
-                     truncation: int = 8) -> CorollaryReport:
+def verify_corollary(copies: Sequence[UnramifiedBranch],
+                     alpha: LaurentPoly) -> CorollaryReport:
     """Check the blow-up oracle against polar-part grouping.
 
-    Membership of a branch in the factor of ``alpha`` must coincide with its
+    Membership of a copy in the factor of ``alpha`` must coincide with its
     strict transform meeting the distinguished component, and the separation
     condition restricted to those members must coincide with the meeting
     points being pairwise distinct.  Disagreement flags a bug, not bad input.
+    Copies are named ``label#root_index`` in the report.
     """
     tree = build_resolution(alpha)
-    results = [strict_transform(b, tree, truncation) for b in branches]
-    by_blowup = tuple(r.label for r in results if r.meets_ed)
-    by_polar = tuple(b.label for b in branches if b.alpha == alpha)
+    names = [f"{u.label}#{u.root_index}" for u in copies]
+    results = [strict_transform(u, tree) for u in copies]
+    by_blowup = tuple(n for n, r in zip(names, results) if r.meets_ed)
+    by_polar = tuple(n for n, u in zip(names, copies) if u.alpha_sub == alpha)
 
-    members = [b for b in branches if b.label in by_polar]
-    shifted = []
-    for b in members:
-        shifted.append(b.alpha + LaurentPoly({0: b.delta.const_term()}))
+    shifted = [u.alpha_sub + LaurentPoly({0: u.delta0})
+               for u in copies if u.alpha_sub == alpha]
     star_polar = True
     for i in range(len(shifted)):
         for j in range(i + 1, len(shifted)):
             if shifted[i] == shifted[j]:
                 star_polar = False
-    points = [(r.label, r.point_on_ed) for r in results if r.meets_ed]
+    points = [(n, r.point_on_ed) for n, r in zip(names, results) if r.meets_ed]
     star_blowup = True
     for i in range(len(points)):
         for j in range(i + 1, len(points)):

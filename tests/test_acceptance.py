@@ -140,7 +140,7 @@ def test_criterion_4_strict_transform_oracle():
     checked = 0
     for _ in range(100):
         branches, alpha = _unramified_instance(rng)
-        rep = verify_corollary(branches, alpha, truncation=8)
+        rep = verify_corollary(unramify(branches, 8), alpha)
         assert rep.membership_agrees, rep
         assert rep.star_agrees, rep
         checked += 1
@@ -154,7 +154,7 @@ def test_criterion_5_stratified_totals_telescope():
     while chi_checked < 100 or zeta_checked < 100:
         branches, alpha = _unramified_instance(rng)
         tree = build_resolution(alpha)
-        transforms = [strict_transform(b, tree, truncation=8) for b in branches]
+        transforms = [strict_transform(u, tree) for u in unramify(branches, 8)]
         mults = {b.label: b.m for b in branches}
         members = [b for b in branches if b.alpha == alpha]
         expected_chi = -sum(b.m for b in members)
@@ -270,6 +270,6 @@ def test_criterion_9_worked_instance_golden():
         mk("u3", p=1, q=3, alpha=LaurentPoly({-3: 1}), m=1, zeta=lam + one),
     ]
     for factor in dec.factors:
-        rep = verify_corollary(flat, factor.alpha, truncation=8)
+        rep = verify_corollary(unramify(flat, 8), factor.alpha)
         assert rep.consistent
     _report(9, "golden two-branch instance reproduces all frozen values")

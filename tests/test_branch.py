@@ -12,7 +12,7 @@ from expdirect.branch import (
     unramify,
     validate,
 )
-from expdirect.cyclotomic import CycloPoly, root_of_unity
+from expdirect.cyclotomic import CycloPoly
 from expdirect.laurent import LaurentPoly, subst_root_power
 from tests.helpers import mk, rand_branch
 
@@ -93,5 +93,4 @@ def test_unramify_root_convention():
     b = mk("d", p=3, q=2, alpha=LaurentPoly({-2: 1, -1: 2}))
     out = unramify([b])
     for u in out:
-        xi = root_of_unity(3, u.root_index)
-        assert u.alpha_sub == subst_root_power(b.alpha, xi, 1)
+        assert u.alpha_sub == subst_root_power(b.alpha, 3, u.root_index, 1)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from expdirect.cli import main
+from expdirect.laurent import LaurentPoly
 from expdirect.serialize import branch_to_json
 from tests.helpers import mk, worked_example_branches
 
@@ -196,8 +197,8 @@ def test_report_exit_3_on_oracle_mismatch(problem_file, monkeypatch, capsys):
 
     real = cli_mod.verify_corollary
 
-    def broken(branches, alpha, truncation=8):
-        rep = real(branches, alpha, truncation=truncation)
+    def broken(copies, alpha):
+        rep = real(copies, alpha)
         object.__setattr__(rep, "membership_agrees", False)
         return rep
 
@@ -217,3 +218,32 @@ def test_max_order_flag(problem_file, tmp_path, capsys):
         assert run_cli("report", "--input", path, "--max-order", 5) == 2
     finally:
         set_order_limit(old)
+
+
+def test_file_order_limit_does_not_leak_into_the_next_call(tmp_path):
+    capped = tmp_path / "capped.json"
+    capped.write_text(json.dumps({
+        "points": [{"c": "0", "k": 0, "branches": [branch_to_json(mk("a"))]}],
+        "options": {"max_order": 3}}))
+    assert run_cli("report", "--input", capped) == 0
+    order4 = tmp_path / "order4.json"
+    order4.write_text(json.dumps({"points": [{"c": "0", "k": 0, "branches": [
+        branch_to_json(mk("b", p=4, q=1, alpha=LaurentPoly({-1: 1})))]}]}))
+    assert run_cli("report", "--input", order4, "--oracle", "off") == 0
+
+
+@pytest.mark.parametrize("flag, value", [("--max-order", 0), ("--max-order", -2),
+                                         ("--truncation", -3)])
+def test_bad_limit_flag_is_exit_2_naming_the_flag(problem_file, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("report", "--input", problem_file, flag, value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "$.options" not in err
+
+
+def test_verify_has_no_oracle_flag(problem_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--input", problem_file, "--oracle", "off")
+    assert exc.value.code == 2
+    assert "--oracle" in capsys.readouterr().err

@@ -197,3 +197,23 @@ def test_grouping_agrees_with_numeric_clustering():
         holds, _ = star_condition(ub)
         refined = _numeric_partition(shifted, sample_ts)
         assert holds == all(len(cl) == 1 for cl in refined)
+
+
+@pytest.mark.parametrize("twin_delta0, holds", [(1, True), (0, False)])
+def test_decompose_evaluates_star_condition_once(monkeypatch, twin_delta0, holds):
+    import expdirect.decomposition as dec_mod
+
+    calls = []
+    real = dec_mod.star_condition
+
+    def counting(ub):
+        calls.append(len(ub))
+        return real(ub)
+
+    monkeypatch.setattr(dec_mod, "star_condition", counting)
+    branches = [mk("a", p=1, q=1),
+                mk("b", p=1, q=1, delta=LaurentPoly({0: twin_delta0}))]
+    dec = decompose(branches)
+    assert dec.star_holds is holds
+    assert dec.star_witness == (None if holds else (("a", 1), ("b", 1)))
+    assert calls == [2]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +25,10 @@ def L(terms):
     return LaurentPoly(terms)
 
 
-def rand_root(rng: random.Random, max_order: int = 8) -> CycloNum:
+def rand_root_index(rng: random.Random, max_order: int = 8) -> tuple[int, int]:
+    """A root of unity zeta_n^i, as its (n, i)."""
     n = rng.randint(1, max_order)
-    return root_of_unity(n, rng.randint(0, n - 1))
+    return n, rng.randint(0, n - 1)
 
 
 def rand_laurent(rng: random.Random, lo=-6, hi=4) -> LaurentPoly:
@@ -44,12 +46,10 @@ def test_add_mul_examples():
 
 
 def test_subst_examples():
-    minus1 = CycloNum.from_rational(-1)
-    assert subst_root_power(L({-3: 1}), minus1, 1) == L({-3: -1})
-    assert subst_root_power(L({-1: 1}), CycloNum.one(), 2) == L({-2: 1})
+    assert subst_root_power(L({-3: 1}), 2, 1, 1) == L({-3: -1})
+    assert subst_root_power(L({-1: 1}), 1, 0, 2) == L({-2: 1})
 
-    z4 = root_of_unity(4, 1)
-    got = subst_root_power(L({-2: 1, -1: 1}), z4, 3)
+    got = subst_root_power(L({-2: 1, -1: 1}), 4, 1, 3)
     assert got == LaurentPoly({-6: -1, -3: root_of_unity(4, 3)})
 
 
@@ -60,15 +60,15 @@ def test_subst_exact_evaluation_cross_check():
     t = CycloNum.from_rational(Fraction(7, 10))
     for _ in range(25):
         f = rand_laurent(rng)
-        xi = rand_root(rng)
+        n, i = rand_root_index(rng)
         k = rng.randint(1, 3)
-        sub = subst_root_power(f, xi, k)
-        assert sub.evaluate(t) == f.evaluate(xi * t**k)
+        sub = subst_root_power(f, n, i, k)
+        assert sub.evaluate(t) == f.evaluate(root_of_unity(n, i) * t**k)
 
 
 def test_subst_rejects_bad_exponent():
     with pytest.raises(ValueError):
-        subst_root_power(L({-1: 1}), CycloNum.one(), 0)
+        subst_root_power(L({-1: 1}), 1, 0, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -77,16 +77,18 @@ def test_subst_composition_law(seed, k, kp):
     # Composing t -> xi t^k then t -> xi' t^k' twists by xi * xi'^k.
     rng = random.Random(seed)
     f = rand_laurent(rng)
-    xi, xip = rand_root(rng), rand_root(rng)
-    lhs = subst_root_power(subst_root_power(f, xi, k), xip, kp)
-    rhs = subst_root_power(f, xi * xip**k, k * kp)
+    (n, i), (np_, ip) = rand_root_index(rng), rand_root_index(rng)
+    lhs = subst_root_power(subst_root_power(f, n, i, k), np_, ip, kp)
+    order = n * np_ // gcd(n, np_)
+    rhs = subst_root_power(f, order, i * (order // n) + ip * k * (order // np_),
+                           k * kp)
     assert lhs == rhs
 
 
 def test_subst_identity():
     rng = random.Random(11)
     f = rand_laurent(rng)
-    assert subst_root_power(f, CycloNum.one(), 1) == f
+    assert subst_root_power(f, 1, 0, 1) == f
 
 
 def test_polar_const_split_examples():

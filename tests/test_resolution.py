@@ -18,18 +18,21 @@ from expdirect.resolution import (
     strict_transform,
     verify_corollary,
     zeta_psi,
+    _initial_y_series,
     _Series,
 )
 from tests.helpers import mk, rand_monic, rand_polar
 
 
 def flat(label, alpha, delta0=None, m=1, zeta=None, delta=None):
-    """p = 1 branch from a polar part and an optional constant term."""
+    """The copy of a p = 1 branch from a polar part and an optional constant
+    term, known to the default truncation."""
     if delta is None:
         delta = LaurentPoly({0: delta0}) if delta0 is not None else LaurentPoly.zero()
     q = alpha.pole_order()
     zeta = zeta if zeta is not None else CycloPoly([-1, 1]) ** m
-    return Branch(label, 1, q, alpha, delta, m, zeta)
+    (copy,) = unramify([Branch(label, 1, q, alpha, delta, m, zeta)])
+    return copy
 
 
 def test_chain_length_and_shape():
@@ -93,9 +96,6 @@ def test_strict_transform_membership():
     other_coeff = strict_transform(flat("cc", LaurentPoly({-2: 1, -1: 4})), tree)
     assert not other_coeff.meets_ed
 
-    with pytest.raises(ValueError):
-        strict_transform(mk("r", p=2, q=3), tree)
-
 
 def test_strict_transform_separates_by_delta0():
     alpha = LaurentPoly({-2: 2, -1: 1})
@@ -147,7 +147,7 @@ def test_verify_corollary_on_unramified_worked_example():
     ]
     rep = verify_corollary(branches, LaurentPoly({-3: 1}))
     assert rep.consistent
-    assert rep.members_by_blowup == ("l2x2",)
+    assert rep.members_by_blowup == ("l2x2#1",)
 
     rep2 = verify_corollary(branches, LaurentPoly({-1: 1}))
     assert rep2.consistent and rep2.members_by_blowup == ()
@@ -244,3 +244,28 @@ def test_series_truncation_error_names_required_depth():
     with pytest.raises(TruncationError) as exc:
         deeper.const()
     assert exc.value.required_truncation == 5
+
+
+def test_each_copy_knows_only_its_own_prefix():
+    # p = lcm(1, 2, 3, 6) = 6.  A holomorphic part exact to order T in t is
+    # exact to order (p/p_l)*(T+1) - 1 in the ramified variable, so the
+    # least ramified branch knows the longest prefix.
+    T = 2
+    branches = [mk(f"b{pl}", p=pl, q=1, alpha=LaurentPoly({-1: 1}),
+                   delta=LaurentPoly({0: 1, T: 3})) for pl in (1, 2, 3, 6)]
+    copies = unramify(branches, T)
+    assert len(copies) == 12
+    for u in copies:
+        pl = int(u.label[1:])
+        assert u.truncation == (6 // pl) * (T + 1) - 1
+
+        # y = t^q / (t^q alpha + t^q delta) is exact through exponent
+        # 2q + truncation; the next coefficient is unknown, not zero.
+        q = u.alpha_sub.pole_order()
+        series = _initial_y_series(u)
+        for _ in range(2 * q + u.truncation):
+            series = series.divide_by_var()
+        series.const()
+        with pytest.raises(TruncationError) as exc:
+            series.divide_by_var().const()
+        assert exc.value.required_truncation == u.truncation + 1
