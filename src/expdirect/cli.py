@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 for parse or validation failures (with a JSON
 path in the message), 3 when the independent blow-up oracle disagrees with
-the symbolic computation (which flags a bug, not a data problem).
+the symbolic computation (which flags a bug, not a data problem; one line
+per disagreeing factor goes to stderr).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .newton import (
     slopes,
 )
 from .realization import NormalizationConflictError, realize, roundtrip_check
-from .resolution import build_resolution, verify_corollary
+from .resolution import CorollaryReport, build_resolution, verify_corollary
 from . import serialize
 from .serialize import SchemaError
 
@@ -133,8 +134,28 @@ def point_report_to_json(rep: PointReport) -> dict:
     return out
 
 
+def _disagreement(point: PointReport, rep: CorollaryReport) -> str:
+    """One line naming the copies the two membership tests disagree on."""
+    by_blowup, by_polar = set(rep.members_by_blowup), set(rep.members_by_polar)
+    chain = 2 * rep.alpha.pole_order()
+    parts = [
+        f"{name} is a member by {'blow-up' if name in by_blowup else 'polar part'}"
+        f" only ({steps} of {chain} blow-up steps matched)"
+        for name, steps in rep.steps_matched
+        if (name in by_blowup) != (name in by_polar)
+    ]
+    if not rep.star_agrees:
+        parts.append(f"separation by blow-up {rep.star_by_blowup}, "
+                     f"by polar part {rep.star_by_polar}")
+    return (f"error: oracle disagreement at point (c={point.c!r}, k={point.k}), "
+            f"factor alpha = {rep.alpha!r}: " + "; ".join(parts))
+
+
 def run_file(path: str, options: Options):
-    """Process a problem file; returns (document, exit_code)."""
+    """Process a problem file; returns (document, exit_code).
+
+    Exit code 3 comes with one stderr line per factor the oracle disputes.
+    """
     with open(path, "rb") as fh:
         data = json.load(fh)
     points, merged = _parse_problem(data, options)
@@ -150,6 +171,10 @@ def run_file(path: str, options: Options):
                for c, k, branches in sorted(points, key=lambda t: (t[0], t[1]))]
     doc = {"points": [point_report_to_json(r) for r in reports]}
     code = 0 if all(r.consistent for r in reports) else 3
+    for point in reports:
+        for rep in point.oracle or ():
+            if not rep.consistent:
+                print(_disagreement(point, rep), file=sys.stderr)
     return doc, code
 
 

@@ -13,10 +13,13 @@ of the numerator curve's strict transform with the newest exceptional
 component, found by solving a linear equation; every chart step is the map
 x = u, y = u*v after a recentering translation of v.  Strict transforms of
 the unramified branch copies (``branch.unramify``) are replayed through the
-same chart script on truncated power series.  Each copy carries its own
-known prefix, (p/p_l)*(truncation+1) - 1 for a branch of ramification p_l,
-so a coefficient beyond what that branch declared is an error, never a
-silent wrong value.
+same chart script: step j reads coefficient j of the copy's series y(t) and
+compares it with that step's center.  Coefficients are computed on demand,
+and a copy leaves at the first step whose center it misses, so a copy of
+another pole order never needs more than the series' leading term.  Each
+copy carries its own known prefix, (p/p_l)*(truncation+1) - 1 for a branch
+of ramification p_l, so a coefficient beyond what that branch declared is an
+error, never a silent wrong value.
 
 The stratified Euler-characteristic and monodromy-zeta assemblies over the
 distinguished component live here too; they telescope to values depending
@@ -259,90 +262,88 @@ def _check_final_tags(tree: ResolutionTree) -> None:
 
 @dataclass(frozen=True)
 class StrictTransformResult:
+    """Outcome of replaying one copy through the chain.
+
+    ``steps_matched`` is the number of blow-up centers the copy's limit point
+    tracked before it left the chain: 2q for a member, fewer otherwise.
+    """
+
     label: str
     meets_ed: bool
-    point_on_ed: CycloNum | None = None
+    point_on_ed: CycloNum | None
+    steps_matched: int
 
 
-class _Series:
-    """Truncated power series with an explicit known-prefix bound.
+class _YSeries:
+    """y(t) = t^q / (B(t) + t^q delta(t)) of one copy, extended on demand.
 
-    Coefficients at exponents < known_below are exact; beyond that they are
-    unknown, and reading one raises TruncationError naming the truncation the
-    caller would have needed.
+    B is the polynomial t^q * alpha(t) and q the copy's own pole order.
+    ``self[j]`` is the coefficient of t^j.  The reciprocal coefficients
+    inv[0] = 1/B(0) and inv[k] = -inv[0] * sum_i d_i inv[k-i] are computed
+    only up to the largest k read, summing over the nonzero denominator
+    terms d_i in ascending i.  Delta is exact to the copy's truncation T, so
+    y is exact below exponent 2q + T + 1; reading further raises
+    TruncationError naming the truncation that read would have needed.
     """
 
-    __slots__ = ("terms", "known_below", "_depth_offset")
+    __slots__ = ("q", "truncation", "c0", "denom", "inv", "zero")
 
-    def __init__(self, terms: dict[int, CycloNum], known_below: int,
-                 depth_offset: int = 0):
-        self.terms = {e: c for e, c in terms.items()
-                      if e < known_below and not c.is_zero()}
-        self.known_below = known_below
-        self._depth_offset = depth_offset
+    def __init__(self, u: UnramifiedBranch):
+        q = u.alpha_sub.pole_order()
+        denom: dict[int, CycloNum] = {e + q: c for e, c in u.alpha_sub.terms.items()}
+        for e, c in u.delta_sub.terms.items():
+            k = e + q
+            denom[k] = denom[k] + c if k in denom else c
+        c0 = denom.pop(0, None)
+        if c0 is None or c0.is_zero():
+            raise ValueError(f"branch {u.label}: alpha has no pole of order q")
+        self.q = q
+        self.truncation = u.truncation
+        self.c0 = c0
+        self.denom = sorted(denom.items())
+        # inv[k] is None where the coefficient vanishes.
+        self.inv: list[CycloNum | None] = []
+        self.zero = CycloNum.zero()
 
-    def const(self) -> CycloNum:
-        if self.known_below < 1:
-            raise TruncationError(self._depth_offset + (1 - self.known_below))
-        return self.terms.get(0, CycloNum.zero())
-
-    def minus_const(self, c: CycloNum) -> "_Series":
-        terms = dict(self.terms)
-        new = self.const() - c
-        if new.is_zero():
-            terms.pop(0, None)
-        else:
-            terms[0] = new
-        return _Series(terms, self.known_below, self._depth_offset)
-
-    def divide_by_var(self) -> "_Series":
-        return _Series({e - 1: c for e, c in self.terms.items()},
-                       self.known_below - 1, self._depth_offset)
-
-
-def _initial_y_series(u: UnramifiedBranch) -> _Series:
-    """y(t) = t^q / (B(t) + t^q delta(t)) as a truncated series.
-
-    B is the polynomial t^q * alpha(t); delta coefficients are exact up to
-    the copy's truncation, which bounds the known prefix.
-    """
-    qb = u.alpha_sub.pole_order()
-    denom: dict[int, CycloNum] = {e + qb: c for e, c in u.alpha_sub.terms.items()}
-    for e, c in u.delta_sub.terms.items():
-        k = e + qb
-        denom[k] = denom.get(k, CycloNum.zero()) + c
-    known = qb + u.truncation + 1
-    c0 = denom.get(0)
-    if c0 is None or c0.is_zero():
-        raise ValueError(f"branch {u.label}: alpha has no pole of order q")
-    inv: dict[int, CycloNum] = {0: c0.inv()}
-    for k in range(1, known):
-        acc = CycloNum.zero()
-        for i in range(1, k + 1):
-            di = denom.get(i)
-            if di is not None and (k - i) in inv:
-                acc = acc + di * inv[k - i]
-        if not acc.is_zero():
-            inv[k] = -acc * inv[0]
-    terms = {e + qb: c for e, c in inv.items()}
-    return _Series(terms, known + qb, depth_offset=u.truncation)
+    def __getitem__(self, j: int) -> CycloNum:
+        if j > 2 * self.q + self.truncation:
+            raise TruncationError(j - 2 * self.q)
+        k = j - self.q
+        if k < 0:
+            return self.zero
+        inv = self.inv
+        if not inv:
+            inv.append(self.c0.inv())
+        while len(inv) <= k:
+            n = len(inv)
+            acc = CycloNum.zero()
+            for i, di in self.denom:
+                if i > n:
+                    break
+                prev = inv[n - i]
+                if prev is not None:
+                    acc = acc + di * prev
+            inv.append(None if acc.is_zero() else -acc * inv[0])
+        c = inv[k]
+        return self.zero if c is None else c
 
 
 def strict_transform(u: UnramifiedBranch,
                      tree: ResolutionTree) -> StrictTransformResult:
     """Replay an unramified branch copy through the blow-up chain.
 
-    The copy meets the distinguished component exactly when its limit point
-    tracks every blow-up center; the intersection coordinate is then the
-    constant term of the transformed second coordinate.
+    Step j of the chart script recenters by the step's shift and divides by
+    the variable, so the copy's limit point tracks it exactly when the
+    coefficient y[j] equals that shift.  The copy leaves at the first step
+    it misses; a copy that tracks all 2q centers meets the distinguished
+    component at y[2q].  Only the coefficients read are computed.
     """
-    v = _initial_y_series(u)
-    for step in tree.steps:
-        v = v.minus_const(step.shift)
-        if not v.const().is_zero():
-            return StrictTransformResult(u.label, False, None)
-        v = v.divide_by_var()
-    return StrictTransformResult(u.label, True, v.const())
+    y = _YSeries(u)
+    for j, step in enumerate(tree.steps):
+        if y[j] != step.shift:
+            return StrictTransformResult(u.label, False, None, j)
+    n = len(tree.steps)
+    return StrictTransformResult(u.label, True, y[n], n)
 
 
 @dataclass(frozen=True)
@@ -355,6 +356,7 @@ class CorollaryReport:
     star_by_blowup: bool
     star_by_polar: bool
     points: tuple[tuple[str, CycloNum], ...]
+    steps_matched: tuple[tuple[str, int], ...]
 
     @property
     def consistent(self) -> bool:
@@ -369,7 +371,8 @@ def verify_corollary(copies: Sequence[UnramifiedBranch],
     strict transform meeting the distinguished component, and the separation
     condition restricted to those members must coincide with the meeting
     points being pairwise distinct.  Disagreement flags a bug, not bad input.
-    Copies are named ``label#root_index`` in the report.
+    Copies are named ``label#root_index`` in the report; ``steps_matched``
+    pairs each name with the number of blow-up centers its copy tracked.
     """
     tree = build_resolution(alpha)
     names = [f"{u.label}#{u.root_index}" for u in copies]
@@ -400,6 +403,7 @@ def verify_corollary(copies: Sequence[UnramifiedBranch],
         star_by_blowup=star_blowup,
         star_by_polar=star_polar,
         points=tuple(points),
+        steps_matched=tuple((n, r.steps_matched) for n, r in zip(names, results)),
     )
 
 

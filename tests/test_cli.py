@@ -198,12 +198,26 @@ def test_report_exit_3_on_oracle_mismatch(problem_file, monkeypatch, capsys):
     real = cli_mod.verify_corollary
 
     def broken(copies, alpha):
+        # The polar side forgets the factor's first member.
         rep = real(copies, alpha)
+        object.__setattr__(rep, "members_by_polar", rep.members_by_polar[1:])
         object.__setattr__(rep, "membership_agrees", False)
         return rep
 
     monkeypatch.setattr(cli_mod, "verify_corollary", broken)
     assert run_cli("report", "--input", problem_file) == 3
+    # One line per disputed factor: the point, the factor, and the copy the
+    # two sides disagree on with the blow-up steps it matched.
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("error: oracle disagreement at point "
+                               "(c='0', k=0), factor alpha = LaurentPoly(")
+               for line in lines)
+    assert sorted(line.split(": ")[-1] for line in lines) == [
+        "l1#1 is a member by blow-up only (4 of 4 blow-up steps matched)",
+        "l2#1 is a member by blow-up only (6 of 6 blow-up steps matched)",
+        "l2#2 is a member by blow-up only (6 of 6 blow-up steps matched)",
+    ]
 
 
 def test_max_order_flag(problem_file, tmp_path, capsys):

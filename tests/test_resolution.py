@@ -1,6 +1,8 @@
 """Blow-up chain structure, strict transforms, and the stratified totals."""
 
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,10 +20,9 @@ from expdirect.resolution import (
     strict_transform,
     verify_corollary,
     zeta_psi,
-    _initial_y_series,
-    _Series,
+    _YSeries,
 )
-from tests.helpers import mk, rand_monic, rand_polar
+from tests.helpers import mk, rand_branch, rand_monic, rand_polar
 
 
 def flat(label, alpha, delta0=None, m=1, zeta=None, delta=None):
@@ -238,11 +239,13 @@ def test_zeta_psi_random_cancellation():
 
 
 def test_series_truncation_error_names_required_depth():
-    s = _Series({0: CycloNum.one()}, known_below=1, depth_offset=4)
-    assert s.const() == 1
-    deeper = s.divide_by_var()
+    # alpha = t^-1, delta = 0 and truncation 4: y = t, exact below 2 + 4 + 1.
+    (u,) = unramify([mk("a", q=1)], 4)
+    y = _YSeries(u)
+    assert y[1] == 1
+    assert y[6] == 0
     with pytest.raises(TruncationError) as exc:
-        deeper.const()
+        y[7]
     assert exc.value.required_truncation == 5
 
 
@@ -262,10 +265,99 @@ def test_each_copy_knows_only_its_own_prefix():
         # y = t^q / (t^q alpha + t^q delta) is exact through exponent
         # 2q + truncation; the next coefficient is unknown, not zero.
         q = u.alpha_sub.pole_order()
-        series = _initial_y_series(u)
-        for _ in range(2 * q + u.truncation):
-            series = series.divide_by_var()
-        series.const()
+        y = _YSeries(u)
+        y[2 * q + u.truncation]
         with pytest.raises(TruncationError) as exc:
-            series.divide_by_var().const()
+            y[2 * q + u.truncation + 1]
         assert exc.value.required_truncation == u.truncation + 1
+
+
+def eager_y_coefficients(u):
+    """Reference: every known coefficient of y(t) = t^q / (B + t^q delta),
+    by the eager O(n^2) recurrence over all exponents."""
+    qb = u.alpha_sub.pole_order()
+    denom = {e + qb: c for e, c in u.alpha_sub.terms.items()}
+    for e, c in u.delta_sub.terms.items():
+        denom[e + qb] = denom.get(e + qb, CycloNum.zero()) + c
+    inv = {0: denom[0].inv()}
+    for k in range(1, qb + u.truncation + 1):
+        acc = CycloNum.zero()
+        for i in range(1, k + 1):
+            di = denom.get(i)
+            if di is not None and (k - i) in inv:
+                acc = acc + di * inv[k - i]
+        if not acc.is_zero():
+            inv[k] = -acc * inv[0]
+    return [inv.get(j - qb, CycloNum.zero())
+            for j in range(2 * qb + u.truncation + 1)]
+
+
+@pytest.mark.parametrize("cyclo", [False, True])
+def test_lazy_series_equals_the_eager_reference(cyclo):
+    rng = random.Random(41 if cyclo else 40)
+    for _ in range(4):
+        branches = [
+            dataclasses.replace(
+                rand_branch(rng, f"b{pl}", max_q=3, trunc=3, cyclo_coeffs=cyclo),
+                p=pl)
+            for pl in (1, 2, 3, 6)
+        ]
+        for u in unramify(branches, 3):
+            y = _YSeries(u)
+            want = eager_y_coefficients(u)
+            # Same element at the same order: the report bytes depend on it.
+            got = [y[j] for j in range(len(want))]
+            assert [(c.order, c.coeffs) for c in got] == \
+                [(c.order, c.coeffs) for c in want]
+            with pytest.raises(TruncationError):
+                y[len(want)]
+
+
+def count_arithmetic(monkeypatch):
+    calls = Counter()
+    mul, inv = CycloNum.__mul__, CycloNum.inv
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counted_inv(self):
+        calls["inv"] += 1
+        return inv(self)
+
+    monkeypatch.setattr(CycloNum, "__mul__", counted_mul)
+    monkeypatch.setattr(CycloNum, "inv", counted_inv)
+    return calls
+
+
+def test_non_member_of_other_pole_order_reads_one_coefficient(monkeypatch):
+    z = root_of_unity(5, 1)
+    tree = build_resolution(LaurentPoly({-2: z, -1: 3}))
+    copies = [flat("lo", LaurentPoly({-1: z * 2}), delta=LaurentPoly({0: 1, 3: 2})),
+              flat("hi", LaurentPoly({-3: z, -1: 1}), delta=LaurentPoly({1: 4}))]
+    calls = count_arithmetic(monkeypatch)
+    # "lo" leaves at y[1] = 1/B(0); "hi" leaves at y[2] = 0, before its
+    # series is needed at all.
+    for u, left_at, invs in zip(copies, (1, 2), (1, 0)):
+        calls.clear()
+        res = strict_transform(u, tree)
+        assert not res.meets_ed and res.steps_matched == left_at
+        assert calls["inv"] == invs and calls["mul"] == 0
+
+
+def test_member_work_does_not_grow_with_truncation(monkeypatch):
+    z = root_of_unity(7, 2)
+    alpha = LaurentPoly({-3: z, -2: 1, -1: z * 3})
+    tree = build_resolution(alpha)
+    branch = mk("m", q=3, alpha=alpha, delta=LaurentPoly({0: 2, 1: -1, 5: 3}))
+    calls = count_arithmetic(monkeypatch)
+    muls, points = [], []
+    for truncation in (8, 200):
+        (u,) = unramify([branch], truncation)
+        calls.clear()
+        res = strict_transform(u, tree)
+        assert res.meets_ed and res.steps_matched == 6
+        muls.append(calls["mul"])
+        points.append(res.point_on_ed)
+    assert muls[0] == muls[1] > 0
+    assert points[0] == points[1]
