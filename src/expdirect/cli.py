@@ -1,9 +1,10 @@
 """Command-line interface: JSON in, deterministic reports out.
 
 Exit codes: 0 on success, 2 for parse or validation failures (with a JSON
-path in the message), 3 when the independent blow-up oracle disagrees with
-the symbolic computation (which flags a bug, not a data problem; one line
-per disagreeing factor goes to stderr).
+path in the message) and for input that cannot be read, 3 when the
+independent blow-up oracle disagrees with the symbolic computation (which
+flags a bug, not a data problem; one line per disagreeing factor goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -55,12 +56,14 @@ def _parse_problem(data, options: Options):
     obj = serialize._expect_dict(data, "$")
     raw_points = serialize._expect_list(obj.get("points", []), "$.points")
     file_opts = serialize._expect_dict(obj.get("options", {}), "$.options")
-    truncation = file_opts.get("truncation", options.truncation)
-    if not isinstance(truncation, int) or truncation < 0:
+    truncation = serialize._expect_int(
+        file_opts.get("truncation", options.truncation), "$.options.truncation")
+    if truncation < 0:
         raise SchemaError("$.options.truncation", "expected a nonnegative integer")
     max_order = file_opts.get("max_order", options.max_order)
     if max_order is not None:
-        if not isinstance(max_order, int) or max_order < 1:
+        max_order = serialize._expect_int(max_order, "$.options.max_order")
+        if max_order < 1:
             raise SchemaError("$.options.max_order", "expected a positive integer")
         set_order_limit(max_order)  # applies to parsing as well
     merged = Options(truncation=truncation, max_order=max_order,
@@ -385,10 +388,13 @@ def main(argv=None) -> int:
     set_order_limit(DEFAULT_ORDER_LIMIT if args.max_order is None else args.max_order)
     try:
         return _COMMANDS[args.command](args, options)
-    except (SchemaError, json.JSONDecodeError, FileNotFoundError,
+    except (SchemaError, json.JSONDecodeError, UnicodeDecodeError, OSError,
             OrderLimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        # A file's options.max_order must not outlive the call.
+        set_order_limit(DEFAULT_ORDER_LIMIT)
 
 
 if __name__ == "__main__":

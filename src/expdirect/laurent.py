@@ -5,7 +5,8 @@ A LaurentPoly is a finite-support map from integer exponents of the local
 variable to nonzero cyclotomic coefficients.  Polar parts of branch
 parametrizations, their truncated holomorphic parts, and exponential factors
 all live here.  BiRational carries quotients of bivariate polynomials through
-monomial coordinate changes and classifies their local shape at axis points.
+the blow-up chain: recentering of the second variable, the two chart maps,
+and classification of the local shape at the origin.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .cyclotomic import CycloNum, root_of_unity
 
@@ -32,11 +33,7 @@ __all__ = [
 
 
 class ClassificationError(ValueError):
-    """Local form at a point is not monomial-times-unit; carries the point."""
-
-    def __init__(self, point, message: str):
-        self.point = point
-        super().__init__(f"{message} at point {point}")
+    """Local form at the origin is not monomial-times-unit."""
 
 
 def _coerce_num(c) -> CycloNum:
@@ -140,12 +137,6 @@ class LaurentPoly:
 
     def const_term(self) -> CycloNum:
         return self.terms.get(0, CycloNum.zero())
-
-    def evaluate(self, x: CycloNum) -> CycloNum:
-        acc = CycloNum.zero(x.order)
-        for e, c in self.terms.items():
-            acc = acc + c * x**e
-        return acc
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -276,44 +267,38 @@ class BiPoly:
         """u -> u*v (the chart keeping the second variable)."""
         return BiPoly({(i, i + j): c for (i, j), c in self.terms.items()})
 
-    def translate(self, a: CycloNum | int, b: CycloNum | int) -> "BiPoly":
-        """Recenter: substitute u -> u + a, v -> v + b."""
-        a = _coerce_num(a)
+    def translate(self, b: CycloNum | int) -> "BiPoly":
+        """Recenter the second variable: substitute v -> v + b."""
         b = _coerce_num(b)
+        if b.is_zero() or self.is_zero():
+            return self
+        powers = [CycloNum.one()]
+        for _ in range(max(j for _, j in self.terms)):
+            powers.append(powers[-1] * b)
         out: dict[tuple[int, int], CycloNum] = {}
         for (i, j), c in self.terms.items():
-            ui = [(i - s, c * comb(i, s) * a**s) for s in range(i + 1)] \
-                if not a.is_zero() else [(i, c)]
-            for (inew, ci) in ui:
-                if b.is_zero():
-                    k = (inew, j)
-                    s0 = out.get(k)
-                    out[k] = ci if s0 is None else s0 + ci
-                else:
-                    for t in range(j + 1):
-                        k = (inew, j - t)
-                        cj = ci * comb(j, t) * b**t
-                        s0 = out.get(k)
-                        out[k] = cj if s0 is None else s0 + cj
+            for t in range(j + 1):
+                k = (i, j - t)
+                cj = c * comb(j, t) * powers[t]
+                s0 = out.get(k)
+                out[k] = cj if s0 is None else s0 + cj
         return BiPoly(out)
 
-    def eval(self, u: CycloNum | int, v: CycloNum | int) -> CycloNum:
-        u = _coerce_num(u)
-        v = _coerce_num(v)
-        acc = CycloNum.zero()
-        for (i, j), c in self.terms.items():
-            acc = acc + c * u**i * v**j
-        return acc
+    def const_term(self) -> CycloNum:
+        return self.terms.get((0, 0), CycloNum.zero())
 
-    def eval_first(self, u: CycloNum | int) -> LaurentPoly:
-        """Partial evaluation at the first variable; result in the second."""
-        u = _coerce_num(u)
-        out: dict[int, CycloNum] = {}
-        for (i, j), c in self.terms.items():
-            p = c * u**i
-            s = out.get(j)
-            out[j] = p if s is None else s + p
-        return LaurentPoly(out)
+    def restrict_first_to_zero(self) -> LaurentPoly:
+        """Restriction to u = 0: the terms free of u, as a polynomial in v.
+
+        Each coefficient is represented at the lcm of the orders of its
+        column (all terms with the same power of v), the order that summing
+        the column at u = 0 yields; serialized orders depend on it.
+        """
+        orders: dict[int, int] = {}
+        for (_, j), c in self.terms.items():
+            orders[j] = lcm(orders.get(j, 1), c.order)
+        return LaurentPoly({j: c.lift(orders[j])
+                            for (i, j), c in self.terms.items() if i == 0})
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
@@ -349,13 +334,13 @@ class NormalFormKind(Enum):
 
 @dataclass(frozen=True)
 class NormalFormTag:
-    """Local shape of a bivariate rational function at an axis point.
+    """Local shape of a bivariate rational function at the origin.
 
-    pole_u/pole_v are the orders of the monomial pole in each local variable
-    after recentering the point at the origin; for the holomorphic case,
-    ``value`` is the function value and ``transverse`` records that the
-    derivative along the second local variable is nonzero (so value plus a
-    coordinate is an honest local normal form).
+    pole_u/pole_v are the orders of the monomial pole in each local variable;
+    for the holomorphic case, ``value`` is the function value and
+    ``transverse`` records that the derivative along the second local
+    variable is nonzero (so value plus a coordinate is an honest local
+    normal form).
     """
 
     kind: NormalFormKind
@@ -386,57 +371,47 @@ class BiRational:
     def __setattr__(self, name, value):
         raise AttributeError("BiRational is immutable")
 
-    def compose_monomial_map(self, chart: str, shift=(0, 0)) -> "BiRational":
-        """Pull back through a recentering translation followed by one of the
-        two standard point blow-up charts."""
-        a, b = shift
-        num = self.num.translate(a, b)
-        den = self.den.translate(a, b)
+    def translate(self, b: CycloNum | int) -> "BiRational":
+        """Recenter the second variable: substitute v -> v + b."""
+        return BiRational(self.num.translate(b), self.den.translate(b))
+
+    def compose_monomial_map(self, chart: str) -> "BiRational":
+        """Pull back through one of the two standard point blow-up charts."""
         if chart == CHART_FIRST:
-            num = num.subst_second_by_product()
-            den = den.subst_second_by_product()
+            num = self.num.subst_second_by_product()
+            den = self.den.subst_second_by_product()
         elif chart == CHART_SECOND:
-            num = num.subst_first_by_product()
-            den = den.subst_first_by_product()
+            num = self.num.subst_first_by_product()
+            den = self.den.subst_first_by_product()
         else:
             raise ValueError(f"unknown chart {chart!r}")
         return BiRational(num, den)
 
-    def eval(self, u, v) -> CycloNum:
-        return self.num.eval(u, v) / self.den.eval(u, v)
+    def classify_at_point(self) -> NormalFormTag:
+        """Normal form of the function at the origin.
 
-    def classify_at_point(self, point) -> NormalFormTag:
-        """Normal form of the function at a point on a coordinate axis.
-
-        The point is recentered at the origin; the residual numerator and
-        denominator must be monomial-times-unit there.  A denominator that
-        fails this raises ClassificationError carrying the point.
+        The residual numerator and denominator must be monomial-times-unit
+        there.  A denominator that fails this raises ClassificationError.
         """
-        u0, v0 = (_coerce_num(point[0]), _coerce_num(point[1]))
-        if not (u0.is_zero() or v0.is_zero()):
-            raise ValueError(f"point {point} is not on a coordinate axis")
-        num = self.num.translate(u0, v0)
-        den = self.den.translate(u0, v0)
-        na, nb = num.content()
-        da, db = den.content()
-        nres = num.divide_monomial(na, nb)
-        dres = den.divide_monomial(da, db)
-        if dres.eval(0, 0).is_zero():
+        na, nb = self.num.content()
+        da, db = self.den.content()
+        nres = self.num.divide_monomial(na, nb)
+        dres = self.den.divide_monomial(da, db)
+        d00 = dres.const_term()
+        if d00.is_zero():
             raise ClassificationError(
-                point, "denominator is not monomial-times-unit"
-            )
+                "denominator is not monomial-times-unit at the origin")
         pu, pv = da - na, db - nb
-        num_unit = not nres.eval(0, 0).is_zero()
+        n00 = nres.const_term()
         if pu <= 0 and pv <= 0:
             # Holomorphic: g = u^(-pu) v^(-pv) * nres/dres.
-            value = CycloNum.zero() if (pu < 0 or pv < 0) \
-                else nres.eval(0, 0) / dres.eval(0, 0)
+            value = CycloNum.zero() if (pu < 0 or pv < 0) else n00 / d00
             dv = self._transverse_dv(nres, dres, -pu, -pv)
             kind = (NormalFormKind.HOLOMORPHIC_COORD if dv
                     else NormalFormKind.NOT_NORMAL)
             return NormalFormTag(kind, 0, 0, value, dv,
                                  "" if dv else "vanishing transverse derivative")
-        if not num_unit or pu < 0 or pv < 0:
+        if n00.is_zero() or pu < 0 or pv < 0:
             return NormalFormTag(
                 NormalFormKind.NOT_NORMAL, max(pu, 0), max(pv, 0), None, False,
                 "numerator vanishes against a pole",
@@ -451,8 +426,8 @@ class BiRational:
         # (zero identically when zu > 0); dres(0,0) is nonzero by construction.
         if zu > 0 or zv > 1:
             return False
-        n0 = nres.eval_first(CycloNum.zero())
-        d0 = dres.eval_first(CycloNum.zero())
+        n0 = nres.restrict_first_to_zero()
+        d0 = dres.restrict_first_to_zero()
         if zv == 1:
             return not n0.const_term().is_zero()
         n_c, n_l = n0.const_term(), n0.coeff(1)

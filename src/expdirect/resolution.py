@@ -158,7 +158,7 @@ class ResolutionTree:
 
 def _structural(cond: bool, message: str):
     if not cond:
-        raise ClassificationError(None, f"resolution structure violated: {message}")
+        raise ClassificationError(f"resolution structure violated: {message}")
 
 
 def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
@@ -188,26 +188,26 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
         index += 1
         _structural(index <= 2 * q, f"chain exceeded {2 * q} blow-ups")
 
+        g = g.translate(shift)
         # Crossing of the new component with the previous total transform,
         # seen in the complementary chart.
-        g2 = g.compose_monomial_map(CHART_SECOND, (0, shift))
-        tag2 = g2.classify_at_point((0, 0))
+        tag2 = g.compose_monomial_map(CHART_SECOND).classify_at_point()
         crossing = CrossingRecord(
             left=index - 1, right=index, tag=tag2,
             pi1_orders=(px[0], px[0] + px[1]),
         )
 
-        g = g.compose_monomial_map(CHART_FIRST, (0, shift))
+        g = g.compose_monomial_map(CHART_FIRST)
         px = (px[0] + px[1], px[1])
         _structural(px == (1, 0), "first projection left the monomial form")
 
         cu, cv = g.den.content()
         num_cu, _ = g.num.content()
         _structural(num_cu == 0, "numerator vanishes along the new component")
-        den_res_at0 = g.den.divide_monomial(cu, cv).eval_first(CycloNum.zero())
+        den_res_at0 = g.den.divide_monomial(cu, cv).restrict_first_to_zero()
         _structural(den_res_at0.support() == [0],
                     "denominator has a non-axis zero on the new component")
-        num_at0 = g.num.eval_first(CycloNum.zero())
+        num_at0 = g.num.restrict_first_to_zero()
         _structural(num_at0.support() in ([0, 1], [1]) and
                     not num_at0.coeff(1).is_zero(),
                     "numerator trace on the new component not affine")
@@ -234,7 +234,7 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
         if cv >= 1 and not shift.is_zero():
             # The axis crossing at the origin survives; classify and keep it.
             axis_points.append(AxisPointRecord(
-                component=index, tag=g.classify_at_point((0, 0))))
+                component=index, tag=g.classify_at_point()))
 
 
 def _check_final_tags(tree: ResolutionTree) -> None:

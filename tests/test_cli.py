@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from expdirect.cli import main
+from expdirect.cyclotomic import root_of_unity
 from expdirect.laurent import LaurentPoly
 from expdirect.serialize import branch_to_json
 from tests.helpers import mk, worked_example_branches
@@ -89,6 +90,13 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
     bad.write_text("{this is not json")
     assert run_cli("report", "--input", bad) == 2
     assert run_cli("report", "--input", tmp_path / "missing.json") == 2
+    assert run_cli("report", "--input", tmp_path) == 2  # a directory
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"points": [{"c": "\xe9"}]}')
+    assert run_cli("report", "--input", latin1) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert all(line.startswith("error: ") for line in err.splitlines())
 
 
 def test_float_coefficient_is_exit_2(tmp_path, capsys):
@@ -221,17 +229,11 @@ def test_report_exit_3_on_oracle_mismatch(problem_file, monkeypatch, capsys):
 
 
 def test_max_order_flag(problem_file, tmp_path, capsys):
-    from expdirect.cyclotomic import get_order_limit, set_order_limit
-
-    old = get_order_limit()
-    try:
-        doc = {"points": [{"c": "0", "k": 0, "branches": [
-            branch_to_json(mk("a", p=7, q=2, alpha=None, m=1))]}]}
-        path = tmp_path / "seven.json"
-        path.write_text(json.dumps(doc))
-        assert run_cli("report", "--input", path, "--max-order", 5) == 2
-    finally:
-        set_order_limit(old)
+    doc = {"points": [{"c": "0", "k": 0, "branches": [
+        branch_to_json(mk("a", p=7, q=2, alpha=None, m=1))]}]}
+    path = tmp_path / "seven.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("report", "--input", path, "--max-order", 5) == 2
 
 
 def test_file_order_limit_does_not_leak_into_the_next_call(tmp_path):
@@ -240,10 +242,22 @@ def test_file_order_limit_does_not_leak_into_the_next_call(tmp_path):
         "points": [{"c": "0", "k": 0, "branches": [branch_to_json(mk("a"))]}],
         "options": {"max_order": 3}}))
     assert run_cli("report", "--input", capped) == 0
+    # The cap is back at the default as soon as main returns.
+    assert root_of_unity(4, 1) * root_of_unity(4, 1) == -1
     order4 = tmp_path / "order4.json"
     order4.write_text(json.dumps({"points": [{"c": "0", "k": 0, "branches": [
         branch_to_json(mk("b", p=4, q=1, alpha=LaurentPoly({-1: 1})))]}]}))
     assert run_cli("report", "--input", order4, "--oracle", "off") == 0
+
+
+@pytest.mark.parametrize("option", ["truncation", "max_order"])
+def test_boolean_file_option_is_exit_2_naming_the_path(tmp_path, capsys, option):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({
+        "points": [{"c": "0", "k": 0, "branches": [branch_to_json(mk("a"))]}],
+        "options": {option: True}}))
+    assert run_cli("report", "--input", path) == 2
+    assert f"$.options.{option}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--max-order", 0), ("--max-order", -2),

@@ -19,7 +19,7 @@ CASES = sorted(GOLDEN.glob("*/*.in.json"))
 def test_corpus_is_present():
     commands = {case.parent.name for case in CASES}
     assert commands == {"report", "resolve", "roundtrip"}
-    assert len(CASES) == 17
+    assert len(CASES) == 19
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,27 @@ def rand_root_index(rng: random.Random, max_order: int = 8) -> tuple[int, int]:
     return n, rng.randint(0, n - 1)
 
 
+def laurent_at(f: LaurentPoly, x: CycloNum) -> CycloNum:
+    """Value of f at a nonzero point: the reference substitutions are checked
+    against."""
+    acc = CycloNum.zero(x.order)
+    for e, c in f.terms.items():
+        acc = acc + c * x**e
+    return acc
+
+
+def bi_at(p: BiPoly, u: CycloNum, v: CycloNum) -> CycloNum:
+    """Value of p at any (u, v); the library reads only the origin."""
+    acc = CycloNum.zero()
+    for (i, j), c in p.terms.items():
+        acc = acc + c * u**i * v**j
+    return acc
+
+
+def rational_at(g: BiRational, u: CycloNum, v: CycloNum) -> CycloNum:
+    return bi_at(g.num, u, v) / bi_at(g.den, u, v)
+
+
 def rand_laurent(rng: random.Random, lo=-6, hi=4) -> LaurentPoly:
     terms = {}
     for e in range(lo, hi + 1):
@@ -63,7 +84,7 @@ def test_subst_exact_evaluation_cross_check():
         n, i = rand_root_index(rng)
         k = rng.randint(1, 3)
         sub = subst_root_power(f, n, i, k)
-        assert sub.evaluate(t) == f.evaluate(root_of_unity(n, i) * t**k)
+        assert laurent_at(sub, t) == laurent_at(f, root_of_unity(n, i) * t**k)
 
 
 def test_subst_rejects_bad_exponent():
@@ -120,13 +141,41 @@ def test_support_gcd_examples():
 def test_bipoly_translate_and_eval():
     rng = random.Random(3)
     p = BiPoly({(2, 1): 1, (0, 3): Fraction(1, 2), (1, 0): -2})
-    a = CycloNum.from_rational(Fraction(1, 3))
     b = root_of_unity(4, 1)
-    q = p.translate(a, b)
+    q = p.translate(b)
     for _ in range(5):
         u = CycloNum.from_rational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
         v = CycloNum.from_rational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-        assert q.eval(u, v) == p.eval(u + a, v + b)
+        assert bi_at(q, u, v) == bi_at(p, u, v + b)
+    assert p.translate(0) is p
+
+
+def rand_bipoly(rng: random.Random) -> BiPoly:
+    terms = {}
+    for i in range(4):
+        for j in range(4):
+            if rng.random() < 0.4:
+                n = rng.choice([1, 3, 4, 6])
+                terms[(i, j)] = root_of_unity(n, rng.randrange(n)) * rng.randint(-3, 3)
+    return BiPoly(terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_origin_reads_equal_general_evaluation(seed):
+    # The (0, 0) coefficient is the value at the origin, and the restriction
+    # to u = 0 is the column sums at u = 0, orders included.
+    rng = random.Random(seed)
+    p = rand_bipoly(rng)
+    zero = CycloNum.zero()
+    assert p.const_term() == bi_at(p, zero, zero)
+    columns: dict[int, CycloNum] = {}
+    for (i, j), c in p.terms.items():
+        term = c * zero**i
+        columns[j] = term if j not in columns else columns[j] + term
+    restricted = p.restrict_first_to_zero()
+    assert restricted == LaurentPoly(columns)
+    assert all(restricted.terms[j].order == columns[j].order for j in restricted.terms)
 
 
 def test_compose_monomial_map_preserves_value():
@@ -141,13 +190,13 @@ def test_compose_monomial_map_preserves_value():
     for _ in range(20):
         u = CycloNum.from_rational(Fraction(rng.randint(1, 9), rng.randint(1, 5)))
         v = CycloNum.from_rational(Fraction(rng.randint(1, 9), rng.randint(1, 5)))
-        assert first.eval(u, v) == g.eval(u, u * v)
-        assert second.eval(u, v) == g.eval(u * v, v)
+        assert rational_at(first, u, v) == rational_at(g, u, u * v)
+        assert rational_at(second, u, v) == rational_at(g, u * v, v)
 
 
 def test_classify_pole_one_var_at_exceptional():
     g = BiRational(BiPoly.constant(1), BiPoly.monomial(0, 1))  # 1/v
-    tag = g.classify_at_point((0, 0))
+    tag = g.classify_at_point()
     assert tag.kind is NormalFormKind.POLE_ONE_VAR
     assert (tag.pole_u, tag.pole_v) == (0, 1)
 
@@ -156,7 +205,7 @@ def test_classify_holomorphic_coordinate():
     c = Fraction(5, 2)
     num = BiPoly({(0, 0): c, (0, 1): 1}) * BiPoly({(0, 0): 1, (1, 0): 1})
     g = BiRational(num, BiPoly.constant(1))
-    tag = g.classify_at_point((0, 0))
+    tag = g.classify_at_point()
     assert tag.kind is NormalFormKind.HOLOMORPHIC_COORD
     assert tag.value == CycloNum.from_rational(c)
     assert tag.transverse
@@ -171,38 +220,31 @@ def test_classify_after_blowup_of_plane_curve():
     assert g.den == BiPoly({(2, 1): 1})
 
     # At a generic exceptional point (0, v0), v0 != 0, the v-factor is a unit:
-    # the local form is unit / u^2.
-    tag = g.classify_at_point((0, Fraction(3, 2)))
+    # the local form, recentered there, is unit / u^2.
+    v0 = CycloNum.from_rational(Fraction(3, 2))
+    tag = g.translate(v0).classify_at_point()
     assert tag.kind is NormalFormKind.POLE_ONE_VAR
     assert (tag.pole_u, tag.pole_v) == (2, 0)
     # Exact series check of the pole order: u^2 * g is finite and nonzero
     # along u -> 0 at that point.
-    v0 = CycloNum.from_rational(Fraction(3, 2))
     u = CycloNum.from_rational(Fraction(1, 1000))
-    scaled = g.num.eval(u, v0) / g.den.divide_monomial(2, 0).eval(u, v0)
+    scaled = bi_at(g.num, u, v0) / bi_at(g.den.divide_monomial(2, 0), u, v0)
     assert not scaled.is_zero()
 
     # At the crossing (0, 0) the numerator's strict transform passes through:
     # not one of the monomial normal forms.
-    tag0 = g.classify_at_point((0, 0))
+    tag0 = g.classify_at_point()
     assert tag0.kind is NormalFormKind.NOT_NORMAL
 
 
 def test_classify_two_var_pole():
     g = BiRational(BiPoly({(0, 0): 1, (1, 1): 1}), BiPoly.monomial(3, 2))
-    tag = g.classify_at_point((0, 0))
+    tag = g.classify_at_point()
     assert tag.kind is NormalFormKind.POLE_TWO_VAR
     assert (tag.pole_u, tag.pole_v) == (3, 2)
 
 
-def test_classify_failure_carries_point():
+def test_classify_rejects_non_unit_denominator():
     g = BiRational(BiPoly.constant(1), BiPoly({(1, 0): 1, (0, 1): 1}))
-    with pytest.raises(ClassificationError) as exc:
-        g.classify_at_point((0, 0))
-    assert exc.value.point == (0, 0)
-
-
-def test_classify_requires_axis_point():
-    g = BiRational(BiPoly.constant(1), BiPoly.monomial(1, 0))
-    with pytest.raises(ValueError):
-        g.classify_at_point((1, 1))
+    with pytest.raises(ClassificationError):
+        g.classify_at_point()
