@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success, 2 for parse or validation failures (with a JSON
 path in the message) and for input that cannot be read, 3 when the
-independent blow-up oracle disagrees with the symbolic computation (which
-flags a bug, not a data problem; one line per disagreeing factor goes to
-stderr).
+independent blow-up oracle disagrees with the symbolic computation (one line
+per disagreeing factor goes to stderr) or a blow-up chain breaks its expected
+normal form (ClassificationError, with an ``error:`` line).  Exit 3 flags a
+bug, not a data problem.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from pathlib import Path
 
 from .branch import DEFAULT_TRUNCATION, validate_all
 from .cyclotomic import DEFAULT_ORDER_LIMIT, OrderLimitError, set_order_limit
 from .decomposition import FormalDecomposition, decompose
+from .laurent import ClassificationError
 from .newton import (
     NewtonPolygon,
     irregularity,
@@ -342,7 +345,9 @@ def _bounded_int(low: int):
     return parse
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args never mutates the parser.
     parser = argparse.ArgumentParser(
         prog="expdirect",
         description="Exact formal invariants of exponential-type direct "
@@ -392,6 +397,11 @@ def main(argv=None) -> int:
             OrderLimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except ClassificationError as err:
+        # A blow-up chain broke its expected normal form: a bug, like exit 3
+        # from an oracle disagreement, not a data problem.
+        print(f"error: {err}", file=sys.stderr)
+        return 3
     finally:
         # A file's options.max_order must not outlive the call.
         set_order_limit(DEFAULT_ORDER_LIMIT)

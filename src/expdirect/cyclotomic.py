@@ -6,6 +6,18 @@ cyclotomic polynomial.  The order N is declared at construction and never
 changes behind the caller's back; binary operations lift both operands to the
 least common multiple of their orders, so equality across orders is equality
 as complex numbers.  All values are immutable.
+
+Every value holds a reduced dict: basis exponents 0 <= k < phi(N) only, each
+mapped to a nonzero Fraction.  The public constructor ``CycloNum(order,
+coeffs)`` is where outside input enters: it checks the order against the
+cap, the coefficient types, and folds and reduces any exponent.  Arithmetic
+results are already reduced and skip that validation; only an order a value
+is first built at (in the constructor or in ``lift``) is checked.
+
+``a.times_root(n, k)`` is ``a * root_of_unity(n, k)`` done as an exponent
+shift.  Its order is the one that product has: ``a.order`` when
+zeta_n^k = +-1, ``n`` when ``a`` is rational, and ``lcm(a.order, n)``
+otherwise.
 """
 
 from __future__ import annotations
@@ -150,21 +162,26 @@ def _rows_for(order: int, upto: int) -> list[tuple[int, ...]]:
 
 
 def _reduce_exponents(order: int, raw: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Rewrite exponents 0 <= e < order in the power basis; drop zero values.
+
+    Reduction rows are built only up to the highest exponent read.
+    """
     phi = totient(order)
     out: dict[int, Fraction] = {}
-    high = [e for e in raw if e >= phi]
-    if high:
-        _rows_for(order, max(high))
-        rows = _reduction_rows[order]
+    top = max(raw, default=0)
+    if top >= phi:
+        rows = _rows_for(order, top)
     for e, c in raw.items():
         if not c:
             continue
         if e < phi:
-            out[e] = out.get(e, Fraction(0)) + c
+            prev = out.get(e)
+            out[e] = c if prev is None else prev + c
         else:
             for i, ri in enumerate(rows[e - phi]):
                 if ri:
-                    out[i] = out.get(i, Fraction(0)) + c * ri
+                    prev = out.get(i)
+                    out[i] = c * ri if prev is None else prev + c * ri
     return {e: c for e, c in out.items() if c}
 
 
@@ -194,13 +211,13 @@ class CycloNum:
         _check_order(order)
         raw: dict[int, Fraction] = {}
         if coeffs:
-            n = order
             for e, c in coeffs.items():
                 c = _as_fraction(c)
                 if not c:
                     continue
-                e %= n
-                raw[e] = raw.get(e, Fraction(0)) + c
+                e %= order
+                prev = raw.get(e)
+                raw[e] = c if prev is None else prev + c
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", _reduce_exponents(order, raw))
 
@@ -227,7 +244,8 @@ class CycloNum:
         return not self.coeffs
 
     def is_rational(self) -> bool:
-        return set(self.coeffs) <= {0}
+        coeffs = self.coeffs
+        return not coeffs or (len(coeffs) == 1 and 0 in coeffs)
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
@@ -244,10 +262,36 @@ class CycloNum:
             )
         _check_order(order)
         step = order // self.order
-        return CycloNum(order, {e * step: c for e, c in self.coeffs.items()})
+        return _reduced(order, _reduce_exponents(
+            order, {e * step: c for e, c in self.coeffs.items()}))
 
-    def _key(self) -> tuple:
-        return tuple(sorted(self.coeffs.items()))
+    def times_root(self, n: int, k: int) -> "CycloNum":
+        """``self * root_of_unity(n, k)``, by shifting exponents.
+
+        The result has the order that product has: ``self.order`` when
+        zeta_n^k = +-1, ``n`` when ``self`` is rational, and the lcm of
+        the two orders otherwise.
+
+        >>> CycloNum.from_rational(2).times_root(4, 3)
+        CycloNum(4, -2*z)
+        """
+        _check_order(n)
+        k %= n
+        if 2 * k % n == 0:
+            return self if k == 0 else -self
+        if self.is_rational():
+            r = self.coeffs.get(0)
+            return _reduced(n, {} if r is None else _reduce_exponents(n, {k: r}))
+        m = self.order
+        order = m * n // gcd(m, n)
+        if order != m:
+            _check_order(order)
+        step, shift = order // m, k * (order // n)
+        raw: dict[int, Fraction] = {}
+        for e, c in self.coeffs.items():
+            e = e * step + shift
+            raw[e - order if e >= order else e] = c
+        return _reduced(order, _reduce_exponents(order, raw))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -269,13 +313,21 @@ class CycloNum:
         a, b = self._common(other)
         out = dict(a.coeffs)
         for e, c in b.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return CycloNum(a.order, out)
+            prev = out.get(e)
+            if prev is None:
+                out[e] = c
+            else:
+                c += prev
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+        return _reduced(a.order, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.order, {e: -c for e, c in self.coeffs.items()})
+        return _reduced(self.order, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -294,34 +346,43 @@ class CycloNum:
         if other is None:
             return NotImplemented
         if other.is_rational():
-            r = other.coeffs.get(0, Fraction(0))
-            return CycloNum(self.order, {e: c * r for e, c in self.coeffs.items()})
+            return self._scaled(other)
         if self.is_rational():
-            r = self.coeffs.get(0, Fraction(0))
-            return CycloNum(other.order, {e: c * r for e, c in other.coeffs.items()})
+            return other._scaled(self)
         a, b = self._common(other)
+        n = a.order
         conv: dict[int, Fraction] = {}
         for i, ca in a.coeffs.items():
             for j, cb in b.coeffs.items():
                 k = i + j
-                conv[k] = conv.get(k, Fraction(0)) + ca * cb
-        return CycloNum(a.order, _raw_from(conv, a.order))
+                if k >= n:
+                    k -= n
+                prev = conv.get(k)
+                conv[k] = ca * cb if prev is None else prev + ca * cb
+        return _reduced(n, _reduce_exponents(n, conv))
 
     __rmul__ = __mul__
+
+    def _scaled(self, rational: "CycloNum") -> "CycloNum":
+        # self times a rational CycloNum, at self's order.
+        r = rational.coeffs.get(0)
+        if r is None:
+            return _reduced(self.order, {})
+        return _reduced(self.order, {e: c * r for e, c in self.coeffs.items()})
 
     def inv(self) -> "CycloNum":
         """Multiplicative inverse, via the extended Euclidean algorithm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
         if self.is_rational():
-            return CycloNum(self.order, {0: 1 / self.coeffs[0]})
+            return _reduced(self.order, {0: 1 / self.coeffs[0]})
         phi = totient(self.order)
         a = [Fraction(0)] * phi
         for e, c in self.coeffs.items():
             a[e] = c
         modulus = [Fraction(c) for c in _cyclotomic_int_coeffs(self.order)]
         s = _poly_invert_mod(a, modulus)
-        return CycloNum(self.order, {i: c for i, c in enumerate(s) if c})
+        return _reduced(self.order, {i: c for i, c in enumerate(s) if c})
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -380,13 +441,14 @@ class CycloNum:
         return f"CycloNum({self.order}, {' + '.join(parts)})"
 
 
-def _raw_from(conv: dict[int, Fraction], order: int) -> dict[int, Fraction]:
-    # Constructor re-reduces; fold exponents mod order here to keep rows short.
-    out: dict[int, Fraction] = {}
-    for e, c in conv.items():
-        e %= order
-        out[e] = out.get(e, Fraction(0)) + c
-    return out
+def _reduced(order: int, coeffs: dict[int, Fraction]) -> CycloNum:
+    """A CycloNum holding ``coeffs`` as is: the private constructor for
+    results, whose order has been checked and whose dict is already reduced
+    (basis exponents only, nonzero Fraction values)."""
+    num = object.__new__(CycloNum)
+    object.__setattr__(num, "order", order)
+    object.__setattr__(num, "coeffs", coeffs)
+    return num
 
 
 def _poly_invert_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .cyclotomic import CycloNum, root_of_unity
+from .cyclotomic import CycloNum
 
 __all__ = [
     "LaurentPoly",
@@ -162,12 +162,13 @@ def subst_root_power(f: LaurentPoly, n: int, i: int, k: int) -> LaurentPoly:
     """Substitute the variable by a root of unity times its k-th power:
     f(t) -> f(zeta_n^i * t^k).
 
-    Each term a*t^e becomes a*zeta_n^(i*e)*t^(e*k), so no power or inverse of
-    the root is ever formed.
+    Each term a*t^e becomes a*zeta_n^(i*e)*t^(e*k), an exponent shift of a
+    (``CycloNum.times_root``), so no power or inverse of the root is ever
+    formed.
     """
     if k <= 0:
         raise ValueError(f"substitution exponent must be positive, got {k}")
-    return LaurentPoly({e * k: c * root_of_unity(n, i * e)
+    return LaurentPoly({e * k: c.times_root(n, i * e)
                         for e, c in f.terms.items()})
 
 

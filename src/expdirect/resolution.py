@@ -182,6 +182,9 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
     components: list[ComponentRecord] = []
     axis_points: list[AxisPointRecord] = []
     shift = CycloNum.zero()
+    # The slope num1 repeats along the chain (it is -lead(alpha)): invert it
+    # only when it changes.
+    slope = slope_inv = None
     index = 0
 
     while True:
@@ -230,7 +233,10 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
             return tree
 
         # Next center: the unique root of the numerator on the new component.
-        shift = -num_at0.const_term() / num_at0.coeff(1)
+        num1 = num_at0.coeff(1)
+        if slope is None or num1.order != slope.order or num1 != slope:
+            slope, slope_inv = num1, num1.inv()
+        shift = -num_at0.const_term() * slope_inv
         if cv >= 1 and not shift.is_zero():
             # The axis crossing at the origin survives; classify and keep it.
             axis_points.append(AxisPointRecord(

@@ -275,3 +275,38 @@ def test_verify_has_no_oracle_flag(problem_file, capsys):
         run_cli("verify", "--input", problem_file, "--oracle", "off")
     assert exc.value.code == 2
     assert "--oracle" in capsys.readouterr().err
+
+
+def test_consecutive_calls_get_independent_options(problem_file, tmp_path):
+    # The parser is built once per process; each call still parses afresh.
+    off, on = tmp_path / "off.json", tmp_path / "on.json"
+    assert run_cli("report", "--input", problem_file, "--output", off,
+                   "--oracle", "off") == 0
+    assert run_cli("report", "--input", problem_file, "--output", on) == 0
+    assert "oracle" not in json.loads(off.read_text())["points"][0]
+    assert "oracle" in json.loads(on.read_text())["points"][0]
+    import expdirect.cli as cli_mod
+
+    assert cli_mod._build_parser() is cli_mod._build_parser()
+
+
+@pytest.mark.parametrize("command", ["resolve", "report"])
+def test_classification_error_is_exit_3_with_a_message(
+        problem_file, tmp_path, monkeypatch, capsys, command):
+    import expdirect.cli as cli_mod
+    import expdirect.resolution as resolution_mod
+    from expdirect.laurent import ClassificationError
+
+    def broken(alpha):
+        raise ClassificationError("resolution structure violated: forced")
+
+    monkeypatch.setattr(cli_mod, "build_resolution", broken)
+    monkeypatch.setattr(resolution_mod, "build_resolution", broken)
+    path = problem_file
+    if command == "resolve":
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps(
+            {"alpha": {"terms": {"-2": {"order": 1, "coeffs": {"0": "1"}}}}}))
+    assert run_cli(command, "--input", path) == 3
+    err = capsys.readouterr().err
+    assert err == "error: resolution structure violated: forced\n"

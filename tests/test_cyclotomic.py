@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
@@ -18,6 +19,7 @@ from expdirect.cyclotomic import (
     root_of_unity,
     totient,
 )
+from expdirect.laurent import LaurentPoly, subst_root_power
 
 
 def numeric(a: CycloNum, dps: int = 40) -> mpmath.mpc:
@@ -177,6 +179,11 @@ def test_order_cap():
         b = root_of_unity(5, 1)
         with pytest.raises(OrderLimitError):
             _ = a + b
+        with pytest.raises(OrderLimitError):
+            _ = a * b
+        # A twist that needs the lcm order is capped the same way.
+        with pytest.raises(OrderLimitError):
+            subst_root_power(LaurentPoly({-1: a}), 5, 1, 1)
     finally:
         set_order_limit(old)
 
@@ -196,3 +203,131 @@ def test_polyfraction_reduction():
     f = PolyFraction((x + one) * (x - one), (x + one) ** 2)
     assert f == PolyFraction(x - one, x + one)
     assert f * f.inv() == PolyFraction.one()
+
+
+# -- fast paths against the public constructor ------------------------------
+#
+# Arithmetic results skip the constructor's validation and reduction.  Each one
+# must equal, in order and coeffs, the public constructor applied to the raw
+# (unreduced, unfolded) sum or product, and hold only basis exponents with
+# nonzero values.
+
+_ORDERS = list(range(1, 13)) + [60]
+
+
+@st.composite
+def cyclo_nums(draw, orders=_ORDERS):
+    order = draw(st.sampled_from(orders))
+    exps = st.integers(0, totient(order) - 1)
+    if draw(st.booleans()):
+        exps = st.just(0)  # a rational value at this order
+    coeffs = draw(st.dictionaries(
+        exps, st.fractions(min_value=-9, max_value=9, max_denominator=9),
+        max_size=4))
+    return CycloNum(order, coeffs)
+
+
+def assert_canonical(x: CycloNum, ref: CycloNum) -> None:
+    assert (x.order, x.coeffs) == (ref.order, ref.coeffs)
+    phi = totient(x.order)
+    assert all(0 <= e < phi and type(c) is Fraction and c
+               for e, c in x.coeffs.items())
+
+
+def _lcm(m: int, n: int) -> int:
+    return m * n // gcd(m, n)
+
+
+def _raw_at(a: CycloNum, order: int) -> dict:
+    step = order // a.order
+    return {e * step: c for e, c in a.coeffs.items()}
+
+
+def _raw_sum(*terms) -> dict:
+    out = {}
+    for raw in terms:
+        for e, c in raw.items():
+            out[e] = out.get(e, Fraction(0)) + c
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclo_nums(), cyclo_nums())
+def test_add_neg_sub_match_the_constructor(a, b):
+    n = _lcm(a.order, b.order)
+    ra, rb = _raw_at(a, n), _raw_at(b, n)
+    neg_rb = {e: -c for e, c in rb.items()}
+    assert_canonical(a + b, CycloNum(n, _raw_sum(ra, rb)))
+    assert_canonical(a - b, CycloNum(n, _raw_sum(ra, neg_rb)))
+    assert_canonical(-a, CycloNum(a.order, {e: -c for e, c in a.coeffs.items()}))
+    assert_canonical(a + 0, a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclo_nums(), cyclo_nums())
+def test_mul_matches_the_constructor(a, b):
+    if b.is_rational():
+        r = b.as_rational()
+        ref = CycloNum(a.order, {e: c * r for e, c in a.coeffs.items()})
+    elif a.is_rational():
+        r = a.as_rational()
+        ref = CycloNum(b.order, {e: c * r for e, c in b.coeffs.items()})
+    else:
+        n = _lcm(a.order, b.order)
+        raw = {}
+        for i, ca in _raw_at(a, n).items():
+            for j, cb in _raw_at(b, n).items():
+                raw[i + j] = raw.get(i + j, Fraction(0)) + ca * cb
+        ref = CycloNum(n, raw)
+    assert_canonical(a * b, ref)
+    assert_canonical(a * 3, CycloNum(a.order, {e: 3 * c for e, c in a.coeffs.items()}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyclo_nums(), st.integers(1, 5))
+def test_inv_and_lift_match_the_constructor(a, m):
+    order = a.order * m
+    assert_canonical(a.lift(order), CycloNum(order, _raw_at(a, order)))
+    if a.is_zero():
+        return
+    inv = a.inv()
+    assert_canonical(inv, CycloNum(a.order, inv.coeffs))
+    assert a * inv == 1
+
+
+def _twist_order(c: CycloNum, n: int, k: int) -> int:
+    if 2 * k % n == 0:  # zeta_n^k = +-1
+        return c.order
+    return n if c.is_rational() else _lcm(c.order, n)
+
+
+def _check_twist(c: CycloNum, n: int, k: int) -> None:
+    got = c.times_root(n, k)
+    product = c * root_of_unity(n, k)
+    assert (got.order, got.coeffs) == (product.order, product.coeffs)
+    order = _twist_order(c, n, k)
+    if 2 * k % n == 0:
+        sign = 1 if k % n == 0 else -1
+        raw = {e: sign * v for e, v in c.coeffs.items()}
+    else:
+        raw = {e + k * (order // n): v for e, v in _raw_at(c, order).items()}
+    assert_canonical(got, CycloNum(order, raw))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclo_nums(), st.sampled_from(_ORDERS), st.integers(-130, 130))
+def test_twist_matches_mul_by_root_of_unity(c, n, k):
+    _check_twist(c, n, k)
+
+
+@pytest.mark.parametrize("c", [
+    CycloNum.from_rational(Fraction(3, 2), 5),  # rational, order divides no n
+    CycloNum.from_rational(-2),
+    CycloNum.zero(7),
+    root_of_unity(3, 1) - Fraction(1, 2),
+    CycloNum(60, {1: 1, 7: Fraction(-2, 3)}),
+])
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 12])
+def test_twist_examples_include_plus_minus_one(c, n):
+    for k in range(-n, 2 * n):  # k = 0 and k = n/2 give zeta = +-1
+        _check_twist(c, n, k)
