@@ -162,9 +162,7 @@ def run_file(path: str, options: Options):
 
     Exit code 3 comes with one stderr line per factor the oracle disputes.
     """
-    with open(path, "rb") as fh:
-        data = json.load(fh)
-    points, merged = _parse_problem(data, options)
+    points, merged = _parse_problem(_load_json(path), options)
 
     failures = []
     for c, k, branches in points:
@@ -197,7 +195,7 @@ def _svg_path(base: str, c: str, k: int, many: bool) -> str:
 
 
 def _dump(doc, out_path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = serialize.dumps(doc) + "\n"
     if out_path:
         Path(out_path).write_text(text)
     else:
@@ -205,8 +203,16 @@ def _dump(doc, out_path: str | None) -> None:
 
 
 def _load_json(path: str):
+    """The parsed file.  Beyond malformed JSON, the parser refuses integer
+    literals longer than Python's int conversion limit (4300 digits by
+    default) and nesting deeper than the recursion limit; both exit 2."""
     with open(path, "rb") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except (ValueError, RecursionError) as err:
+            raise SchemaError("$", f"unreadable JSON: {err}") from None
 
 
 def _cmd_validate(args, options: Options) -> int:

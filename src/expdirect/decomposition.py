@@ -13,7 +13,7 @@ polar part + constant term across all copies).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .branch import (DEFAULT_TRUNCATION, Branch, UnramifiedBranch,
                      ramification_order, require_valid, unramify)
@@ -125,17 +125,33 @@ def star_condition(ub: list[UnramifiedBranch]):
     """Pairwise distinctness of polar part + constant term across copies.
 
     Returns (holds, witness); the witness is the first violating pair of
-    (label, root index) origins.
+    (label, root index) origins.  A polar part has only negative exponents
+    and the constant term sits at exponent 0, so two sums are equal exactly
+    when both parts are: each copy is keyed by the pair.
     """
-    shifted = [u.alpha_sub + LaurentPoly({0: u.delta0}) for u in ub]
-    order = _common_order(shifted)
+    polar_order = _common_order([u.alpha_sub for u in ub])
+    const_order = lcm(*(u.delta0.order for u in ub))
     seen: dict[tuple, tuple[str, int]] = {}
-    for u, f in zip(ub, shifted):
-        key = laurent_sort_key(f, order)
+    for u in ub:
+        key = (laurent_sort_key(u.alpha_sub, polar_order),
+               tuple(sorted(u.delta0.lift(const_order).coeffs.items())))
         if key in seen:
             return False, (seen[key], u.origin)
         seen[key] = u.origin
     return True, None
+
+
+def _product(zetas) -> CycloPoly:
+    """The product of monic polynomials, as ``CycloPoly.one()`` times each in
+    turn computes it: the first factor comes back with its rational
+    coefficients at order 1 (what a product with the rational 1 makes of
+    them), and only the later factors are convolved in."""
+    first = zetas[0]
+    prod = CycloPoly([CycloNum.from_rational(c.as_rational()) if c.is_rational() else c
+                      for c in first.coeffs])
+    for z in zetas[1:]:
+        prod = prod * z
+    return prod
 
 
 def char_polys(factors: list[ExponentialFactor],
@@ -155,22 +171,22 @@ def char_polys(factors: list[ExponentialFactor],
     zetas = {u.origin: u.zeta for u in ub}
     out = []
     for f in factors:
-        prod = CycloPoly.one()
+        # Every zeta is monic of degree m >= 1, so the product over distinct
+        # branches differs from the full one exactly when a label repeats.
+        first = {}
         for origin in f.members:
-            prod = prod * zetas[origin]
-        literal = CycloPoly.one()
-        seen: set[str] = set()
-        for origin in f.members:
-            if origin[0] not in seen:
-                seen.add(origin[0])
-                literal = literal * zetas[origin]
+            first.setdefault(origin[0], origin)
+        prod = _product([zetas[origin] for origin in f.members])
+        literal = None
+        if len(first) < len(f.members):
+            literal = _product([zetas[origin] for origin in first.values()])
         out.append(ExponentialFactor(
             alpha=f.alpha,
             members=f.members,
             rank_branchwise=f.rank_branchwise,
             rank_distinct=f.rank_distinct,
             charpoly=prod,
-            charpoly_distinct=None if literal == prod else literal,
+            charpoly_distinct=literal,
         ))
     return out
 

@@ -33,6 +33,7 @@ __all__ = [
     "roundtrip_to_json",
     "tree_to_json",
     "corollary_to_json",
+    "dumps",
 ]
 
 
@@ -343,3 +344,53 @@ def corollary_to_json(rep: CorollaryReport) -> dict:
             for label, point in rep.points
         ],
     }
+
+
+def dumps(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, for the
+    shapes a document holds: dicts with str keys, lists, str, int, bool and
+    None.  Anything else (floats included) raises TypeError.
+
+    With ``indent`` set the stdlib falls back to its pure-Python encoder;
+    this emitter builds the same text with one join per container.
+
+    >>> print(dumps({"b": [1, None], "a": "\\u00e9", "c": {}}))
+    {
+      "a": "\\u00e9",
+      "b": [
+        1,
+        null
+      ],
+      "c": {}
+    }
+    """
+    from json.encoder import encode_basestring_ascii as quote
+
+    def emit(o, pad: str) -> str:
+        if isinstance(o, str):
+            return quote(o)
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            inner = pad + "  "
+            return ("{\n" + inner
+                    + (",\n" + inner).join([quote(k) + ": " + emit(o[k], inner)
+                                            for k in sorted(o)])
+                    + "\n" + pad + "}")
+        if isinstance(o, list):
+            if not o:
+                return "[]"
+            inner = pad + "  "
+            return ("[\n" + inner + (",\n" + inner).join([emit(v, inner) for v in o])
+                    + "\n" + pad + "]")
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        raise TypeError(f"{type(o).__name__} is not a report value")
+
+    return emit(doc, "")

@@ -99,6 +99,23 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
     assert all(line.startswith("error: ") for line in err.splitlines())
 
 
+@pytest.mark.parametrize("command", ["report", "validate", "resolve", "realize"])
+@pytest.mark.parametrize("text, reason", [
+    ('{"points": [{"c": "0", "k": ' + "9" * 4301 + "}]}", "digits"),
+    ("[" * 100000, "recursion"),
+], ids=["long-int", "deep-nesting"])
+def test_unparsable_json_values_are_exit_2(tmp_path, capsys, command, text, reason):
+    # An integer literal past Python's int conversion limit, and nesting
+    # deeper than the recursion limit: json.load raises ValueError and
+    # RecursionError for these, not JSONDecodeError.
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert run_cli(command, "--input", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: $: unreadable JSON: ") and reason in err
+    assert len(err.splitlines()) == 1
+
+
 def test_float_coefficient_is_exit_2(tmp_path, capsys):
     doc = {"points": [{"c": "0", "k": 0, "branches": [
         {"label": "a", "p": 1, "q": 1, "m": 1,

@@ -9,10 +9,13 @@ import pytest
 from expdirect.branch import ramification_order, unramify
 from expdirect.cyclotomic import CycloNum, CycloPoly
 from expdirect.decomposition import (
+    ExponentialFactor,
     StarConditionError,
+    _common_order,
     char_polys,
     decompose,
     exponential_factors,
+    laurent_sort_key,
     star_condition,
 )
 from expdirect.laurent import LaurentPoly
@@ -217,3 +220,88 @@ def test_decompose_evaluates_star_condition_once(monkeypatch, twin_delta0, holds
     assert dec.star_holds is holds
     assert dec.star_witness == (None if holds else (("a", 1), ("b", 1)))
     assert calls == [2]
+
+
+def _shifted_sum_star_condition(ub):
+    """Reference for ``star_condition``: key each copy by its polar part plus
+    constant term as one Laurent polynomial, lifted to the common order of
+    all the sums."""
+    shifted = [u.alpha_sub + LaurentPoly({0: u.delta0}) for u in ub]
+    order = _common_order(shifted)
+    seen = {}
+    for u, f in zip(ub, shifted):
+        key = laurent_sort_key(f, order)
+        if key in seen:
+            return False, (seen[key], u.origin)
+        seen[key] = u.origin
+    return True, None
+
+
+def test_star_condition_matches_shifted_sum_keying():
+    rng = random.Random(6161)
+    outcomes = set()
+    for branches in _corpus(rng):
+        ub = unramify(branches)
+        result = star_condition(ub)
+        assert result == _shifted_sum_star_condition(ub)
+        outcomes.add(result[0])
+    assert outcomes == {True, False}
+
+
+def test_charpoly_distinct_set_exactly_when_a_label_repeats():
+    # Through decompose a label never repeats in a factor once separation
+    # holds: copies of one branch share delta(0), so two of them with one
+    # polar part violate it.
+    rng = random.Random(6262)
+    for branches in _corpus(rng):
+        for f in decompose(branches).factors:
+            if f.charpoly is not None:
+                labels = [label for label, _ in f.members]
+                assert len(set(labels)) == len(labels)
+                assert f.charpoly_distinct is None
+
+    # char_polys itself follows the members it is given: a factor listing
+    # both copies of one branch gets the product over distinct branches.
+    a = mk("a", p=2, q=1, m=1, zeta=CycloPoly([-1, 1]))
+    b = mk("b", p=1, q=1, m=2, alpha=LaurentPoly({-1: 3}),
+           zeta=CycloPoly([1, 2, 1]))
+    ub = unramify([a, b])
+    assert star_condition(ub)[0]
+    a0, a1, b0 = ub
+    by_hand = [
+        ExponentialFactor(alpha=a0.alpha_sub, members=(a0.origin, a1.origin, b0.origin),
+                          rank_branchwise=4, rank_distinct=3),
+        ExponentialFactor(alpha=a1.alpha_sub, members=(a1.origin,),
+                          rank_branchwise=1, rank_distinct=1),
+    ]
+    repeated, single = char_polys(by_hand, ub)
+    assert repeated.charpoly == a.zeta * a.zeta * b.zeta
+    assert repeated.charpoly_distinct == a.zeta * b.zeta
+    assert single.charpoly == a.zeta and single.charpoly_distinct is None
+
+
+def _orders(poly):
+    return [(c.order, c.coeffs) for c in poly.coeffs]
+
+
+def test_single_member_charpoly_is_the_product_with_one():
+    # A rational written at order 4 and a zero written at order 3 come out at
+    # order 1, as CycloPoly.one() * zeta makes them; the order-3 root stays.
+    zeta = CycloPoly([CycloNum(4, {0: 2}), CycloNum(3, {}),
+                      CycloNum(3, {1: -1}), 1])
+    branches = [mk("a", p=1, q=1, m=3, zeta=zeta),
+                mk("b", p=1, q=2, m=1, alpha=LaurentPoly({-2: 1}))]
+    rng = random.Random(6363)
+    cases = [branches] + list(_corpus(rng, 60))
+    singles = 0
+    for branches in cases:
+        zetas = {u.origin: u.zeta for u in unramify(branches)}
+        for f in decompose(branches).factors:
+            if f.charpoly is None or len(f.members) != 1:
+                continue
+            singles += 1
+            expected = CycloPoly.one() * zetas[f.members[0]]
+            assert _orders(f.charpoly) == _orders(expected)
+    assert singles > 0
+    pinned = decompose(cases[0]).factors[0]
+    assert [c.order for c in pinned.charpoly.coeffs] == [1, 1, 3, 1]

@@ -18,8 +18,9 @@ CASES = sorted(GOLDEN.glob("*/*.in.json"))
 
 def test_corpus_is_present():
     commands = {case.parent.name for case in CASES}
-    assert commands == {"report", "resolve", "roundtrip"}
-    assert len(CASES) == 19
+    assert commands == {"validate", "invariants", "decompose", "resolve",
+                        "verify", "realize", "roundtrip", "report"}
+    assert len(CASES) == 26
 
 
 @pytest.mark.parametrize(

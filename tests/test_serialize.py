@@ -1,9 +1,11 @@
 """Exact JSON round trips and schema rejection."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expdirect.cyclotomic import CycloNum, CycloPoly, root_of_unity
 from expdirect.laurent import LaurentPoly
@@ -15,6 +17,7 @@ from expdirect.serialize import (
     branch_to_json,
     cyclo_from_json,
     cyclo_to_json,
+    dumps,
     laurent_from_json,
     laurent_to_json,
     polygon_from_json,
@@ -110,3 +113,33 @@ def test_spec_round_trip():
     assert len(back.summands) == 2
     for a, b in zip(back.summands, spec.summands):
         assert a.alpha == b.alpha and a.rank == b.rank and a.charpoly == b.charpoly
+
+
+_text = st.text(alphabet=st.one_of(
+    st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028\u00e9\U0001f600')))
+_ints = st.one_of(
+    st.integers(),
+    st.tuples(st.sampled_from([1, -1]),
+              st.integers(10 ** 999, 10 ** 1000 - 1)).map(lambda t: t[0] * t[1]))
+_docs = st.recursive(
+    st.one_of(st.none(), st.booleans(), _ints, _text),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_docs)
+def test_dumps_matches_json_dumps(doc):
+    assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    0.5, Fraction(1, 2), (1, 2), {1, 2}, b"x", {1: "a"},
+    {"a": [float("nan")]}, [{"b": object()}],
+], ids=["float", "fraction", "tuple", "set", "bytes", "int-key", "nested-float",
+        "nested-object"])
+def test_dumps_rejects_what_reports_never_hold(doc):
+    with pytest.raises(TypeError):
+        dumps(doc)
