@@ -35,6 +35,7 @@ from .realization import (
     roundtrip_check,
 )
 from .resolution import (
+    CopySeries,
     ResolutionTree,
     StrictTransformResult,
     build_resolution,
@@ -57,6 +58,7 @@ __all__ = [
     "minkowski_sum", "polygon_from_branches", "slopes",
     "FormalModuleSpec", "FormalSummand", "canonicalize", "realize",
     "roundtrip_check",
-    "ResolutionTree", "StrictTransformResult", "build_resolution", "chi_psi",
+    "CopySeries", "ResolutionTree", "StrictTransformResult", "build_resolution",
+    "chi_psi",
     "local_chi", "strict_transform", "verify_corollary", "zeta_psi",
 ]

@@ -30,7 +30,8 @@ from .newton import (
     slopes,
 )
 from .realization import NormalizationConflictError, realize, roundtrip_check
-from .resolution import CorollaryReport, build_resolution, verify_corollary
+from .resolution import (CopySeries, CorollaryReport, build_resolution,
+                         verify_corollary)
 from . import serialize
 from .serialize import SchemaError
 
@@ -92,28 +93,29 @@ def _parse_problem(data, options: Options):
     return points, merged
 
 
-def _validation_failures(branches, truncation):
-    msgs = []
-    for report in validate_all(branches, truncation):
-        if not report.valid:
-            msgs.extend(f"branch {report.label}: {e}" for e in report.errors)
-    return msgs
+def _warnings(reports) -> list[str]:
+    return [f"branch {r.label}: {w}" for r in reports for w in r.warnings]
 
 
 def run_point(c: str, k: int, branches, options: Options) -> PointReport:
     """Invariants, decomposition, and optional oracle checks for one germ."""
-    warnings = []
-    for report in validate_all(branches, options.truncation):
-        warnings.extend(f"branch {report.label}: {w}" for w in report.warnings)
+    reports = validate_all(branches, options.truncation)
+    return _point_report(c, k, branches, _warnings(reports), options)
+
+
+def _point_report(c: str, k: int, branches, warnings, options: Options) -> PointReport:
+    """``run_point`` for branches already validated, with their warnings."""
     polygon = polygon_from_branches(branches)
     dec = decompose(branches, truncation=options.truncation)
 
     oracle = None
     consistent = True
     if options.oracle and branches:
+        # One series per copy, shared by every factor's replay.
+        series = [CopySeries(u) for u in dec.copies]
         reports = []
         for factor in dec.factors:
-            rep = verify_corollary(dec.copies, factor.alpha)
+            rep = verify_corollary(series, factor.alpha)
             reports.append(rep)
             consistent = consistent and rep.consistent
         oracle = tuple(reports)
@@ -164,15 +166,20 @@ def run_file(path: str, options: Options):
     """
     points, merged = _parse_problem(_load_json(path), options)
 
+    # One validation pass gives both the failures and each point's warnings.
     failures = []
+    checked = []
     for c, k, branches in points:
-        for msg in _validation_failures(branches, merged.truncation):
-            failures.append(f"point (c={c!r}, k={k}): {msg}")
+        reports = validate_all(branches, merged.truncation)
+        failures.extend(f"point (c={c!r}, k={k}): branch {r.label}: {e}"
+                        for r in reports for e in r.errors)
+        checked.append((c, k, branches, _warnings(reports)))
     if failures:
         raise SchemaError("$.points", "; ".join(failures))
 
-    reports = [run_point(c, k, branches, merged)
-               for c, k, branches in sorted(points, key=lambda t: (t[0], t[1]))]
+    checked.sort(key=lambda t: (t[0], t[1]))
+    reports = [_point_report(c, k, branches, warnings, merged)
+               for c, k, branches, warnings in checked]
     doc = {"points": [point_report_to_json(r) for r in reports]}
     code = 0 if all(r.consistent for r in reports) else 3
     for point in reports:

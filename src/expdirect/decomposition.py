@@ -48,7 +48,6 @@ class ExponentialFactor:
     rank_branchwise: int
     rank_distinct: int
     charpoly: CycloPoly | None = None
-    charpoly_distinct: CycloPoly | None = None  # set only when it differs
 
     @property
     def rank_diverges(self) -> bool:
@@ -158,9 +157,8 @@ def char_polys(factors: list[ExponentialFactor],
                ub: list[UnramifiedBranch]) -> list[ExponentialFactor]:
     """Fill in monodromy characteristic polynomials, one zeta per member.
 
-    Requires the separation condition; the product over (branch, root)
-    members is primary, and the product over distinct branches is attached
-    as ``charpoly_distinct`` whenever the two differ.
+    Requires the separation condition; the charpoly of a factor is the
+    product over its (branch, root) members.
     """
     holds, witness = star_condition(ub)
     if not holds:
@@ -171,22 +169,12 @@ def char_polys(factors: list[ExponentialFactor],
     zetas = {u.origin: u.zeta for u in ub}
     out = []
     for f in factors:
-        # Every zeta is monic of degree m >= 1, so the product over distinct
-        # branches differs from the full one exactly when a label repeats.
-        first = {}
-        for origin in f.members:
-            first.setdefault(origin[0], origin)
-        prod = _product([zetas[origin] for origin in f.members])
-        literal = None
-        if len(first) < len(f.members):
-            literal = _product([zetas[origin] for origin in first.values()])
         out.append(ExponentialFactor(
             alpha=f.alpha,
             members=f.members,
             rank_branchwise=f.rank_branchwise,
             rank_distinct=f.rank_distinct,
-            charpoly=prod,
-            charpoly_distinct=literal,
+            charpoly=_product([zetas[origin] for origin in f.members]),
         ))
     return out
 

@@ -89,7 +89,8 @@ class LaurentPoly:
         return -low if low < 0 else 0
 
     def coeff(self, exponent: int) -> CycloNum:
-        return self.terms.get(exponent, CycloNum.zero())
+        c = self.terms.get(exponent)
+        return CycloNum.zero() if c is None else c
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -136,7 +137,8 @@ class LaurentPoly:
         return LaurentPoly({e: c for e, c in self.terms.items() if e > 0})
 
     def const_term(self) -> CycloNum:
-        return self.terms.get(0, CycloNum.zero())
+        c = self.terms.get(0)
+        return CycloNum.zero() if c is None else c
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -181,7 +183,11 @@ def support_gcd(f: LaurentPoly, extra: int) -> int:
 
 
 class BiPoly:
-    """Bivariate polynomial over Q(zeta), sparse in both variables."""
+    """Bivariate polynomial over Q(zeta), sparse in both variables.
+
+    The constructor validates and cleans its input; every arithmetic result
+    is built by ``_bipoly`` from an already-clean dict.
+    """
 
     __slots__ = ("terms",)
 
@@ -225,11 +231,18 @@ class BiPoly:
         out = dict(self.terms)
         for k, c in other.terms.items():
             s = out.get(k)
-            out[k] = c if s is None else s + c
-        return BiPoly(out)
+            if s is None:
+                out[k] = c
+            else:
+                s = s + c
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return _bipoly(out)
 
     def __neg__(self):
-        return BiPoly({k: -c for k, c in self.terms.items()})
+        return _bipoly({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -237,7 +250,9 @@ class BiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloNum)):
             c = _coerce_num(other)
-            return BiPoly({k: a * c for k, a in self.terms.items()})
+            if c.is_zero():
+                return _bipoly({})
+            return _bipoly({k: a * c for k, a in self.terms.items()})
         if not isinstance(other, BiPoly):
             return NotImplemented
         out: dict[tuple[int, int], CycloNum] = {}
@@ -247,7 +262,7 @@ class BiPoly:
                 p = c1 * c2
                 s = out.get(k)
                 out[k] = p if s is None else s + p
-        return BiPoly(out)
+        return _bipoly({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -258,18 +273,26 @@ class BiPoly:
         return (min(i for i, _ in self.terms), min(j for _, j in self.terms))
 
     def divide_monomial(self, a: int, b: int) -> "BiPoly":
-        return BiPoly({(i - a, j - b): c for (i, j), c in self.terms.items()})
+        """Divide by u^a v^b, which must divide every term (a and b at most
+        the ``content``)."""
+        return _bipoly({(i - a, j - b): c for (i, j), c in self.terms.items()})
 
     def subst_second_by_product(self) -> "BiPoly":
         """v -> u*v (the chart keeping the first variable)."""
-        return BiPoly({(i + j, j): c for (i, j), c in self.terms.items()})
+        return _bipoly({(i + j, j): c for (i, j), c in self.terms.items()})
 
     def subst_first_by_product(self) -> "BiPoly":
         """u -> u*v (the chart keeping the second variable)."""
-        return BiPoly({(i, i + j): c for (i, j), c in self.terms.items()})
+        return _bipoly({(i, i + j): c for (i, j), c in self.terms.items()})
 
     def translate(self, b: CycloNum | int) -> "BiPoly":
-        """Recenter the second variable: substitute v -> v + b."""
+        """Recenter the second variable: substitute v -> v + b.
+
+        Term c*u^i*v^j contributes c * comb(j, t) * b^t to u^i*v^(j-t), in
+        ascending t.  The t = 0 part is c itself and the t = j part does not
+        multiply in its binomial 1; the chain's polynomials have degree at
+        most 1 in v, so it never builds another.
+        """
         b = _coerce_num(b)
         if b.is_zero() or self.is_zero():
             return self
@@ -280,13 +303,19 @@ class BiPoly:
         for (i, j), c in self.terms.items():
             for t in range(j + 1):
                 k = (i, j - t)
-                cj = c * comb(j, t) * powers[t]
+                if t == 0:
+                    cj = c
+                elif t == j:
+                    cj = c * powers[t]
+                else:
+                    cj = c * comb(j, t) * powers[t]
                 s0 = out.get(k)
                 out[k] = cj if s0 is None else s0 + cj
-        return BiPoly(out)
+        return _bipoly({k: c for k, c in out.items() if c})
 
     def const_term(self) -> CycloNum:
-        return self.terms.get((0, 0), CycloNum.zero())
+        c = self.terms.get((0, 0))
+        return CycloNum.zero() if c is None else c
 
     def restrict_first_to_zero(self) -> LaurentPoly:
         """Restriction to u = 0: the terms free of u, as a polynomial in v.
@@ -319,6 +348,15 @@ class BiPoly:
             mono = f"u^{i}*v^{j}"
             bits.append(f"({c!r})*{mono}")
         return f"BiPoly({' + '.join(bits)})"
+
+
+def _bipoly(terms: dict[tuple[int, int], CycloNum]) -> BiPoly:
+    """A BiPoly holding ``terms`` as is: the private constructor for results,
+    whose keys are pairs of nonnegative ints and whose values are nonzero
+    CycloNums (compare ``cyclotomic._reduced``)."""
+    poly = object.__new__(BiPoly)
+    object.__setattr__(poly, "terms", terms)
+    return poly
 
 
 # Chart names for point blow-ups centered at the origin.
@@ -374,6 +412,9 @@ class BiRational:
 
     def translate(self, b: CycloNum | int) -> "BiRational":
         """Recenter the second variable: substitute v -> v + b."""
+        b = _coerce_num(b)
+        if b.is_zero():
+            return self
         return BiRational(self.num.translate(b), self.den.translate(b))
 
     def compose_monomial_map(self, chart: str) -> "BiRational":

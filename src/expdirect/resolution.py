@@ -13,13 +13,16 @@ of the numerator curve's strict transform with the newest exceptional
 component, found by solving a linear equation; every chart step is the map
 x = u, y = u*v after a recentering translation of v.  Strict transforms of
 the unramified branch copies (``branch.unramify``) are replayed through the
-same chart script: step j reads coefficient j of the copy's series y(t) and
-compares it with that step's center.  Coefficients are computed on demand,
-and a copy leaves at the first step whose center it misses, so a copy of
-another pole order never needs more than the series' leading term.  Each
-copy carries its own known prefix, (p/p_l)*(truncation+1) - 1 for a branch
-of ramification p_l, so a coefficient beyond what that branch declared is an
-error, never a silent wrong value.
+same chart script: step j reads coefficient j of the copy's series y(t)
+(``CopySeries``) and compares it with that step's center.  Each copy's
+series is built once per point and read by every factor's replay; its
+coefficients are computed on demand and kept, so none is computed twice and
+the copy's leading coefficient is inverted at most once.  A copy leaves at
+the first step whose center it misses, so a copy of another pole order never
+needs more than the series' leading term.  Each copy carries its own known
+prefix, (p/p_l)*(truncation+1) - 1 for a branch of ramification p_l, so a
+coefficient beyond what that branch declared is an error, never a silent
+wrong value.
 
 The stratified Euler-characteristic and monodromy-zeta assemblies over the
 distinguished component live here too; they telescope to values depending
@@ -48,6 +51,7 @@ from .laurent import (
 )
 
 __all__ = [
+    "CopySeries",
     "ResolutionTree",
     "StrictTransformResult",
     "CorollaryReport",
@@ -280,19 +284,21 @@ class StrictTransformResult:
     steps_matched: int
 
 
-class _YSeries:
+class CopySeries:
     """y(t) = t^q / (B(t) + t^q delta(t)) of one copy, extended on demand.
 
-    B is the polynomial t^q * alpha(t) and q the copy's own pole order.
-    ``self[j]`` is the coefficient of t^j.  The reciprocal coefficients
-    inv[0] = 1/B(0) and inv[k] = -inv[0] * sum_i d_i inv[k-i] are computed
-    only up to the largest k read, summing over the nonzero denominator
-    terms d_i in ascending i.  Delta is exact to the copy's truncation T, so
-    y is exact below exponent 2q + T + 1; reading further raises
+    B is the polynomial t^q * alpha(t) and q the copy's own pole order;
+    ``copy`` is the unramified copy itself.  ``self[j]`` is the coefficient
+    of t^j.  The reciprocal coefficients inv[0] = 1/B(0) and
+    inv[k] = -inv[0] * sum_i d_i inv[k-i] are computed only up to the
+    largest k read, summing over the nonzero denominator terms d_i in
+    ascending i, and are kept for later reads: one series serves every
+    factor's replay of its copy.  Delta is exact to the copy's truncation T,
+    so y is exact below exponent 2q + T + 1; reading further raises
     TruncationError naming the truncation that read would have needed.
     """
 
-    __slots__ = ("q", "truncation", "c0", "denom", "inv", "zero")
+    __slots__ = ("copy", "q", "truncation", "c0", "denom", "inv", "zero")
 
     def __init__(self, u: UnramifiedBranch):
         q = u.alpha_sub.pole_order()
@@ -303,6 +309,7 @@ class _YSeries:
         c0 = denom.pop(0, None)
         if c0 is None or c0.is_zero():
             raise ValueError(f"branch {u.label}: alpha has no pole of order q")
+        self.copy = u
         self.q = q
         self.truncation = u.truncation
         self.c0 = c0
@@ -334,22 +341,23 @@ class _YSeries:
         return self.zero if c is None else c
 
 
-def strict_transform(u: UnramifiedBranch,
+def strict_transform(y: CopySeries,
                      tree: ResolutionTree) -> StrictTransformResult:
-    """Replay an unramified branch copy through the blow-up chain.
+    """Replay an unramified branch copy, given by its series, through the
+    blow-up chain.
 
     Step j of the chart script recenters by the step's shift and divides by
     the variable, so the copy's limit point tracks it exactly when the
     coefficient y[j] equals that shift.  The copy leaves at the first step
     it misses; a copy that tracks all 2q centers meets the distinguished
-    component at y[2q].  Only the coefficients read are computed.
+    component at y[2q].  Only coefficients not read before are computed.
     """
-    y = _YSeries(u)
+    label = y.copy.label
     for j, step in enumerate(tree.steps):
         if y[j] != step.shift:
-            return StrictTransformResult(u.label, False, None, j)
+            return StrictTransformResult(label, False, None, j)
     n = len(tree.steps)
-    return StrictTransformResult(u.label, True, y[n], n)
+    return StrictTransformResult(label, True, y[n], n)
 
 
 @dataclass(frozen=True)
@@ -369,9 +377,13 @@ class CorollaryReport:
         return self.membership_agrees and self.star_agrees
 
 
-def verify_corollary(copies: Sequence[UnramifiedBranch],
+def verify_corollary(series: Sequence[CopySeries],
                      alpha: LaurentPoly) -> CorollaryReport:
     """Check the blow-up oracle against polar-part grouping.
+
+    ``series`` holds one CopySeries per unramified copy of the point; the
+    same series are passed for every factor, so each coefficient is
+    computed once per point.
 
     Membership of a copy in the factor of ``alpha`` must coincide with its
     strict transform meeting the distinguished component, and the separation
@@ -381,8 +393,9 @@ def verify_corollary(copies: Sequence[UnramifiedBranch],
     pairs each name with the number of blow-up centers its copy tracked.
     """
     tree = build_resolution(alpha)
+    copies = [y.copy for y in series]
     names = [f"{u.label}#{u.root_index}" for u in copies]
-    results = [strict_transform(u, tree) for u in copies]
+    results = [strict_transform(y, tree) for y in series]
     by_blowup = tuple(n for n, r in zip(names, results) if r.meets_ed)
     by_polar = tuple(n for n, u in zip(names, copies) if u.alpha_sub == alpha)
 

@@ -197,8 +197,6 @@ def factor_to_json(f: ExponentialFactor) -> dict:
     }
     if f.charpoly is not None:
         out["charpoly"] = cyclopoly_to_json(f.charpoly)
-    if f.charpoly_distinct is not None:
-        out["charpoly_distinct"] = cyclopoly_to_json(f.charpoly_distinct)
     return out
 
 

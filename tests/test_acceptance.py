@@ -26,6 +26,7 @@ from expdirect.newton import (
 from expdirect.realization import FormalModuleSpec, FormalSummand, realize, \
     roundtrip_check
 from expdirect.resolution import (
+    CopySeries,
     build_resolution,
     chi_psi,
     strict_transform,
@@ -140,7 +141,8 @@ def test_criterion_4_strict_transform_oracle():
     checked = 0
     for _ in range(100):
         branches, alpha = _unramified_instance(rng)
-        rep = verify_corollary(unramify(branches, 8), alpha)
+        rep = verify_corollary([CopySeries(u) for u in unramify(branches, 8)],
+                               alpha)
         assert rep.membership_agrees, rep
         assert rep.star_agrees, rep
         checked += 1
@@ -154,7 +156,8 @@ def test_criterion_5_stratified_totals_telescope():
     while chi_checked < 100 or zeta_checked < 100:
         branches, alpha = _unramified_instance(rng)
         tree = build_resolution(alpha)
-        transforms = [strict_transform(u, tree) for u in unramify(branches, 8)]
+        transforms = [strict_transform(CopySeries(u), tree)
+                      for u in unramify(branches, 8)]
         mults = {b.label: b.m for b in branches}
         members = [b for b in branches if b.alpha == alpha]
         expected_chi = -sum(b.m for b in members)
@@ -269,7 +272,8 @@ def test_criterion_9_worked_instance_golden():
         mk("u2", p=1, q=3, alpha=LaurentPoly({-3: -1}), m=1, zeta=lam + one),
         mk("u3", p=1, q=3, alpha=LaurentPoly({-3: 1}), m=1, zeta=lam + one),
     ]
+    series = [CopySeries(u) for u in unramify(flat, 8)]
     for factor in dec.factors:
-        rep = verify_corollary(unramify(flat, 8), factor.alpha)
+        rep = verify_corollary(series, factor.alpha)
         assert rep.consistent
     _report(9, "golden two-branch instance reproduces all frozen values")

@@ -222,9 +222,9 @@ def test_report_exit_3_on_oracle_mismatch(problem_file, monkeypatch, capsys):
 
     real = cli_mod.verify_corollary
 
-    def broken(copies, alpha):
+    def broken(series, alpha):
         # The polar side forgets the factor's first member.
-        rep = real(copies, alpha)
+        rep = real(series, alpha)
         object.__setattr__(rep, "members_by_polar", rep.members_by_polar[1:])
         object.__setattr__(rep, "membership_agrees", False)
         return rep
@@ -327,3 +327,37 @@ def test_classification_error_is_exit_3_with_a_message(
     assert run_cli(command, "--input", path) == 3
     err = capsys.readouterr().err
     assert err == "error: resolution structure violated: forced\n"
+
+
+def test_report_oracle_inverts_at_most_once_per_copy_and_factor(monkeypatch, tmp_path):
+    # Each copy's series inverts its leading coefficient once per point, and
+    # each chain inverts its slope once: inversions inside the oracle are
+    # bounded by copies + factors, however many factors read each copy.
+    import expdirect.cli as cli_mod
+    from expdirect.cyclotomic import CycloNum
+
+    calls = {"inv": 0, "in_oracle": False}
+    inv, verify = CycloNum.inv, cli_mod.verify_corollary
+
+    def counted_inv(self):
+        if calls["in_oracle"]:
+            calls["inv"] += 1
+        return inv(self)
+
+    def counted_verify(series, alpha):
+        calls["in_oracle"] = True
+        try:
+            return verify(series, alpha)
+        finally:
+            calls["in_oracle"] = False
+
+    monkeypatch.setattr(CycloNum, "inv", counted_inv)
+    monkeypatch.setattr(cli_mod, "verify_corollary", counted_verify)
+    case = Path(__file__).parent / "golden" / "report" / "03_mixed_p_1_2_3_6.in.json"
+    out = tmp_path / "report.json"
+    assert run_cli("report", "--input", case, "--output", out) == 0
+    (point,) = json.loads(out.read_text())["points"]
+    factors = point["decomposition"]["factors"]
+    copies = sum(len(f["members"]) for f in factors)
+    assert len(factors) > 1 and calls["inv"] > 0
+    assert calls["inv"] <= copies + len(factors)

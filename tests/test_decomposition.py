@@ -36,7 +36,6 @@ def test_worked_example_full():
     assert dec.factors[0].charpoly == (lam - one) ** 2
     assert dec.factors[1].charpoly == lam + one
     assert dec.factors[2].charpoly == lam + one
-    assert all(f.charpoly_distinct is None for f in dec.factors)
 
 
 def test_single_branch_and_empty():
@@ -248,7 +247,7 @@ def test_star_condition_matches_shifted_sum_keying():
     assert outcomes == {True, False}
 
 
-def test_charpoly_distinct_set_exactly_when_a_label_repeats():
+def test_charpoly_is_the_product_over_members():
     # Through decompose a label never repeats in a factor once separation
     # holds: copies of one branch share delta(0), so two of them with one
     # polar part violate it.
@@ -258,10 +257,9 @@ def test_charpoly_distinct_set_exactly_when_a_label_repeats():
             if f.charpoly is not None:
                 labels = [label for label, _ in f.members]
                 assert len(set(labels)) == len(labels)
-                assert f.charpoly_distinct is None
 
     # char_polys itself follows the members it is given: a factor listing
-    # both copies of one branch gets the product over distinct branches.
+    # both copies of one branch takes that branch's zeta once per copy.
     a = mk("a", p=2, q=1, m=1, zeta=CycloPoly([-1, 1]))
     b = mk("b", p=1, q=1, m=2, alpha=LaurentPoly({-1: 3}),
            zeta=CycloPoly([1, 2, 1]))
@@ -276,8 +274,7 @@ def test_charpoly_distinct_set_exactly_when_a_label_repeats():
     ]
     repeated, single = char_polys(by_hand, ub)
     assert repeated.charpoly == a.zeta * a.zeta * b.zeta
-    assert repeated.charpoly_distinct == a.zeta * b.zeta
-    assert single.charpoly == a.zeta and single.charpoly_distinct is None
+    assert single.charpoly == a.zeta
 
 
 def _orders(poly):

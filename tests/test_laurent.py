@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,3 +248,90 @@ def test_classify_rejects_non_unit_denominator():
     g = BiRational(BiPoly.constant(1), BiPoly({(1, 0): 1, (0, 1): 1}))
     with pytest.raises(ClassificationError):
         g.classify_at_point()
+
+
+def _bi_coeff(rng: random.Random) -> CycloNum:
+    # Small multiples of roots of low order, so that sums often cancel
+    # (1 + zeta_3 + zeta_3^2 = 0, zeta_4 + zeta_4^3 = 0, ...).
+    n = rng.choice([1, 2, 3, 4, 6])
+    return root_of_unity(n, rng.randrange(n)) * rng.choice([-2, -1, 1, 2])
+
+
+def _rand_terms(rng: random.Random, size: int = 4) -> dict:
+    return {(rng.randrange(size), rng.randrange(size)): _bi_coeff(rng)
+            for _ in range(rng.randint(0, 8))}
+
+
+def _raw_add(*polys: BiPoly) -> dict:
+    out: dict = {}
+    for poly in polys:
+        for k, c in poly.terms.items():
+            out[k] = out[k] + c if k in out else c
+    return out
+
+
+def _raw_translate(p: BiPoly, b: CycloNum) -> dict:
+    # The defining formula, every factor multiplied in: c * C(j, t) * b^t.
+    if b.is_zero():
+        return dict(p.terms)
+    powers = [CycloNum.one()]
+    for _ in range(max((j for _, j in p.terms), default=0)):
+        powers.append(powers[-1] * b)
+    out: dict = {}
+    for (i, j), c in p.terms.items():
+        for t in range(j + 1):
+            cj = c * comb(j, t) * powers[t]
+            k = (i, j - t)
+            out[k] = out[k] + cj if k in out else cj
+    return out
+
+
+def _assert_built_clean(got: BiPoly, raw: dict) -> None:
+    want = BiPoly(raw)
+    assert got == want
+    # The same element at the same order, term by term: no result may
+    # differ from what the validating constructor makes of the raw terms.
+    assert {k: (c.order, c.coeffs) for k, c in got.terms.items()} == \
+        {k: (c.order, c.coeffs) for k, c in want.terms.items()}
+    for (i, j), c in got.terms.items():
+        assert type(i) is int and type(j) is int and i >= 0 and j >= 0
+        assert isinstance(c, CycloNum) and not c.is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_bipoly_results_equal_the_validated_raw_terms(seed):
+    rng = random.Random(seed)
+    p = BiPoly(_rand_terms(rng))
+    # Half of r cancels against p, term by term.
+    r = BiPoly({**_rand_terms(rng),
+                **{k: -c for k, c in p.terms.items() if rng.random() < 0.5}})
+    neg_r = {k: -c for k, c in r.terms.items()}
+    _assert_built_clean(p + r, _raw_add(p, r))
+    _assert_built_clean(-r, neg_r)
+    _assert_built_clean(p - r, _raw_add(p, BiPoly(neg_r)))
+    prod: dict = {}
+    for (i1, j1), c1 in p.terms.items():
+        for (i2, j2), c2 in r.terms.items():
+            k = (i1 + i2, j1 + j2)
+            prod[k] = prod[k] + c1 * c2 if k in prod else c1 * c2
+    _assert_built_clean(p * r, prod)
+    scale = _bi_coeff(rng)
+    _assert_built_clean(p * scale, {k: c * scale for k, c in p.terms.items()})
+    _assert_built_clean(p * 0, {})
+
+    # Translation by zero and by a nonzero cyclotomic b; a factor (v - b)
+    # makes every v^0 term of the translate cancel.
+    b = _bi_coeff(rng) + (_bi_coeff(rng) if rng.random() < 0.5 else 0)
+    for base in (p, p * BiPoly({(0, 1): 1, (0, 0): -b})):
+        _assert_built_clean(base.translate(0), _raw_translate(base, CycloNum.zero()))
+        if not b.is_zero():
+            _assert_built_clean(base.translate(b), _raw_translate(base, b))
+
+    a, c = p.content()
+    _assert_built_clean(p.divide_monomial(a, c),
+                        {(i - a, j - c): x for (i, j), x in p.terms.items()})
+    _assert_built_clean(p.subst_second_by_product(),
+                        {(i + j, j): x for (i, j), x in p.terms.items()})
+    _assert_built_clean(p.subst_first_by_product(),
+                        {(i, i + j): x for (i, j), x in p.terms.items()})

@@ -20,7 +20,7 @@ from expdirect.resolution import (
     strict_transform,
     verify_corollary,
     zeta_psi,
-    _YSeries,
+    CopySeries,
 )
 from tests.helpers import mk, rand_branch, rand_monic, rand_polar
 
@@ -88,21 +88,23 @@ def test_build_rejects_bad_alpha():
 def test_strict_transform_membership():
     alpha = LaurentPoly({-2: 1, -1: 3})
     tree = build_resolution(alpha)
-    inside = strict_transform(flat("in", alpha), tree)
+    inside = strict_transform(CopySeries(flat("in", alpha)), tree)
     assert inside.meets_ed and inside.point_on_ed is not None
 
-    other_order = strict_transform(flat("qq", LaurentPoly({-3: 1})), tree)
+    other_order = strict_transform(
+        CopySeries(flat("qq", LaurentPoly({-3: 1}))), tree)
     assert not other_order.meets_ed and other_order.point_on_ed is None
 
-    other_coeff = strict_transform(flat("cc", LaurentPoly({-2: 1, -1: 4})), tree)
+    other_coeff = strict_transform(
+        CopySeries(flat("cc", LaurentPoly({-2: 1, -1: 4}))), tree)
     assert not other_coeff.meets_ed
 
 
 def test_strict_transform_separates_by_delta0():
     alpha = LaurentPoly({-2: 2, -1: 1})
     tree = build_resolution(alpha)
-    r0 = strict_transform(flat("a", alpha, delta0=0), tree)
-    r1 = strict_transform(flat("b", alpha, delta0=1), tree)
+    r0 = strict_transform(CopySeries(flat("a", alpha, delta0=0)), tree)
+    r1 = strict_transform(CopySeries(flat("b", alpha, delta0=1)), tree)
     assert r0.meets_ed and r1.meets_ed
     assert not (r0.point_on_ed == r1.point_on_ed)
     # The chart's value map recovers the constant term of the branch.
@@ -117,7 +119,7 @@ def test_point_is_affine_in_delta0():
         tree = build_resolution(alpha)
 
         def point(d0):
-            res = strict_transform(flat("x", alpha, delta0=d0), tree)
+            res = strict_transform(CopySeries(flat("x", alpha, delta0=d0)), tree)
             assert res.meets_ed
             return res.point_on_ed
 
@@ -131,9 +133,9 @@ def test_point_is_affine_in_delta0():
 def test_higher_delta_terms_do_not_move_the_point():
     alpha = LaurentPoly({-2: 1})
     tree = build_resolution(alpha)
-    a = strict_transform(
-        flat("a", alpha, delta=LaurentPoly({0: 3, 1: 5, 2: -1})), tree)
-    b = strict_transform(flat("b", alpha, delta0=3), tree)
+    a = strict_transform(CopySeries(
+        flat("a", alpha, delta=LaurentPoly({0: 3, 1: 5, 2: -1}))), tree)
+    b = strict_transform(CopySeries(flat("b", alpha, delta0=3)), tree)
     assert a.meets_ed and b.meets_ed and a.point_on_ed == b.point_on_ed
 
 
@@ -146,15 +148,16 @@ def test_verify_corollary_on_unramified_worked_example():
         flat("l2x1", LaurentPoly({-3: -1}), zeta=lam + one),
         flat("l2x2", LaurentPoly({-3: 1}), zeta=lam + one),
     ]
-    rep = verify_corollary(branches, LaurentPoly({-3: 1}))
+    series = [CopySeries(u) for u in branches]
+    rep = verify_corollary(series, LaurentPoly({-3: 1}))
     assert rep.consistent
     assert rep.members_by_blowup == ("l2x2#1",)
 
-    rep2 = verify_corollary(branches, LaurentPoly({-1: 1}))
+    rep2 = verify_corollary(series, LaurentPoly({-1: 1}))
     assert rep2.consistent and rep2.members_by_blowup == ()
 
     dup = branches + [flat("dup", LaurentPoly({-3: 1}), zeta=lam + one)]
-    rep3 = verify_corollary(dup, LaurentPoly({-3: 1}))
+    rep3 = verify_corollary([CopySeries(u) for u in dup], LaurentPoly({-3: 1}))
     assert rep3.consistent  # both sides agree the separation fails
     assert not rep3.star_by_blowup and not rep3.star_by_polar
 
@@ -171,11 +174,11 @@ def test_chi_psi_telescopes():
     alpha = LaurentPoly({-1: 1})
     tree = build_resolution(alpha)
     b = flat("a", alpha, m=2, zeta=CycloPoly([-1, 1]) ** 2)
-    transforms = [strict_transform(b, tree)]
+    transforms = [strict_transform(CopySeries(b), tree)]
     for r in range(1, 7):
         assert chi_psi(tree, transforms, {"a": 2}, r) == -2
     # Empty membership: everything cancels.
-    out = strict_transform(flat("far", LaurentPoly({-2: 1})), tree)
+    out = strict_transform(CopySeries(flat("far", LaurentPoly({-2: 1}))), tree)
     for r in range(1, 7):
         assert chi_psi(tree, [out], {"far": 1}, r) == 0
 
@@ -187,7 +190,7 @@ def test_chi_psi_shared_point_groups_multiplicities():
     tree = build_resolution(alpha)
     b1 = flat("a", alpha, delta0=0, m=2, zeta=CycloPoly([-1, 1]) ** 2)
     b2 = flat("b", alpha, delta=LaurentPoly({1: 1}), m=1)
-    transforms = [strict_transform(x, tree) for x in (b1, b2)]
+    transforms = [strict_transform(CopySeries(x), tree) for x in (b1, b2)]
     assert transforms[0].point_on_ed == transforms[1].point_on_ed
     for r in range(1, 7):
         assert chi_psi(tree, transforms, {"a": 2, "b": 1}, r) == -3
@@ -199,7 +202,7 @@ def test_zeta_psi_example():
     alpha = LaurentPoly({-1: 1})
     tree = build_resolution(alpha)
     b = flat("a", alpha, zeta=lam + one)
-    transforms = [strict_transform(b, tree)]
+    transforms = [strict_transform(CopySeries(b), tree)]
     got = zeta_psi(tree, transforms, {"a": lam + one}, zeta_r=lam - one)
     assert got == PolyFraction(CycloPoly.one(), lam + one)
 
@@ -209,7 +212,7 @@ def test_zeta_psi_requires_separation():
     tree = build_resolution(alpha)
     b1 = flat("a", alpha, delta0=0)
     b2 = flat("b", alpha, delta0=0)
-    transforms = [strict_transform(x, tree) for x in (b1, b2)]
+    transforms = [strict_transform(CopySeries(x), tree) for x in (b1, b2)]
     with pytest.raises(StarConditionError):
         zeta_psi(tree, transforms, {"a": CycloPoly([-1, 1]),
                                     "b": CycloPoly([-1, 1])},
@@ -228,7 +231,7 @@ def test_zeta_psi_random_cancellation():
             for i in range(n)
         ]
         zetas = {b.label: rand_monic(rng, b.m) for b in branches}
-        transforms = [strict_transform(b, tree) for b in branches]
+        transforms = [strict_transform(CopySeries(b), tree) for b in branches]
         for r in (1, 2, 5):
             zr = rand_monic(rng, r)
             got = zeta_psi(tree, transforms, zetas, zr)
@@ -241,7 +244,7 @@ def test_zeta_psi_random_cancellation():
 def test_series_truncation_error_names_required_depth():
     # alpha = t^-1, delta = 0 and truncation 4: y = t, exact below 2 + 4 + 1.
     (u,) = unramify([mk("a", q=1)], 4)
-    y = _YSeries(u)
+    y = CopySeries(u)
     assert y[1] == 1
     assert y[6] == 0
     with pytest.raises(TruncationError) as exc:
@@ -265,7 +268,7 @@ def test_each_copy_knows_only_its_own_prefix():
         # y = t^q / (t^q alpha + t^q delta) is exact through exponent
         # 2q + truncation; the next coefficient is unknown, not zero.
         q = u.alpha_sub.pole_order()
-        y = _YSeries(u)
+        y = CopySeries(u)
         y[2 * q + u.truncation]
         with pytest.raises(TruncationError) as exc:
             y[2 * q + u.truncation + 1]
@@ -303,7 +306,7 @@ def test_lazy_series_equals_the_eager_reference(cyclo):
             for pl in (1, 2, 3, 6)
         ]
         for u in unramify(branches, 3):
-            y = _YSeries(u)
+            y = CopySeries(u)
             want = eager_y_coefficients(u)
             # Same element at the same order: the report bytes depend on it.
             got = [y[j] for j in range(len(want))]
@@ -311,6 +314,37 @@ def test_lazy_series_equals_the_eager_reference(cyclo):
                 [(c.order, c.coeffs) for c in want]
             with pytest.raises(TruncationError):
                 y[len(want)]
+
+
+def _result_key(res):
+    point = res.point_on_ed
+    return (res.label, res.meets_ed, res.steps_matched,
+            None if point is None else (point.order, point.coeffs))
+
+
+@pytest.mark.parametrize("seed", [70, 71, 72])
+def test_shared_series_equal_fresh_series_per_pair(seed):
+    # One series per copy, read by every factor in turn, gives what a fresh
+    # series per (copy, factor) pair gives, down to the order of each point.
+    rng = random.Random(seed)
+    for _ in range(3):
+        branches = [
+            dataclasses.replace(
+                rand_branch(rng, f"b{pl}", max_q=3, trunc=3, cyclo_coeffs=True),
+                p=pl)
+            for pl in (1, 2, 3, 6)
+        ]
+        # A twin of one branch with another constant term shares its factors.
+        twin = rng.choice(branches)
+        branches.append(dataclasses.replace(
+            twin, label="twin", delta=LaurentPoly({0: rng.randint(2, 9)})))
+        dec = decompose(branches, truncation=3)
+        shared = [CopySeries(u) for u in dec.copies]
+        for factor in dec.factors:
+            tree = build_resolution(factor.alpha)
+            for u, y in zip(dec.copies, shared):
+                assert _result_key(strict_transform(y, tree)) == \
+                    _result_key(strict_transform(CopySeries(u), tree))
 
 
 def count_arithmetic(monkeypatch):
@@ -340,7 +374,7 @@ def test_non_member_of_other_pole_order_reads_one_coefficient(monkeypatch):
     # series is needed at all.
     for u, left_at, invs in zip(copies, (1, 2), (1, 0)):
         calls.clear()
-        res = strict_transform(u, tree)
+        res = strict_transform(CopySeries(u), tree)
         assert not res.meets_ed and res.steps_matched == left_at
         assert calls["inv"] == invs and calls["mul"] == 0
 
@@ -355,7 +389,7 @@ def test_member_work_does_not_grow_with_truncation(monkeypatch):
     for truncation in (8, 200):
         (u,) = unramify([branch], truncation)
         calls.clear()
-        res = strict_transform(u, tree)
+        res = strict_transform(CopySeries(u), tree)
         assert res.meets_ed and res.steps_matched == 6
         muls.append(calls["mul"])
         points.append(res.point_on_ed)
