@@ -20,7 +20,6 @@ from .decomposition import ExponentialFactor, FormalDecomposition, decompose
 from .laurent import BiPoly, BiRational, LaurentPoly, subst_root_power
 from .newton import (
     NewtonPolygon,
-    dilate_vertical,
     elementary_region,
     irregularity,
     minkowski_sum,
@@ -54,7 +53,7 @@ __all__ = [
     "root_of_unity",
     "ExponentialFactor", "FormalDecomposition", "decompose",
     "BiPoly", "BiRational", "LaurentPoly", "subst_root_power",
-    "NewtonPolygon", "dilate_vertical", "elementary_region", "irregularity",
+    "NewtonPolygon", "elementary_region", "irregularity",
     "minkowski_sum", "polygon_from_branches", "slopes",
     "FormalModuleSpec", "FormalSummand", "canonicalize", "realize",
     "roundtrip_check",

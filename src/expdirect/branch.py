@@ -16,7 +16,7 @@ ramified variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .cyclotomic import CycloNum, CycloPoly
 from .laurent import LaurentPoly, subst_root_power, support_gcd
@@ -160,10 +160,7 @@ def ramification_order(branches) -> int:
     branches = list(branches)
     if not branches:
         raise ValueError("ramification order of an empty branch list")
-    p = 1
-    for b in branches:
-        p = p * b.p // gcd(p, b.p)
-    return p
+    return lcm(*(b.p for b in branches))
 
 
 def unramify(branches, truncation: int = DEFAULT_TRUNCATION) -> list[UnramifiedBranch]:

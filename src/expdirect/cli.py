@@ -6,6 +6,14 @@ independent blow-up oracle disagrees with the symbolic computation (one line
 per disagreeing factor goes to stderr) or a blow-up chain breaks its expected
 normal form (ClassificationError, with an ``error:`` line).  Exit 3 flags a
 bug, not a data problem.
+
+The order cap (``--max-order``, or a file's ``options.max_order``) is
+checked before any work, as exit 2 naming a JSON path: parsing refuses a
+declared order above it, and every subcommand but ``validate`` refuses a
+unit of work (a point, a ``resolve`` alpha, a spec) whose order bound
+exceeds it.  The bound is the lcm of the unit's coefficient orders and
+ramification indices, and every order the pipeline builds for the unit
+divides it.
 """
 
 from __future__ import annotations
@@ -13,13 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 from .branch import DEFAULT_TRUNCATION, validate_all
-from .cyclotomic import DEFAULT_ORDER_LIMIT, OrderLimitError, set_order_limit
 from .decomposition import FormalDecomposition, decompose
 from .laurent import ClassificationError
 from .newton import (
@@ -35,13 +43,17 @@ from .resolution import (CopySeries, CorollaryReport, build_resolution,
 from . import serialize
 from .serialize import SchemaError
 
-__all__ = ["main", "run_point", "run_file", "emit_svg", "PointReport", "Options"]
+__all__ = ["main", "run_point", "run_file", "emit_svg", "PointReport", "Options",
+           "DEFAULT_ORDER_LIMIT"]
+
+# Default cap on cyclotomic orders, against phi(N) blow-up.
+DEFAULT_ORDER_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
 class Options:
     truncation: int = DEFAULT_TRUNCATION
-    max_order: int | None = None
+    max_order: int = DEFAULT_ORDER_LIMIT
     oracle: bool = True
 
 
@@ -64,14 +76,11 @@ def _parse_problem(data, options: Options):
         file_opts.get("truncation", options.truncation), "$.options.truncation")
     if truncation < 0:
         raise SchemaError("$.options.truncation", "expected a nonnegative integer")
-    max_order = file_opts.get("max_order", options.max_order)
-    if max_order is not None:
-        max_order = serialize._expect_int(max_order, "$.options.max_order")
-        if max_order < 1:
-            raise SchemaError("$.options.max_order", "expected a positive integer")
-        set_order_limit(max_order)  # applies to parsing as well
-    merged = Options(truncation=truncation, max_order=max_order,
-                     oracle=options.oracle)
+    max_order = serialize._expect_int(
+        file_opts.get("max_order", options.max_order), "$.options.max_order")
+    if max_order < 1:
+        raise SchemaError("$.options.max_order", "expected a positive integer")
+    merged = replace(options, truncation=truncation, max_order=max_order)
 
     points = []
     seen = set()
@@ -85,12 +94,28 @@ def _parse_problem(data, options: Options):
             raise SchemaError(f"$.points[{i}]", f"duplicate point (c={c!r}, k={k})")
         seen.add((c, k))
         branches = [
-            serialize.branch_from_json(b, f"$.points[{i}].branches[{j}]")
+            serialize.branch_from_json(b, f"$.points[{i}].branches[{j}]",
+                                       max_order=max_order)
             for j, b in enumerate(serialize._expect_list(
                 pobj.get("branches", []), f"$.points[{i}].branches"))
         ]
         points.append((c, k, branches))
     return points, merged
+
+
+def _check_order_bound(path: str, orders, cap: int) -> None:
+    """Refuse a unit of work whose order bound, the lcm of ``orders``,
+    exceeds ``cap``."""
+    bound = lcm(*orders)
+    if bound > cap:
+        raise SchemaError(path, f"order bound {bound} (the lcm of its "
+                                f"cyclotomic orders and ramification indices) "
+                                f"exceeds the order cap {cap} (--max-order)")
+
+
+def _branch_orders(b) -> list[int]:
+    return [b.p, *(c.order for f in (b.alpha, b.delta) for c in f.terms.values()),
+            *(c.order for c in b.zeta.coeffs)]
 
 
 def _warnings(reports) -> list[str]:
@@ -165,6 +190,10 @@ def run_file(path: str, options: Options):
     Exit code 3 comes with one stderr line per factor the oracle disputes.
     """
     points, merged = _parse_problem(_load_json(path), options)
+    for i, (_, _, branches) in enumerate(points):
+        _check_order_bound(f"$.points[{i}]",
+                           [n for b in branches for n in _branch_orders(b)],
+                           merged.max_order)
 
     # One validation pass gives both the failures and each point's warnings.
     failures = []
@@ -243,8 +272,7 @@ def _cmd_validate(args, options: Options) -> int:
 
 
 def _cmd_invariants(args, options: Options) -> int:
-    doc, _ = run_file(args.input, Options(
-        truncation=options.truncation, max_order=options.max_order, oracle=False))
+    doc, _ = run_file(args.input, replace(options, oracle=False))
     slim = {"points": [
         {key: pt[key] for key in
          ("c", "k", "newton_polygon", "slopes", "irregularity", "warnings")}
@@ -256,8 +284,7 @@ def _cmd_invariants(args, options: Options) -> int:
 
 
 def _cmd_decompose(args, options: Options) -> int:
-    doc, _ = run_file(args.input, Options(
-        truncation=options.truncation, max_order=options.max_order, oracle=False))
+    doc, _ = run_file(args.input, replace(options, oracle=False))
     slim = {"points": [
         {key: pt[key] for key in ("c", "k", "decomposition", "warnings")}
         for pt in doc["points"]
@@ -296,7 +323,10 @@ def _cmd_verify(args, options: Options) -> int:
 def _cmd_resolve(args, options: Options) -> int:
     data = _load_json(args.input)
     obj = serialize._expect_dict(data, "$")
-    alpha = serialize.laurent_from_json(obj.get("alpha", {}), "$.alpha")
+    alpha = serialize.laurent_from_json(obj.get("alpha", {}), "$.alpha",
+                                        max_order=options.max_order)
+    _check_order_bound("$.alpha", [c.order for c in alpha.terms.values()],
+                       options.max_order)
     if alpha.is_zero() or alpha.polar_part() != alpha:
         raise SchemaError("$.alpha", "expected a nonzero purely polar part")
     tree = build_resolution(alpha)
@@ -311,8 +341,18 @@ def _cmd_resolve(args, options: Options) -> int:
     return 0
 
 
+def _load_spec(path: str, options: Options):
+    spec = serialize.spec_from_json(_load_json(path), "$",
+                                    max_order=options.max_order)
+    _check_order_bound("$", [spec.p, *(c.order for s in spec.summands
+                                       for c in (*s.alpha.terms.values(),
+                                                 *s.charpoly.coeffs))],
+                       options.max_order)
+    return spec
+
+
 def _cmd_realize(args, options: Options) -> int:
-    spec = serialize.spec_from_json(_load_json(args.input), "$")
+    spec = _load_spec(args.input, options)
     try:
         branches = realize(spec)
     except (NormalizationConflictError, ValueError) as err:
@@ -323,7 +363,7 @@ def _cmd_realize(args, options: Options) -> int:
 
 
 def _cmd_roundtrip(args, options: Options) -> int:
-    spec = serialize.spec_from_json(_load_json(args.input), "$")
+    spec = _load_spec(args.input, options)
     try:
         from .realization import validate_spec
 
@@ -383,8 +423,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--truncation", type=_bounded_int(0),
                        default=DEFAULT_TRUNCATION,
                        help="declared exactness order of holomorphic parts")
-        p.add_argument("--max-order", type=_bounded_int(1), default=None,
-                       help="cap on cyclotomic orders")
+        p.add_argument("--max-order", type=_bounded_int(1),
+                       default=DEFAULT_ORDER_LIMIT,
+                       help="cap on cyclotomic orders, checked before any work")
         if name in ("invariants", "report"):
             p.add_argument("--svg", help="write the Newton polygon(s) as SVG")
         if name == "report":
@@ -403,11 +444,9 @@ def main(argv=None) -> int:
         max_order=args.max_order,
         oracle=getattr(args, "oracle", "on") == "on",
     )
-    set_order_limit(DEFAULT_ORDER_LIMIT if args.max_order is None else args.max_order)
     try:
         return _COMMANDS[args.command](args, options)
-    except (SchemaError, json.JSONDecodeError, UnicodeDecodeError, OSError,
-            OrderLimitError) as err:
+    except (SchemaError, json.JSONDecodeError, UnicodeDecodeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ClassificationError as err:
@@ -415,9 +454,6 @@ def main(argv=None) -> int:
         # from an oracle disagreement, not a data problem.
         print(f"error: {err}", file=sys.stderr)
         return 3
-    finally:
-        # A file's options.max_order must not outlive the call.
-        set_order_limit(DEFAULT_ORDER_LIMIT)
 
 
 if __name__ == "__main__":

@@ -9,10 +9,13 @@ as complex numbers.  All values are immutable.
 
 Every value holds a reduced dict: basis exponents 0 <= k < phi(N) only, each
 mapped to a nonzero Fraction.  The public constructor ``CycloNum(order,
-coeffs)`` is where outside input enters: it checks the order against the
-cap, the coefficient types, and folds and reduces any exponent.  Arithmetic
-results are already reduced and skip that validation; only an order a value
-is first built at (in the constructor or in ``lift``) is checked.
+coeffs)`` is where outside input enters: it checks that the order is
+positive, the coefficient types, and folds and reduces any exponent.
+Arithmetic results are already reduced and skip that validation; only the
+order a value is first built at (in the constructor, ``lift`` or
+``times_root``) is checked, and only for positivity.  The kernel caps no
+order: the command line bounds the orders an input can reach before it
+starts work.
 
 ``a.times_root(n, k)`` is ``a * root_of_unity(n, k)`` done as an exponent
 shift.  Its order is the one that product has: ``a.order`` when
@@ -31,48 +34,19 @@ __all__ = [
     "CycloPoly",
     "PolyFraction",
     "IncompatibleOrderError",
-    "OrderLimitError",
     "cyclotomic_polynomial",
     "root_of_unity",
-    "lift",
-    "eq",
     "totient",
-    "DEFAULT_ORDER_LIMIT",
-    "get_order_limit",
-    "set_order_limit",
 ]
-
-# Guardrail against phi(N) blow-up when lifting to large common orders.
-DEFAULT_ORDER_LIMIT = 10_000
-_order_limit = DEFAULT_ORDER_LIMIT
 
 
 class IncompatibleOrderError(ValueError):
     """A value cannot be represented at the requested order."""
 
 
-class OrderLimitError(ValueError):
-    """A root-of-unity order exceeds the configured limit."""
-
-
-def get_order_limit() -> int:
-    return _order_limit
-
-
-def set_order_limit(limit: int) -> None:
-    global _order_limit
-    if limit < 1:
-        raise ValueError("order limit must be positive")
-    _order_limit = limit
-
-
 def _check_order(order: int) -> None:
     if order < 1:
         raise ValueError(f"order must be a positive integer, got {order}")
-    if order > _order_limit:
-        raise OrderLimitError(
-            f"order {order} exceeds the configured limit {_order_limit}"
-        )
 
 
 @lru_cache(maxsize=None)
@@ -525,14 +499,6 @@ def root_of_unity(n: int, k: int) -> CycloNum:
     """zeta_n^(k mod n) in canonical form at order n."""
     _check_order(n)
     return CycloNum(n, {k % n: Fraction(1)})
-
-
-def lift(a: CycloNum, order: int) -> CycloNum:
-    return a.lift(order)
-
-
-def eq(a: CycloNum, b: CycloNum) -> bool:
-    return a == b
 
 
 class CycloPoly:

@@ -13,7 +13,7 @@ polar part + constant term across all copies).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 from .branch import (DEFAULT_TRUNCATION, Branch, UnramifiedBranch,
                      ramification_order, require_valid, unramify)
@@ -85,11 +85,7 @@ def laurent_sort_key(f: LaurentPoly, order: int):
 
 
 def _common_order(polys) -> int:
-    n = 1
-    for f in polys:
-        for c in f.terms.values():
-            n = n * c.order // gcd(n, c.order)
-    return n
+    return lcm(*(c.order for f in polys for c in f.terms.values()))
 
 
 def exponential_factors(ub: list[UnramifiedBranch]) -> list[ExponentialFactor]:

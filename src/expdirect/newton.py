@@ -4,8 +4,7 @@ The polygons here are the unbounded convex regions spanned by a horizontal
 ray, a chain of finite edges of increasing slope, and a vertical ray.  Only
 the finite edges carry data, stored as a slope-merged multiset of positive
 (width, height) pairs anchored at the origin.  Minkowski sums of such regions
-concatenate edge multisets; the vertical dilation relates the polygon before
-and after ramification.
+concatenate edge multisets.
 """
 
 from __future__ import annotations
@@ -20,10 +19,7 @@ __all__ = [
     "minkowski_sum",
     "slopes",
     "irregularity",
-    "dilate_vertical",
-    "one_slope_decomposition",
     "polygon_from_branches",
-    "ramified_polygon",
     "polygon_svg",
 ]
 
@@ -89,43 +85,8 @@ def irregularity(poly: NewtonPolygon) -> Fraction:
     return poly.height()
 
 
-def dilate_vertical(poly: NewtonPolygon, ratio) -> NewtonPolygon:
-    ratio = Fraction(ratio)
-    if ratio <= 0:
-        raise ValueError("dilation ratio must be positive")
-    return NewtonPolygon.from_edges([(w, h * ratio) for w, h in poly.edges])
-
-
 def polygon_from_branches(branches) -> NewtonPolygon:
     return minkowski_sum(elementary_region(b.m, b.p, b.q) for b in branches)
-
-
-def ramified_polygon(branches, p: int) -> NewtonPolygon:
-    """Polygon after ramification of order p: heights scale by p."""
-    return minkowski_sum(
-        NewtonPolygon.from_edges([(Fraction(b.m * b.p), Fraction(p * b.m * b.q))])
-        for b in branches
-    )
-
-
-def one_slope_decomposition(branches, p: int | None = None) -> dict[Fraction, tuple[tuple[str, ...], Fraction]]:
-    """Group branches by their common post-ramification slope.
-
-    Returns slope s -> (labels with p*q_l/p_l == s, total height p*q_l*m_l);
-    p defaults to the lcm ramification order of the branches.
-    """
-    branches = list(branches)
-    if p is None:
-        from .branch import ramification_order
-
-        p = ramification_order(branches)
-    groups: dict[Fraction, tuple[list[str], Fraction]] = {}
-    for b in branches:
-        s = Fraction(p * b.q, b.p)
-        labels, height = groups.setdefault(s, ([], Fraction(0)))
-        labels.append(b.label)
-        groups[s] = (labels, height + p * b.q * b.m)
-    return {s: (tuple(labels), h) for s, (labels, h) in sorted(groups.items())}
 
 
 def _fmt(x: Fraction, digits: int = 14) -> str:

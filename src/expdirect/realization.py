@@ -12,7 +12,7 @@ primitive pair plus orbit closure plus rank plus monodromy polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from .branch import Branch
 from .cyclotomic import CycloPoly
@@ -88,20 +88,11 @@ def orbit_closure(p: int, alpha: LaurentPoly) -> list[LaurentPoly]:
     """Distinct twists alpha(xi * t) over the p-th roots of unity xi,
     in canonical order."""
     seen: dict[tuple, LaurentPoly] = {}
-    order = 1
-    twisted = []
-    for i in range(1, p + 1):
-        f = subst_root_power(alpha, p, i, 1)
-        twisted.append(f)
-        for c in f.terms.values():
-            order = order * c.order // gcd(order, c.order)
+    twisted = [subst_root_power(alpha, p, i, 1) for i in range(1, p + 1)]
+    order = lcm(*(c.order for f in twisted for c in f.terms.values()))
     for f in twisted:
         seen.setdefault(laurent_sort_key(f, order), f)
     return [seen[k] for k in sorted(seen)]
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _orbit_class_keys(p: int, alphas, extra_order: int = 1) -> list[tuple]:
@@ -116,9 +107,7 @@ def _orbit_class_keys(p: int, alphas, extra_order: int = 1) -> list[tuple]:
         p0, a0 = canonicalize(p, alpha)
         orbit = orbit_closure(p0, a0)
         material.append((p0, orbit))
-        for f in orbit:
-            for c in f.terms.values():
-                order = _lcm(order, c.order)
+        order = lcm(order, *(c.order for f in orbit for c in f.terms.values()))
     return [(p0, tuple(sorted(laurent_sort_key(f, order) for f in orbit)))
             for p0, orbit in material]
 

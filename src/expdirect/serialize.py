@@ -4,8 +4,10 @@ All numbers are exact: rationals travel as "num/den" strings, cyclotomic
 numbers as order plus power-basis coordinates, polynomials as coefficient
 lists.  Parsing rejects anything that is not an exact rational (the
 coefficient domain is the union of the cyclotomic fields; floats or symbolic
-strings are errors, not approximands).  Parse errors carry a JSON-path
-location for the CLI's diagnostics.
+strings are errors, not approximands), and every parser that reads a
+cyclotomic number takes the order cap ``max_order`` and refuses a larger
+declared order.  Parse errors carry a JSON-path location for the CLI's
+diagnostics.
 """
 
 from __future__ import annotations
@@ -99,12 +101,17 @@ def cyclo_to_json(a: CycloNum) -> dict:
     }
 
 
-def cyclo_from_json(data, path: str = "$") -> CycloNum:
+def cyclo_from_json(data, path: str = "$", *, max_order: int) -> CycloNum:
+    """A cyclotomic number; an ``order`` above ``max_order`` is refused
+    before any value is built."""
     if isinstance(data, (int, str)):
         # Bare rationals are accepted as order-1 values.
         return CycloNum.from_rational(rational_from_json(data, path))
     obj = _expect_dict(data, path)
     order = _expect_int(obj.get("order"), f"{path}.order")
+    if order > max_order:
+        raise SchemaError(f"{path}.order", f"order {order} exceeds the order "
+                                           f"cap {max_order} (--max-order)")
     coeffs = _expect_dict(obj.get("coeffs", {}), f"{path}.coeffs")
     terms = {}
     for key, val in coeffs.items():
@@ -120,9 +127,9 @@ def cyclopoly_to_json(p: CycloPoly) -> list:
     return [cyclo_to_json(c) for c in p.coeffs]
 
 
-def cyclopoly_from_json(data, path: str = "$") -> CycloPoly:
+def cyclopoly_from_json(data, path: str = "$", *, max_order: int) -> CycloPoly:
     items = _expect_list(data, path)
-    return CycloPoly([cyclo_from_json(c, f"{path}[{i}]")
+    return CycloPoly([cyclo_from_json(c, f"{path}[{i}]", max_order=max_order)
                       for i, c in enumerate(items)])
 
 
@@ -130,13 +137,13 @@ def laurent_to_json(f: LaurentPoly) -> dict:
     return {"terms": {str(e): cyclo_to_json(c) for e, c in sorted(f.terms.items())}}
 
 
-def laurent_from_json(data, path: str = "$") -> LaurentPoly:
+def laurent_from_json(data, path: str = "$", *, max_order: int) -> LaurentPoly:
     obj = _expect_dict(data, path)
     terms_obj = _expect_dict(obj.get("terms", {}), f"{path}.terms")
     terms = {}
     for key, val in terms_obj.items():
         e = _int_key(key, f"{path}.terms.{key}")
-        terms[e] = cyclo_from_json(val, f"{path}.terms.{key}")
+        terms[e] = cyclo_from_json(val, f"{path}.terms.{key}", max_order=max_order)
     return LaurentPoly(terms)
 
 
@@ -152,7 +159,7 @@ def branch_to_json(b: Branch) -> dict:
     }
 
 
-def branch_from_json(data, path: str = "$") -> Branch:
+def branch_from_json(data, path: str = "$", *, max_order: int) -> Branch:
     obj = _expect_dict(data, path)
     label = obj.get("label")
     if not isinstance(label, str) or not label:
@@ -161,10 +168,13 @@ def branch_from_json(data, path: str = "$") -> Branch:
         label=label,
         p=_expect_int(obj.get("p"), f"{path}.p"),
         q=_expect_int(obj.get("q"), f"{path}.q"),
-        alpha=laurent_from_json(obj.get("alpha", {}), f"{path}.alpha"),
-        delta=laurent_from_json(obj.get("delta", {}), f"{path}.delta"),
+        alpha=laurent_from_json(obj.get("alpha", {}), f"{path}.alpha",
+                                max_order=max_order),
+        delta=laurent_from_json(obj.get("delta", {}), f"{path}.delta",
+                                max_order=max_order),
         m=_expect_int(obj.get("m"), f"{path}.m"),
-        zeta=cyclopoly_from_json(obj.get("zeta", []), f"{path}.zeta"),
+        zeta=cyclopoly_from_json(obj.get("zeta", []), f"{path}.zeta",
+                                 max_order=max_order),
     )
 
 
@@ -223,17 +233,19 @@ def spec_to_json(spec: FormalModuleSpec) -> dict:
     }
 
 
-def spec_from_json(data, path: str = "$") -> FormalModuleSpec:
+def spec_from_json(data, path: str = "$", *, max_order: int) -> FormalModuleSpec:
     obj = _expect_dict(data, path)
     summands = []
     for i, s in enumerate(_expect_list(obj.get("summands", []), f"{path}.summands")):
         sobj = _expect_dict(s, f"{path}.summands[{i}]")
         summands.append(FormalSummand(
             alpha=laurent_from_json(sobj.get("alpha", {}),
-                                    f"{path}.summands[{i}].alpha"),
+                                    f"{path}.summands[{i}].alpha",
+                                    max_order=max_order),
             rank=_expect_int(sobj.get("rank"), f"{path}.summands[{i}].rank"),
             charpoly=cyclopoly_from_json(sobj.get("charpoly", []),
-                                         f"{path}.summands[{i}].charpoly"),
+                                         f"{path}.summands[{i}].charpoly",
+                                         max_order=max_order),
         ))
     regular = obj.get("regular_rank", 0)
     return FormalModuleSpec(

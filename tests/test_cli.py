@@ -1,17 +1,26 @@
 """CLI subcommands, exit-code contract, and output determinism."""
 
+import contextlib
+import dataclasses
+import io
 import json
+import random
 import re
+import tempfile
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expdirect.cli import main
-from expdirect.cyclotomic import root_of_unity
+from expdirect.cyclotomic import CycloPoly, root_of_unity
 from expdirect.laurent import LaurentPoly
-from expdirect.serialize import branch_to_json
-from tests.helpers import mk, worked_example_branches
+from expdirect.realization import FormalModuleSpec, FormalSummand
+from expdirect.serialize import branch_to_json, laurent_to_json, spec_to_json
+from tests.helpers import mk, rand_branch, worked_example_branches
+from tests.test_realization import rand_spec
 
 
 @pytest.fixture()
@@ -265,6 +274,217 @@ def test_file_order_limit_does_not_leak_into_the_next_call(tmp_path):
     order4.write_text(json.dumps({"points": [{"c": "0", "k": 0, "branches": [
         branch_to_json(mk("b", p=4, q=1, alpha=LaurentPoly({-1: 1})))]}]}))
     assert run_cli("report", "--input", order4, "--oracle", "off") == 0
+
+
+def _problem(path, *points):
+    """A problem file with one point per branch list, c = "z", "y", ...: the
+    input order is the reverse of the report's."""
+    path.write_text(json.dumps({"points": [
+        {"c": chr(ord("z") - i), "k": 0,
+         "branches": [branch_to_json(b) for b in branches]}
+        for i, branches in enumerate(points)]}))
+    return path
+
+
+def test_order_cap(tmp_path, capsys):
+    # The cap is checked before any work, once per unit of work: exit 2 with
+    # the JSON path, the order bound and the flag that raises the cap.
+    z5, z7 = root_of_unity(5, 1), root_of_unity(7, 1)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_to_json(FormalModuleSpec(7, (
+        FormalSummand(LaurentPoly({-1: z5}), 1, CycloPoly([-1, 1])),)))))
+    alpha = tmp_path / "alpha.json"
+    alpha.write_text(json.dumps(
+        {"alpha": laurent_to_json(LaurentPoly({-2: z7, -1: z5}))}))
+    fine = [mk("ok")]
+    bound_35 = [
+        # Values of orders 7 and 5 on two branches: their sum and product
+        # live at order 35.
+        ("report", _problem(tmp_path / "two.json", fine, [
+            mk("a", alpha=LaurentPoly({-1: z7})),
+            mk("b", alpha=LaurentPoly({-1: z5}))]), "$.points[1]"),
+        # An order-7 coefficient twisted by the 5th roots of a p = 5 branch.
+        ("report", _problem(tmp_path / "twist.json", [
+            mk("a", p=5, alpha=LaurentPoly({-1: z7}))]), "$.points[0]"),
+        ("roundtrip", spec, "$"),
+        ("resolve", alpha, "$.alpha"),
+    ]
+    for command, path, where in bound_35:
+        assert run_cli(command, "--input", path, "--max-order", 10) == 2, path
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: order bound 35 "), err
+        assert err.endswith(" exceeds the order cap 10 (--max-order)\n"), err
+        out = tmp_path / "out.json"
+        assert run_cli(command, "--input", path, "--output", out,
+                       "--max-order", 35) == 0, path
+
+    # A declared order above the cap is refused while parsing, at its path.
+    eleven = _problem(tmp_path / "eleven.json", [
+        mk("a", alpha=LaurentPoly({-1: root_of_unity(11, 1)}))])
+    assert run_cli("report", "--input", eleven, "--max-order", 10) == 2
+    assert capsys.readouterr().err == (
+        "error: $.points[0].branches[0].alpha.terms.-1.order: order 11 "
+        "exceeds the order cap 10 (--max-order)\n")
+
+    # The bound is stricter than the orders reached: an order-101 polar
+    # coefficient and an order-103 zeta never meet in one product, but
+    # lcm(101, 103) = 10403 is above the default cap.
+    apart = _problem(tmp_path / "apart.json", [
+        mk("a", alpha=LaurentPoly({-1: root_of_unity(101, 1)}),
+           zeta=CycloPoly([-root_of_unity(103, 1), 1]))])
+    assert run_cli("report", "--input", apart, "--oracle", "off") == 2
+    assert "$.points[0]: order bound 10403 " in capsys.readouterr().err
+    assert run_cli("report", "--input", apart, "--oracle", "off",
+                   "--max-order", 10403) == 0
+
+
+def test_validate_checks_parsed_orders_only(tmp_path, capsys):
+    # validate builds no products: a point whose order bound exceeds the cap
+    # passes as long as each declared order is within it.
+    path = _problem(tmp_path / "two.json", [
+        mk("a", alpha=LaurentPoly({-1: root_of_unity(7, 1)})),
+        mk("b", alpha=LaurentPoly({-1: root_of_unity(5, 1)}))])
+    assert run_cli("validate", "--input", path, "--max-order", 10) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_every_order_built_divides_the_preflight_bound(monkeypatch, tmp_path):
+    # Products take the lcm of their orders, twists use the p_l-th roots and
+    # grouping lifts to the lcm of the polar orders, so no value may leave
+    # the field of its input's order bound.
+    import expdirect.cli as cli_mod
+    import expdirect.cyclotomic as cyclotomic
+
+    orders, bounds = set(), []
+    check_order, check_bound = cyclotomic._check_order, cli_mod._check_order_bound
+
+    def recorded_order(order):
+        check_order(order)
+        orders.add(order)
+
+    def recorded_bound(path, values, cap):
+        bounds.append(lcm(*values))
+        check_bound(path, values, cap)
+
+    monkeypatch.setattr(cyclotomic, "_check_order", recorded_order)
+    monkeypatch.setattr(cli_mod, "_check_order_bound", recorded_bound)
+
+    # validate checks no bound; its input is a copy of a report golden.
+    runs = [(case.parent.name, case) for case in sorted(
+        (Path(__file__).parent / "golden").glob("*/*.in.json"))
+        if case.parent.name != "validate"]
+    rng = random.Random(2024)
+    for i in range(4):
+        branches = [dataclasses.replace(
+            rand_branch(rng, f"b{pl}", max_q=3, trunc=3, cyclo_coeffs=True), p=pl)
+            for pl in (1, 2, 3, 6)]
+        runs.append(("report", _problem(tmp_path / f"branches{i}.json", branches)))
+    for i in range(6):
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(json.dumps(spec_to_json(rand_spec(rng))))
+        runs.append(("roundtrip", path))
+
+    assert len(runs) == 25 + 4 + 6
+    for command, path in runs:
+        orders.clear()
+        bounds.clear()
+        assert run_cli(command, "--input", path,
+                       "--output", tmp_path / "out.json") == 0, path
+        assert bounds, path
+        assert all(any(b % n == 0 for b in bounds) for n in orders), \
+            (path, sorted(orders), bounds)
+
+
+# Malformed and extreme JSON for the hypothesis test below.  Pole orders stay
+# at most 3; the ramification p reaches 1e9.  "@nest<d>@" stands for a list
+# nested d deep, written straight into the text.
+def _mostly(ok, bad):
+    """``ok`` three times in four, else ``bad``."""
+    return st.integers(0, 3).flatmap(lambda i: bad if i == 3 else ok)
+
+
+_wrong_type = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
+                        st.text(max_size=3), st.lists(st.integers(), max_size=2),
+                        st.just({}))
+_junk = st.one_of(_wrong_type, st.integers(-10**6, 10**6),
+                  st.integers(1, 3000).map("@nest{}@".format))
+_big_order = 10**3999  # 4000 digits, within json's int conversion limit
+_rational = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3"]))
+_cyclo = _mostly(
+    st.one_of(_rational, st.fixed_dictionaries({
+        "order": st.sampled_from([1, 2, 3, 4, 6]),
+        "coeffs": st.dictionaries(st.integers(0, 12).map(str), _rational,
+                                  max_size=3)})),
+    st.one_of(_junk, st.fixed_dictionaries({
+        "order": st.sampled_from([0, -3, True, 10**12, _big_order, 6]),
+        # Exponent keys at and above phi(order), and keys that are no integers.
+        "coeffs": st.dictionaries(
+            st.sampled_from(["4", "400000000000", "400000000001",
+                             str(_big_order - 1), "-1", "x", "1.5", ""]),
+            st.one_of(_rational, st.sampled_from(["1/0", "x"])), max_size=3)})))
+_p = _mostly(st.sampled_from([1, 2, 3, 6]), st.integers(-3, 10**9))
+
+
+@st.composite
+def _branch(draw):
+    q, m = draw(st.integers(-1, 3)), draw(st.integers(0, 2))
+    branch = {"label": draw(_mostly(st.sampled_from(["a", "b"]), st.just(""))),
+              "p": draw(_p),
+              "q": q, "m": m,
+              "alpha": {"terms": {str(-max(q, 1)): draw(_cyclo)}},
+              "delta": {"terms": draw(st.dictionaries(
+                  st.sampled_from(["0", "1", "2", "-1", "x"]), _cyclo, max_size=2))},
+              "zeta": [draw(_cyclo) for _ in range(max(m, 0))] + [1]}
+    broken = draw(_mostly(st.none(), st.sampled_from(sorted(branch))))
+    if broken is not None:
+        branch[broken] = draw(_junk)
+    return branch
+
+
+_laurent = _mostly(
+    st.fixed_dictionaries({"terms": st.dictionaries(
+        st.sampled_from(["-3", "-2", "-1", "0", "x"]), _cyclo, max_size=3)}),
+    _junk)
+# The file's max_order overrides --max-order, so its integers stay at most 12.
+_problem_doc = st.fixed_dictionaries(
+    {"points": st.lists(st.fixed_dictionaries({
+        "c": _mostly(st.sampled_from(["0", "1"]), st.one_of(st.just(""), _junk)),
+        "k": _mostly(st.integers(0, 1), _junk),
+        "branches": st.lists(_branch(), max_size=3)}), max_size=2)},
+    optional={"options": st.fixed_dictionaries({}, optional={
+        "truncation": st.one_of(st.integers(-1, 4), _wrong_type),
+        "max_order": st.one_of(st.integers(-1, 12), _wrong_type)})})
+_spec_doc = st.fixed_dictionaries({
+    "p": _mostly(_p, _junk),
+    "summands": st.lists(st.fixed_dictionaries({
+        "alpha": _laurent, "rank": _mostly(st.integers(0, 2), _junk),
+        "charpoly": st.lists(_cyclo, max_size=3)}), max_size=2),
+    "regular_rank": _mostly(st.integers(-1, 2), _junk)})
+_COMMAND_DOCS = {**dict.fromkeys(["report", "verify", "validate", "invariants",
+                                  "decompose"], _problem_doc),
+                 "resolve": st.fixed_dictionaries({"alpha": _laurent}),
+                 "realize": _spec_doc, "roundtrip": _spec_doc}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_COMMAND_DOCS)).flatmap(lambda command: st.tuples(
+    st.just(command), _mostly(_COMMAND_DOCS[command], _junk))))
+def test_malformed_and_extreme_json_never_raise(case):
+    # Exit 0, 2 or 3, never a traceback.  The cap is 12: under the default
+    # cap of 10000 a ramification p in the thousands passes the order bound
+    # and takes minutes, which is for a cost guard to refuse, not the cap.
+    command, doc = case
+    text = re.sub(r'"@nest(\d+)@"', lambda m: "[" * int(m[1]) + "]" * int(m[1]),
+                  json.dumps(doc))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(command, "--input", path, "--output",
+                           Path(tmp) / "out.json", "--max-order", 12)
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("option", ["truncation", "max_order"])

@@ -10,18 +10,12 @@ import pytest
 
 from expdirect.newton import (
     NewtonPolygon,
-    dilate_vertical,
     elementary_region,
     irregularity,
     minkowski_sum,
-    one_slope_decomposition,
-    polygon_from_branches,
     polygon_svg,
-    ramified_polygon,
     slopes,
 )
-from tests.helpers import mk, rand_branch
-from expdirect.branch import ramification_order
 
 _CODE = 1 << 20
 
@@ -94,46 +88,6 @@ def test_slopes_and_irregularity_examples():
     assert irregularity(NewtonPolygon.from_edges([(1, 4)])) == 4
 
 
-def test_dilate_examples():
-    p = NewtonPolygon.from_edges([(2, 6)])
-    assert dilate_vertical(p, Fraction(1, 2)).edges == ((Fraction(2), Fraction(3)),)
-    q = NewtonPolygon.from_edges([(2, 2), (2, 3)])
-    assert dilate_vertical(q, 1) == q
-
-
-def test_ramified_dilation_on_worked_example():
-    branches = [
-        mk("l1", p=1, q=1, m=2),
-        mk("l2", p=2, q=3, m=1, zeta=None),
-    ]
-    p = ramification_order(branches)
-    assert p == 2
-    ram = ramified_polygon(branches, p)
-    assert ram.edges == ((Fraction(2), Fraction(4)), (Fraction(2), Fraction(6)))
-    assert dilate_vertical(ram, Fraction(1, p)) == polygon_from_branches(branches)
-
-
-def test_dilation_identity_random():
-    rng = random.Random(77)
-    for _ in range(100):
-        branches = [rand_branch(rng, f"l{i}") for i in range(rng.randint(1, 6))]
-        p = ramification_order(branches)
-        assert dilate_vertical(ramified_polygon(branches, p), Fraction(1, p)) \
-            == polygon_from_branches(branches)
-
-
-def test_one_slope_decomposition_examples():
-    branches = [mk("l1", p=1, q=1, m=2), mk("l2", p=2, q=3, m=1)]
-    groups = one_slope_decomposition(branches, 2)
-    assert groups == {
-        Fraction(2): (("l1",), Fraction(4)),
-        Fraction(3): (("l2",), Fraction(6)),
-    }
-    assert one_slope_decomposition([mk("a")], 1) == {Fraction(1): (("a",), Fraction(1))}
-    both = one_slope_decomposition([mk("a", p=1, q=1), mk("b", p=2, q=2)], 2)
-    assert both == {Fraction(2): (("a", "b"), Fraction(2 + 4))}
-
-
 def test_widths_heights_add():
     rng = random.Random(13)
     for _ in range(200):
@@ -187,7 +141,7 @@ def test_svg_vertices_are_cumulative_edge_sums():
     empty = polygon_svg(NewtonPolygon())
     assert "polyline" in empty  # rays still drawn
 
-    scaled = dilate_vertical(poly, Fraction(1, 3))
+    scaled = NewtonPolygon.from_edges([(2, Fraction(2, 3)), (2, 1)])
     m2 = re.search(r'data-vertices="([^"]+)"', polygon_svg(scaled))
     got = [tuple(Fraction(x) for x in p.split(",")) for p in m2.group(1).split(";")]
     assert got == [(0, 0), (2, Fraction(2, 3)), (4, Fraction(5, 3))]

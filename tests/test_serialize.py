@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from expdirect.cli import DEFAULT_ORDER_LIMIT as CAP
 from expdirect.cyclotomic import CycloNum, CycloPoly, root_of_unity
 from expdirect.laurent import LaurentPoly
 from expdirect.newton import NewtonPolygon
@@ -50,27 +51,27 @@ def test_cyclo_round_trip_random():
     rng = random.Random(8)
     for _ in range(100):
         a = rand_cyclo(rng)
-        back = cyclo_from_json(cyclo_to_json(a), "$")
+        back = cyclo_from_json(cyclo_to_json(a), "$", max_order=CAP)
         assert back.order == a.order and back == a
 
 
 def test_cyclo_accepts_bare_rationals():
-    assert cyclo_from_json("3/4", "$") == CycloNum.from_rational(Fraction(3, 4))
-    assert cyclo_from_json(-2, "$") == CycloNum.from_rational(-2)
+    assert cyclo_from_json("3/4", "$", max_order=CAP) == CycloNum.from_rational(Fraction(3, 4))
+    assert cyclo_from_json(-2, "$", max_order=CAP) == CycloNum.from_rational(-2)
 
 
 def test_laurent_round_trip_random():
     rng = random.Random(9)
     for _ in range(50):
         f = rand_laurent(rng)
-        assert laurent_from_json(laurent_to_json(f), "$") == f
+        assert laurent_from_json(laurent_to_json(f), "$", max_order=CAP) == f
 
 
 def test_branch_round_trip():
     rng = random.Random(10)
     for _ in range(30):
         b = rand_branch(rng, "x", cyclo_coeffs=True)
-        back = branch_from_json(branch_to_json(b), "$")
+        back = branch_from_json(branch_to_json(b), "$", max_order=CAP)
         assert back.label == b.label
         assert (back.p, back.q, back.m) == (b.p, b.q, b.m)
         assert back.alpha == b.alpha and back.delta == b.delta
@@ -79,16 +80,26 @@ def test_branch_round_trip():
 
 def test_branch_schema_errors_carry_paths():
     with pytest.raises(SchemaError) as exc:
-        branch_from_json({"label": "a", "p": "two"}, "$.branches[0]")
+        branch_from_json({"label": "a", "p": "two"}, "$.branches[0]",
+                         max_order=CAP)
     assert "$.branches[0].p" in str(exc.value)
     with pytest.raises(SchemaError) as exc:
         branch_from_json(
             {"label": "a", "p": 1, "q": 1, "m": 1,
              "alpha": {"terms": {"-1": {"order": 1, "coeffs": {"0": 0.25}}}},
              "zeta": []},
-            "$",
+            "$", max_order=CAP,
         )
     assert "$.alpha.terms.-1.coeffs.0" in str(exc.value)
+    # A declared order above the cap is refused at its own path.
+    with pytest.raises(SchemaError) as exc:
+        branch_from_json(
+            {"label": "a", "p": 1, "q": 1, "m": 1,
+             "alpha": {"terms": {"-1": {"order": 11, "coeffs": {"1": 1}}}},
+             "zeta": []},
+            "$", max_order=10,
+        )
+    assert str(exc.value).startswith("$.alpha.terms.-1.order: order 11 exceeds")
 
 
 def test_polygon_round_trip():
@@ -108,7 +119,7 @@ def test_spec_round_trip():
         ),
         regular_rank=3,
     )
-    back = spec_from_json(spec_to_json(spec), "$")
+    back = spec_from_json(spec_to_json(spec), "$", max_order=CAP)
     assert back.p == spec.p and back.regular_rank == spec.regular_rank
     assert len(back.summands) == 2
     for a, b in zip(back.summands, spec.summands):
