@@ -37,7 +37,8 @@ from .newton import (
     polygon_svg,
     slopes,
 )
-from .realization import NormalizationConflictError, realize, roundtrip_check
+from .realization import (NormalizationConflictError, _roundtrip_check,
+                          realize, validate_spec)
 from .resolution import (CopySeries, CorollaryReport, build_resolution,
                          verify_corollary)
 from . import serialize
@@ -365,12 +366,10 @@ def _cmd_realize(args, options: Options) -> int:
 def _cmd_roundtrip(args, options: Options) -> int:
     spec = _load_spec(args.input, options)
     try:
-        from .realization import validate_spec
-
         validate_spec(spec)
     except ValueError as err:
         raise SchemaError("$", str(err)) from None
-    rep = roundtrip_check(spec)
+    rep = _roundtrip_check(spec)
     _dump(serialize.roundtrip_to_json(rep), args.output)
     if rep.conflicts:
         return 2

@@ -85,7 +85,11 @@ def laurent_sort_key(f: LaurentPoly, order: int):
 
 
 def _common_order(polys) -> int:
-    return lcm(*(c.order for f in polys for c in f.terms.values()))
+    # lcm over a set, not a generator: CPython builds star-args from a
+    # generator as a tuple of guessed length and resizes it, the resized
+    # tuple is freed into the free list of another length, and a process
+    # that runs many problems grows with their number.
+    return lcm(*{c.order for f in polys for c in f.terms.values()})
 
 
 def exponential_factors(ub: list[UnramifiedBranch]) -> list[ExponentialFactor]:
@@ -125,7 +129,7 @@ def star_condition(ub: list[UnramifiedBranch]):
     when both parts are: each copy is keyed by the pair.
     """
     polar_order = _common_order([u.alpha_sub for u in ub])
-    const_order = lcm(*(u.delta0.order for u in ub))
+    const_order = lcm(*{u.delta0.order for u in ub})
     seen: dict[tuple, tuple[str, int]] = {}
     for u in ub:
         key = (laurent_sort_key(u.alpha_sub, polar_order),

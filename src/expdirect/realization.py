@@ -7,6 +7,12 @@ emits one branch per orbit with trivial holomorphic part; decomposing those
 branches regenerates the whole orbit of every summand.  The round-trip
 comparison therefore works with ramification-independent canonical classes:
 primitive pair plus orbit closure plus rank plus monodromy polynomial.
+
+Grouping builds each orbit once per call of ``_orbit_class_keys``: a polar
+part equal to a member of an orbit already built reuses that orbit's key,
+and the round trip reads an orbit's size off its key.  ``realize`` and
+``roundtrip_check`` validate the spec; ``_realize`` and ``_roundtrip_check``
+are the same work for a caller that has validated it already.
 """
 
 from __future__ import annotations
@@ -89,27 +95,46 @@ def orbit_closure(p: int, alpha: LaurentPoly) -> list[LaurentPoly]:
     in canonical order."""
     seen: dict[tuple, LaurentPoly] = {}
     twisted = [subst_root_power(alpha, p, i, 1) for i in range(1, p + 1)]
-    order = lcm(*(c.order for f in twisted for c in f.terms.values()))
+    order = lcm(*{c.order for f in twisted for c in f.terms.values()})
     for f in twisted:
         seen.setdefault(laurent_sort_key(f, order), f)
     return [seen[k] for k in sorted(seen)]
 
 
-def _orbit_class_keys(p: int, alphas, extra_order: int = 1) -> list[tuple]:
+def _orbit_class_keys(p: int, alphas) -> list[tuple]:
     """Orbit-class keys for several polar parts at once.
+
+    Each root-of-unity orbit is closed once: a polar part equal to an element
+    of an orbit already built at the same primitive ramification takes that
+    orbit's key, since orbit-mates have one set of values.
 
     All keys are built at one shared coefficient order, so equal field values
     produce equal keys regardless of the order each coefficient was built at.
+    That order is the lcm of the coefficient orders of the orbits built and
+    of every input polar part.  An orbit closed from a reused mate would hold
+    that mate as written (its identity twist), and its other twists' orders
+    follow from the written ones and ``p0``; counting the inputs therefore
+    gives the order of one closure per polar part, and with it the key order
+    that ``realize`` sorts its branches by.
     """
-    material = []
-    order = extra_order
+    orbits: list[tuple[int, list[LaurentPoly]]] = []
+    classes = []
+    order = 1
     for alpha in alphas:
         p0, a0 = canonicalize(p, alpha)
-        orbit = orbit_closure(p0, a0)
-        material.append((p0, orbit))
-        order = lcm(order, *(c.order for f in orbit for c in f.terms.values()))
-    return [(p0, tuple(sorted(laurent_sort_key(f, order) for f in orbit)))
-            for p0, orbit in material]
+        order = lcm(order, *{c.order for c in a0.terms.values()})
+        cls = next((i for i, (q0, orbit) in enumerate(orbits)
+                    if q0 == p0 and any(a0 == f for f in orbit)), None)
+        if cls is None:
+            orbit = orbit_closure(p0, a0)
+            order = lcm(order, *{c.order for f in orbit
+                                 for c in f.terms.values()})
+            cls = len(orbits)
+            orbits.append((p0, orbit))
+        classes.append(cls)
+    keys = [(p0, tuple(sorted(laurent_sort_key(f, order) for f in orbit)))
+            for p0, orbit in orbits]
+    return [keys[i] for i in classes]
 
 
 def realize(spec: FormalModuleSpec) -> list[Branch]:
@@ -122,6 +147,11 @@ def realize(spec: FormalModuleSpec) -> list[Branch]:
     NormalizationConflictError.  The regular summand produces no branch.
     """
     validate_spec(spec)
+    return _realize(spec)
+
+
+def _realize(spec: FormalModuleSpec) -> list[Branch]:
+    """``realize`` for a spec that ``validate_spec`` has accepted."""
     keys = _orbit_class_keys(spec.p, [s.alpha for s in spec.summands])
     groups: dict[tuple, list[FormalSummand]] = {}
     for key, s in zip(keys, spec.summands):
@@ -179,8 +209,14 @@ def roundtrip_check(spec: FormalModuleSpec) -> RoundTripReport:
     raised.  A spec whose summands cannot be consistently orbit-closed is
     reported as a conflict.
     """
+    validate_spec(spec)
+    return _roundtrip_check(spec)
+
+
+def _roundtrip_check(spec: FormalModuleSpec) -> RoundTripReport:
+    """``roundtrip_check`` for a spec that ``validate_spec`` has accepted."""
     try:
-        branches = realize(spec)
+        branches = _realize(spec)
     except NormalizationConflictError as err:
         return RoundTripReport(
             ok=False, spec_ramification=spec.p, computed_ramification=0,
@@ -202,7 +238,8 @@ def roundtrip_check(spec: FormalModuleSpec) -> RoundTripReport:
     got_keys = all_keys[len(spec_alphas):]
 
     # The orbit closure of the spec is a union: summands sharing an orbit
-    # contribute that orbit once (realize already checked consistency).
+    # contribute that orbit once (realize already checked consistency), as
+    # many entries as its key has elements.
     spec_entries = []
     seen_classes = set()
     for key, s in zip(spec_keys, spec.summands):
@@ -210,8 +247,7 @@ def roundtrip_check(spec: FormalModuleSpec) -> RoundTripReport:
             continue
         seen_classes.add(key)
         p0, a0 = canonicalize(spec.p, s.alpha)
-        size = len(orbit_closure(p0, a0))
-        spec_entries.extend([(key, p0, a0, s.rank, s.charpoly)] * size)
+        spec_entries.extend([(key, p0, a0, s.rank, s.charpoly)] * len(key[1]))
 
     got_entries = []
     for key, f in zip(got_keys, dec.factors):

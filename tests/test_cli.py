@@ -384,7 +384,7 @@ def test_every_order_built_divides_the_preflight_bound(monkeypatch, tmp_path):
         path.write_text(json.dumps(spec_to_json(rand_spec(rng))))
         runs.append(("roundtrip", path))
 
-    assert len(runs) == 25 + 4 + 6
+    assert len(runs) == 27 + 4 + 6
     for command, path in runs:
         orders.clear()
         bounds.clear()
@@ -581,3 +581,34 @@ def test_report_oracle_inverts_at_most_once_per_copy_and_factor(monkeypatch, tmp
     copies = sum(len(f["members"]) for f in factors)
     assert len(factors) > 1 and calls["inv"] > 0
     assert calls["inv"] <= copies + len(factors)
+
+
+def test_roundtrip_closes_each_orbit_at_most_twice(monkeypatch, tmp_path):
+    # realize keys the spec once, and the round trip keys the spec and the
+    # computed factors together once: each keying closes an orbit once,
+    # however many of its members the spec lists or the decomposition
+    # returns.
+    import expdirect.realization as realization
+
+    closure = realization.orbit_closure
+    calls = []
+
+    def counted_closure(p, alpha):
+        calls.append(p)
+        return closure(p, alpha)
+
+    monkeypatch.setattr(realization, "orbit_closure", counted_closure)
+    listed = Path(__file__).parent / "golden" / "roundtrip" / "03_p4_orbit_listed.in.json"
+    # Three orbit-closed orbits at p = 6; the last one has primitive order 3.
+    alphas = [LaurentPoly({-1: 1}), LaurentPoly({-2: 1, -1: 2}),
+              LaurentPoly({-4: root_of_unity(3, 1), -2: 1})]
+    summands = tuple(FormalSummand(a, 1, CycloPoly([-1, 1]))
+                     for alpha in alphas for a in closure(6, alpha))
+    assert len(summands) == 6 + 6 + 3
+    p6 = tmp_path / "p6.json"
+    p6.write_text(json.dumps(spec_to_json(FormalModuleSpec(6, summands))))
+    for path, orbits in ((listed, 2), (p6, 3)):
+        calls.clear()
+        assert run_cli("roundtrip", "--input", path,
+                       "--output", tmp_path / "out.json") == 0, path
+        assert 0 < len(calls) <= 2 * orbits, (path, calls)

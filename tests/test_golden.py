@@ -20,7 +20,7 @@ def test_corpus_is_present():
     commands = {case.parent.name for case in CASES}
     assert commands == {"validate", "invariants", "decompose", "resolve",
                         "verify", "realize", "roundtrip", "report"}
-    assert len(CASES) == 26
+    assert len(CASES) == 28
 
 
 @pytest.mark.parametrize(

@@ -2,18 +2,20 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from expdirect.branch import validate
-from expdirect.cyclotomic import CycloPoly, root_of_unity
+from expdirect.cyclotomic import CycloNum, CycloPoly, root_of_unity
+from expdirect.decomposition import laurent_sort_key
 from expdirect.laurent import LaurentPoly, subst_root_power
 from expdirect.newton import irregularity, polygon_from_branches
 from expdirect.realization import (
     FormalModuleSpec,
     FormalSummand,
     NormalizationConflictError,
+    _orbit_class_keys,
     canonicalize,
     orbit_closure,
     realize,
@@ -150,6 +152,69 @@ def test_roundtrip_random_single_representatives():
         spec = rand_spec(rng, orbit_closed=False)
         r = roundtrip_check(spec)
         assert r.ok, (spec, r)
+
+
+def _reference_orbit_class_keys(p: int, alphas) -> list[tuple]:
+    """Test-only reference: one orbit closure per polar part, keyed at the
+    lcm of the coefficient orders of every closure."""
+    material = []
+    order = 1
+    for alpha in alphas:
+        p0, a0 = canonicalize(p, alpha)
+        orbit = orbit_closure(p0, a0)
+        material.append((p0, orbit))
+        order = lcm(order, *(c.order for f in orbit for c in f.terms.values()))
+    return [(p0, tuple(sorted(laurent_sort_key(f, order) for f in orbit)))
+            for p0, orbit in material]
+
+
+def test_orbit_class_keys_match_one_closure_per_polar_part():
+    # Orbits listed whole or by one member, shuffled.  Coefficients are
+    # rationals, p-th roots of unity (some twist makes them rational) and
+    # other roots; rational coefficients of some members are rewritten at an
+    # order not dividing p, and those members are listed last, so most of
+    # them follow an orbit-mate whose orbit was built without that order.
+    rng = random.Random(4711)
+    after_mate = twisted_rational = 0
+    for _ in range(300):
+        p = rng.randint(1, 6)
+        listed, rewritten = [], []
+        for orbit_idx in range(rng.randint(1, 3)):
+            terms = {}
+            for e in range(-rng.randint(1, 4), 0):
+                kind = rng.random()
+                r = Fraction(rng.choice([-2, -1, 1, 2, 3]))
+                if kind < 0.3:
+                    terms[e] = r
+                elif kind < 0.7:
+                    terms[e] = root_of_unity(p, rng.randrange(p)) * r
+                elif kind < 0.85:
+                    terms[e] = root_of_unity(rng.randint(1, 6), 1) * r
+            if not terms:
+                terms[-1] = Fraction(1)
+            orbit = orbit_closure(p, LaurentPoly(terms))
+            members = orbit if rng.random() < 0.5 else [rng.choice(orbit)]
+            for a in members:
+                if any(a == b for _, b in listed + rewritten):
+                    continue
+                twisted_rational += any(
+                    c.is_rational() and c.order > 1 for c in a.terms.values())
+                if rng.random() < 0.4 and any(
+                        c.is_rational() for c in a.terms.values()):
+                    orders = [n for n in range(2, 9) if p % n]
+                    a = LaurentPoly({
+                        e: CycloNum(rng.choice(orders), {0: c.as_rational()})
+                        if c.is_rational() else c for e, c in a.terms.items()})
+                    rewritten.append((orbit_idx, a))
+                else:
+                    listed.append((orbit_idx, a))
+        rng.shuffle(listed)
+        rng.shuffle(rewritten)
+        after_mate += sum(any(j == i for j, _ in listed) for i, _ in rewritten)
+        alphas = [a for _, a in listed + rewritten]
+        assert _orbit_class_keys(p, alphas) == \
+            _reference_orbit_class_keys(p, alphas), (p, alphas)
+    assert after_mate > 50 and twisted_rational > 50, (after_mate, twisted_rational)
 
 
 def test_irregularity_consistency():
