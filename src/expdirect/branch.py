@@ -7,10 +7,11 @@ characteristic polynomial of the attached monodromy.  ``unramify`` passes to
 the common ramification order p, splitting each branch into p_l copies indexed
 by p_l-th roots of unity.  It is the one place where a branch is rewritten in
 the ramified variable: both the formal decomposition and the blow-up oracle
-read the copies it returns.  Each copy carries its polar and holomorphic
-parts twisted by its root, and its own known prefix: a holomorphic part
-exact to order T in t becomes exact to order (p/p_l)*(T+1) - 1 in the
-ramified variable.
+read the copies it returns.  Each copy carries its polar part twisted by its
+root, and its own known prefix: a holomorphic part exact to order T in t
+becomes exact to order (p/p_l)*(T+1) - 1 in the ramified variable.  The
+holomorphic part is twisted on read: a copy keeps its branch's untwisted
+part, and only the blow-up oracle reads the twisted one.
 """
 
 from __future__ import annotations
@@ -58,15 +59,20 @@ class Branch:
 class UnramifiedBranch:
     """One root-of-unity copy of a branch after the common ramification.
 
-    ``alpha_sub`` and ``delta_sub`` are the polar and holomorphic parts
-    rewritten in the ramified variable; ``delta_sub`` is exact up to and
-    including exponent ``truncation``, and unknown beyond it.
+    ``alpha_sub`` is the polar part rewritten in the ramified variable, by
+    t -> zeta_{p_l}^i t^k with i the root index.  ``delta`` is the branch's
+    holomorphic part as given; ``delta_sub``, the same substitution applied
+    to it, is computed on each read.  It is exact up to and including
+    exponent ``truncation``, and unknown beyond it.  ``delta0`` is the
+    constant term, which the substitution leaves as it is.
     """
 
     label: str
     root_index: int
     alpha_sub: LaurentPoly
-    delta_sub: LaurentPoly
+    delta: LaurentPoly
+    p_l: int
+    k: int
     truncation: int
     m: int
     zeta: CycloPoly
@@ -76,8 +82,12 @@ class UnramifiedBranch:
         return (self.label, self.root_index)
 
     @property
+    def delta_sub(self) -> LaurentPoly:
+        return subst_root_power(self.delta, self.p_l, self.root_index, self.k)
+
+    @property
     def delta0(self) -> CycloNum:
-        return self.delta_sub.const_term()
+        return self.delta.const_term()
 
 
 @dataclass(frozen=True)
@@ -168,8 +178,9 @@ def unramify(branches, truncation: int = DEFAULT_TRUNCATION) -> list[UnramifiedB
 
     Branch l yields p_l copies; copy i substitutes t -> zeta_{p_l}^i t^(p/p_l)
     in alpha and delta.  A delta exact to order ``truncation`` stays exact to
-    order (p/p_l)*(truncation+1) - 1 after the substitution.  Multiplicity
-    and monodromy polynomial transport unchanged.
+    order (p/p_l)*(truncation+1) - 1 after the substitution, which is
+    applied to delta when a copy's ``delta_sub`` is read.  Multiplicity and
+    monodromy polynomial transport unchanged.
     """
     branches = list(branches)
     if not branches:
@@ -183,7 +194,9 @@ def unramify(branches, truncation: int = DEFAULT_TRUNCATION) -> list[UnramifiedB
                 label=b.label,
                 root_index=i,
                 alpha_sub=subst_root_power(b.alpha, b.p, i, k),
-                delta_sub=subst_root_power(b.delta, b.p, i, k),
+                delta=b.delta,
+                p_l=b.p,
+                k=k,
                 truncation=k * (truncation + 1) - 1,
                 m=b.m,
                 zeta=b.zeta,

@@ -11,11 +11,12 @@ Every value holds a reduced dict: basis exponents 0 <= k < phi(N) only, each
 mapped to a nonzero Fraction.  The public constructor ``CycloNum(order,
 coeffs)`` is where outside input enters: it checks that the order is
 positive, the coefficient types, and folds and reduces any exponent.
-Arithmetic results are already reduced and skip that validation; only the
-order a value is first built at (in the constructor, ``lift`` or
-``times_root``) is checked, and only for positivity.  The kernel caps no
-order: the command line bounds the orders an input can reach before it
-starts work.
+Arithmetic results are already reduced and skip that validation, and so do
+the constant constructors ``zero``, ``one`` and ``from_rational``, which
+check only their order and value; only the order a value is first built at
+(in a constructor, ``lift`` or ``times_root``) is checked, and only for
+positivity.  The kernel caps no order: the command line bounds the orders
+an input can reach before it starts work.
 
 ``a.times_root(n, k)`` is ``a * root_of_unity(n, k)`` done as an exponent
 shift.  Its order is the one that product has: ``a.order`` when
@@ -200,17 +201,25 @@ class CycloNum:
 
     # -- constructors -------------------------------------------------
 
+    # An exponent-0 value is in the power basis at every order, so the
+    # constant constructors check the order and the value and skip the
+    # reduction the public constructor does.
+
     @classmethod
     def zero(cls, order: int = 1) -> "CycloNum":
-        return cls(order, {})
+        _check_order(order)
+        return _reduced(order, {})
 
     @classmethod
     def one(cls, order: int = 1) -> "CycloNum":
-        return cls(order, {0: Fraction(1)})
+        _check_order(order)
+        return _reduced(order, {0: Fraction(1)})
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CycloNum":
-        return cls(order, {0: _as_fraction(value)})
+        _check_order(order)
+        value = _as_fraction(value)
+        return _reduced(order, {0: value} if value else {})
 
     # -- structure ----------------------------------------------------
 

@@ -8,6 +8,10 @@ only.  They differ exactly when one branch feeds several root-of-unity copies
 into the same factor, which is flagged.  Monodromy characteristic polynomials
 are assembled only under the separation condition (pairwise distinctness of
 polar part + constant term across all copies).
+
+Each copy is keyed once per ``decompose``: ``keyed_copies`` pairs it with the
+key of its polar part at the copies' common cyclotomic order, and both the
+grouping and the separation test read that key.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "ExponentialFactor",
     "FormalDecomposition",
     "StarConditionError",
+    "keyed_copies",
     "exponential_factors",
     "star_condition",
     "char_polys",
@@ -92,15 +97,21 @@ def _common_order(polys) -> int:
     return lcm(*{c.order for f in polys for c in f.terms.values()})
 
 
-def exponential_factors(ub: list[UnramifiedBranch]) -> list[ExponentialFactor]:
-    """Partition the unramified copies by exact equality of polar parts.
+def keyed_copies(ub: list[UnramifiedBranch]) -> list[tuple[tuple, UnramifiedBranch]]:
+    """Each copy paired with ``laurent_sort_key`` of its polar part, at the
+    common order of all the polar parts."""
+    order = _common_order([u.alpha_sub for u in ub])
+    return [(laurent_sort_key(u.alpha_sub, order), u) for u in ub]
+
+
+def exponential_factors(keyed: list[tuple[tuple, UnramifiedBranch]]) -> list[ExponentialFactor]:
+    """Partition the keyed copies by exact equality of polar parts.
 
     Factors come back in the canonical order (pole order, then coefficients).
     """
-    order = _common_order([u.alpha_sub for u in ub])
     groups: dict[tuple, list[UnramifiedBranch]] = {}
-    for u in ub:
-        groups.setdefault(laurent_sort_key(u.alpha_sub, order), []).append(u)
+    for key, u in keyed:
+        groups.setdefault(key, []).append(u)
 
     factors = []
     for key in sorted(groups):
@@ -120,61 +131,64 @@ def exponential_factors(ub: list[UnramifiedBranch]) -> list[ExponentialFactor]:
     return factors
 
 
-def star_condition(ub: list[UnramifiedBranch]):
-    """Pairwise distinctness of polar part + constant term across copies.
+def star_condition(keyed: list[tuple[tuple, UnramifiedBranch]]):
+    """Pairwise distinctness of polar part + constant term across the keyed
+    copies.
 
     Returns (holds, witness); the witness is the first violating pair of
     (label, root index) origins.  A polar part has only negative exponents
     and the constant term sits at exponent 0, so two sums are equal exactly
-    when both parts are: each copy is keyed by the pair.
+    when both parts are: each copy is keyed by its polar key and its
+    constant term.
     """
-    polar_order = _common_order([u.alpha_sub for u in ub])
-    const_order = lcm(*{u.delta0.order for u in ub})
+    const_order = lcm(*{u.delta0.order for _, u in keyed})
     seen: dict[tuple, tuple[str, int]] = {}
-    for u in ub:
-        key = (laurent_sort_key(u.alpha_sub, polar_order),
-               tuple(sorted(u.delta0.lift(const_order).coeffs.items())))
+    for polar_key, u in keyed:
+        key = (polar_key, tuple(sorted(u.delta0.lift(const_order).coeffs.items())))
         if key in seen:
             return False, (seen[key], u.origin)
         seen[key] = u.origin
     return True, None
 
 
-def _product(zetas) -> CycloPoly:
-    """The product of monic polynomials, as ``CycloPoly.one()`` times each in
-    turn computes it: the first factor comes back with its rational
-    coefficients at order 1 (what a product with the rational 1 makes of
-    them), and only the later factors are convolved in."""
-    first = zetas[0]
-    prod = CycloPoly([CycloNum.from_rational(c.as_rational()) if c.is_rational() else c
-                      for c in first.coeffs])
-    for z in zetas[1:]:
-        prod = prod * z
-    return prod
+def _at_order_one(zeta: CycloPoly) -> CycloPoly:
+    """``zeta`` with its rational coefficients at order 1: what a product
+    with the rational ``CycloPoly.one()`` makes of them."""
+    return CycloPoly([CycloNum.from_rational(c.as_rational()) if c.is_rational() else c
+                      for c in zeta.coeffs])
 
 
 def char_polys(factors: list[ExponentialFactor],
-               ub: list[UnramifiedBranch]) -> list[ExponentialFactor]:
+               keyed: list[tuple[tuple, UnramifiedBranch]]) -> list[ExponentialFactor]:
     """Fill in monodromy characteristic polynomials, one zeta per member.
 
     Requires the separation condition; the charpoly of a factor is the
-    product over its (branch, root) members.
+    product over its (branch, root) members, as ``CycloPoly.one()`` times
+    each member's zeta in turn computes it.  The first member's zeta is
+    brought to order 1 once per branch.
     """
-    holds, witness = star_condition(ub)
+    holds, witness = star_condition(keyed)
     if not holds:
         raise StarConditionError(
             f"separation condition fails for {witness[0]} and {witness[1]}",
             witness,
         )
-    zetas = {u.origin: u.zeta for u in ub}
+    zetas = {u.origin: u.zeta for _, u in keyed}
+    firsts: dict[str, CycloPoly] = {}
     out = []
     for f in factors:
+        first = f.members[0]
+        prod = firsts.get(first[0])
+        if prod is None:
+            prod = firsts[first[0]] = _at_order_one(zetas[first])
+        for other in f.members[1:]:
+            prod = prod * zetas[other]
         out.append(ExponentialFactor(
             alpha=f.alpha,
             members=f.members,
             rank_branchwise=f.rank_branchwise,
             rank_distinct=f.rank_distinct,
-            charpoly=_product([zetas[origin] for origin in f.members]),
+            charpoly=prod,
         ))
     return out
 
@@ -193,9 +207,10 @@ def decompose(branches: list[Branch],
     require_valid(branches, truncation)
     p = ramification_order(branches)
     ub = unramify(branches, truncation)
-    factors = exponential_factors(ub)
+    keyed = keyed_copies(ub)
+    factors = exponential_factors(keyed)
     try:
-        factors = char_polys(factors, ub)
+        factors = char_polys(factors, keyed)
         holds, witness = True, None
     except StarConditionError as err:
         holds, witness = False, err.witness

@@ -391,9 +391,13 @@ class NormalFormTag:
 
 
 class BiRational:
-    """Quotient of bivariate polynomials, common monomial factors cancelled."""
+    """Quotient of bivariate polynomials, common monomial factors cancelled.
 
-    __slots__ = ("num", "den")
+    ``num_content`` and ``den_content`` are the ``content()`` of ``num`` and
+    ``den`` after the cancellation.
+    """
+
+    __slots__ = ("num", "den", "num_content", "den_content")
 
     def __init__(self, num: BiPoly, den: BiPoly):
         if den.is_zero():
@@ -404,8 +408,11 @@ class BiRational:
         if not num.is_zero() and (ca or cb):
             num = num.divide_monomial(ca, cb)
             den = den.divide_monomial(ca, cb)
+            na, nb, da, db = na - ca, nb - cb, da - ca, db - cb
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "num_content", (na, nb))
+        object.__setattr__(self, "den_content", (da, db))
 
     def __setattr__(self, name, value):
         raise AttributeError("BiRational is immutable")
@@ -435,8 +442,8 @@ class BiRational:
         The residual numerator and denominator must be monomial-times-unit
         there.  A denominator that fails this raises ClassificationError.
         """
-        na, nb = self.num.content()
-        da, db = self.den.content()
+        na, nb = self.num_content
+        da, db = self.den_content
         nres = self.num.divide_monomial(na, nb)
         dres = self.den.divide_monomial(da, db)
         d00 = dres.const_term()

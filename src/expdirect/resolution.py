@@ -208,8 +208,8 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
         px = (px[0] + px[1], px[1])
         _structural(px == (1, 0), "first projection left the monomial form")
 
-        cu, cv = g.den.content()
-        num_cu, _ = g.num.content()
+        cu, cv = g.den_content
+        num_cu, _ = g.num_content
         _structural(num_cu == 0, "numerator vanishes along the new component")
         den_res_at0 = g.den.divide_monomial(cu, cv).restrict_first_to_zero()
         _structural(den_res_at0.support() == [0],

@@ -13,6 +13,7 @@ diagnostics.
 from __future__ import annotations
 
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .branch import Branch
 from .cyclotomic import CycloNum, CycloPoly
@@ -374,33 +375,36 @@ def dumps(doc) -> str:
       "c": {}
     }
     """
-    from json.encoder import encode_basestring_ascii as quote
+    return _emit(doc, "")
 
-    def emit(o, pad: str) -> str:
-        if isinstance(o, str):
-            return quote(o)
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            inner = pad + "  "
-            return ("{\n" + inner
-                    + (",\n" + inner).join([quote(k) + ": " + emit(o[k], inner)
-                                            for k in sorted(o)])
-                    + "\n" + pad + "}")
-        if isinstance(o, list):
-            if not o:
-                return "[]"
-            inner = pad + "  "
-            return ("[\n" + inner + (",\n" + inner).join([emit(v, inner) for v in o])
-                    + "\n" + pad + "]")
+
+def _emit(o, pad: str) -> str:
+    # Dispatch on the exact type first; bool, None and subclasses of the
+    # four container and scalar types take the slower path below.
+    t = type(o)
+    if t is not str and t is not dict and t is not list and t is not int:
         if o is None:
             return "null"
         if o is True:
             return "true"
         if o is False:
             return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        raise TypeError(f"{type(o).__name__} is not a report value")
-
-    return emit(doc, "")
+        for t in (str, dict, list, int):
+            if isinstance(o, t):
+                break
+        else:
+            raise TypeError(f"{type(o).__name__} is not a report value")
+    if t is str:
+        return _quote(o)
+    if t is int:
+        return int.__repr__(o)
+    if not o:
+        return "{}" if t is dict else "[]"
+    inner = pad + "  "
+    if t is dict:
+        return ("{\n" + inner
+                + (",\n" + inner).join([_quote(k) + ": " + _emit(o[k], inner)
+                                        for k in sorted(o)])
+                + "\n" + pad + "}")
+    return ("[\n" + inner + (",\n" + inner).join([_emit(v, inner) for v in o])
+            + "\n" + pad + "]")

@@ -1,20 +1,25 @@
 """Branch validation and unramification."""
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import expdirect.branch as branch_mod
 from expdirect.branch import (
     Branch,
     ramification_order,
     unramify,
     validate,
 )
+from expdirect.cli import main
 from expdirect.cyclotomic import CycloPoly
 from expdirect.laurent import LaurentPoly, subst_root_power
-from tests.helpers import mk, rand_branch
+from expdirect.serialize import branch_to_json
+from tests.helpers import mk, rand_branch, rand_root
 
 
 def test_validate_examples():
@@ -94,3 +99,75 @@ def test_unramify_root_convention():
     out = unramify([b])
     for u in out:
         assert u.alpha_sub == subst_root_power(b.alpha, 3, u.root_index, 1)
+
+
+def _terms(f: LaurentPoly) -> dict:
+    return {e: (c.order, c.coeffs) for e, c in f.terms.items()}
+
+
+def _twisted_corpus(rng: random.Random, n_sets: int = 40):
+    """Branch sets with p_l up to 6 whose holomorphic parts mix rational and
+    cyclotomic coefficients, with and without a constant term."""
+    for _ in range(n_sets):
+        branches = []
+        for i in range(rng.randint(1, 4)):
+            b = rand_branch(rng, f"l{i}", max_p=6, cyclo_coeffs=True)
+            delta = {e: rand_root(rng, 6) * Fraction(rng.randint(1, 3))
+                     if rng.random() < 0.5 else c
+                     for e, c in b.delta.terms.items()}
+            if rng.random() < 0.5:
+                delta[0] = rand_root(rng, 6) * Fraction(rng.choice([-1, 1, 2]))
+            branches.append(dataclasses.replace(b, delta=LaurentPoly(delta)))
+        yield branches
+
+
+def test_delta_sub_is_the_eager_twist():
+    rng = random.Random(808)
+    for branches in _twisted_corpus(rng):
+        p = ramification_order(branches)
+        by_label = {b.label: b for b in branches}
+        for u in unramify(branches):
+            b = by_label[u.label]
+            eager = subst_root_power(b.delta, b.p, u.root_index, p // b.p)
+            assert _terms(u.delta_sub) == _terms(eager)
+
+
+def test_delta0_is_the_constant_term_of_the_eager_twist():
+    rng = random.Random(909)
+    seen_zero = seen_cyclo = False
+    for branches in _twisted_corpus(rng):
+        p = ramification_order(branches)
+        by_label = {b.label: b for b in branches}
+        for u in unramify(branches):
+            b = by_label[u.label]
+            c0 = subst_root_power(b.delta, b.p, u.root_index, p // b.p).const_term()
+            assert (u.delta0.order, u.delta0.coeffs) == (c0.order, c0.coeffs)
+            seen_zero |= c0.is_zero()
+            seen_cyclo |= not c0.is_rational()
+    assert seen_zero and seen_cyclo
+
+
+@pytest.mark.parametrize("oracle, per_copy", [("off", 1), ("on", 2)])
+def test_holomorphic_part_is_twisted_only_for_the_oracle(monkeypatch, tmp_path,
+                                                         oracle, per_copy):
+    # With the oracle off only the polar parts are twisted; with it on, each
+    # copy's series reads its holomorphic part once more.
+    calls = []
+    real = branch_mod.subst_root_power
+
+    def counting(f, n, i, k):
+        calls.append(f)
+        return real(f, n, i, k)
+
+    monkeypatch.setattr(branch_mod, "subst_root_power", counting)
+    rng = random.Random(1010)
+    for branches in list(_twisted_corpus(rng, 6)):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({"points": [
+            {"c": "0", "branches": [branch_to_json(b) for b in branches]}]}))
+        calls.clear()
+        assert main(["report", "--oracle", oracle, "--input", str(src),
+                     "--output", str(tmp_path / "out.json")]) == 0
+        copies = sum(b.p for b in branches)
+        assert len(calls) == per_copy * copies
+        assert sum(f.pole_order() > 0 for f in calls) == copies  # the polar parts

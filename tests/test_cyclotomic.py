@@ -306,3 +306,31 @@ def test_twist_matches_mul_by_root_of_unity(c, n, k):
 def test_twist_examples_include_plus_minus_one(c, n):
     for k in range(-n, 2 * n):  # k = 0 and k = n/2 give zeta = +-1
         _check_twist(c, n, k)
+
+
+# -- constant constructors against the public constructor --------------------
+#
+# zero, one and from_rational skip the public constructor's reduction; each
+# must build what CycloNum(order, {0: v}) builds, or raise what it raises.
+
+def _built(make):
+    try:
+        x = make()
+    except Exception as err:  # the error itself is what is compared
+        return type(err), str(err)
+    return x.order, x.coeffs, [type(c) for c in x.coeffs.values()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-3, 70), st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.integers(-10**20, 10**20), st.booleans(), st.just(0),
+    st.floats(allow_nan=False), st.text(max_size=2), st.none()))
+def test_constant_constructors_match_the_constructor(order, v):
+    assert _built(lambda: CycloNum.from_rational(v, order)) \
+        == _built(lambda: CycloNum(order, {0: v}))
+    assert _built(lambda: CycloNum.zero(order)) == _built(lambda: CycloNum(order, {}))
+    assert _built(lambda: CycloNum.one(order)) == _built(lambda: CycloNum(order, {0: 1}))
+    if order >= 1:
+        assert _built(lambda: CycloNum.from_rational(v)) \
+            == _built(lambda: CycloNum(1, {0: v}))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 import pytest
@@ -15,12 +16,14 @@ from expdirect.decomposition import (
     char_polys,
     decompose,
     exponential_factors,
+    keyed_copies,
     laurent_sort_key,
     star_condition,
 )
 from expdirect.laurent import LaurentPoly
 from expdirect.newton import irregularity, polygon_from_branches, slopes
-from tests.helpers import mk, numeric_laurent, rand_branch, worked_example_branches
+from tests.helpers import (mk, numeric_laurent, rand_branch, rand_monic, rand_polar,
+                           worked_example_branches)
 
 
 def test_worked_example_full():
@@ -70,27 +73,26 @@ def test_rank_divergence_with_distinct_delta0():
     # delta(0) = 0 for both copies: separation still fails.
     assert not dec.star_holds
 
-    ub = unramify([b])
-    factors = exponential_factors(ub)
+    keyed = keyed_copies(unramify([b]))
+    factors = exponential_factors(keyed)
     with pytest.raises(StarConditionError):
-        char_polys(factors, ub)
+        char_polys(factors, keyed)
 
 
 def test_star_condition_examples():
-    ub = unramify(worked_example_branches())
-    holds, witness = star_condition(ub)
+    keyed = keyed_copies(unramify(worked_example_branches()))
+    holds, witness = star_condition(keyed)
     assert holds and witness is None
 
     twins = [mk("a", p=1, q=1), mk("b", p=1, q=1)]
-    ub = unramify(twins)
-    holds, witness = star_condition(ub)
+    holds, witness = star_condition(keyed_copies(unramify(twins)))
     assert not holds and witness == (("a", 1), ("b", 1))
 
     separated = [
         mk("a", p=1, q=1),
         mk("b", p=1, q=1, delta=LaurentPoly({0: 1})),
     ]
-    holds, _ = star_condition(unramify(separated))
+    holds, _ = star_condition(keyed_copies(unramify(separated)))
     assert holds
 
 
@@ -112,10 +114,10 @@ def test_char_poly_product():
 
 def test_char_polys_requires_star():
     twins = [mk("a", p=1, q=1), mk("b", p=1, q=1)]
-    ub = unramify(twins)
-    factors = exponential_factors(ub)
+    keyed = keyed_copies(unramify(twins))
+    factors = exponential_factors(keyed)
     with pytest.raises(StarConditionError):
-        char_polys(factors, ub)
+        char_polys(factors, keyed)
 
 
 def _corpus(rng, n_sets=120):
@@ -185,9 +187,10 @@ def test_grouping_agrees_with_numeric_clustering():
     sample_ts = [complex(0.83, 0.21), complex(0.31, -0.63), complex(-0.52, 0.44)]
     for branches in _corpus(rng, 40):
         ub = unramify(branches)
+        keyed = keyed_copies(ub)
 
         # Factor grouping keys off the rewritten polar part alone.
-        factors = exponential_factors(ub)
+        factors = exponential_factors(keyed)
         symbolic = {frozenset(f.members) for f in factors}
         numeric = _numeric_partition([(u.origin, u.alpha_sub) for u in ub],
                                      sample_ts)
@@ -196,7 +199,7 @@ def test_grouping_agrees_with_numeric_clustering():
         # The separation data refines by the constant term as well.
         shifted = [(u.origin, u.alpha_sub + LaurentPoly({0: u.delta0}))
                    for u in ub]
-        holds, _ = star_condition(ub)
+        holds, _ = star_condition(keyed)
         refined = _numeric_partition(shifted, sample_ts)
         assert holds == all(len(cl) == 1 for cl in refined)
 
@@ -241,7 +244,7 @@ def test_star_condition_matches_shifted_sum_keying():
     outcomes = set()
     for branches in _corpus(rng):
         ub = unramify(branches)
-        result = star_condition(ub)
+        result = star_condition(keyed_copies(ub))
         assert result == _shifted_sum_star_condition(ub)
         outcomes.add(result[0])
     assert outcomes == {True, False}
@@ -263,16 +266,16 @@ def test_charpoly_is_the_product_over_members():
     a = mk("a", p=2, q=1, m=1, zeta=CycloPoly([-1, 1]))
     b = mk("b", p=1, q=1, m=2, alpha=LaurentPoly({-1: 3}),
            zeta=CycloPoly([1, 2, 1]))
-    ub = unramify([a, b])
-    assert star_condition(ub)[0]
-    a0, a1, b0 = ub
+    keyed = keyed_copies(unramify([a, b]))
+    assert star_condition(keyed)[0]
+    a0, a1, b0 = (u for _, u in keyed)
     by_hand = [
         ExponentialFactor(alpha=a0.alpha_sub, members=(a0.origin, a1.origin, b0.origin),
                           rank_branchwise=4, rank_distinct=3),
         ExponentialFactor(alpha=a1.alpha_sub, members=(a1.origin,),
                           rank_branchwise=1, rank_distinct=1),
     ]
-    repeated, single = char_polys(by_hand, ub)
+    repeated, single = char_polys(by_hand, keyed)
     assert repeated.charpoly == a.zeta * a.zeta * b.zeta
     assert single.charpoly == a.zeta
 
@@ -302,3 +305,115 @@ def test_single_member_charpoly_is_the_product_with_one():
     assert singles > 0
     pinned = decompose(cases[0]).factors[0]
     assert [c.order for c in pinned.charpoly.coeffs] == [1, 1, 3, 1]
+
+
+def test_decompose_keys_each_copy_once(monkeypatch):
+    import expdirect.decomposition as dec_mod
+
+    calls = []
+    real = dec_mod.laurent_sort_key
+
+    def counting(f, order):
+        calls.append(f)
+        return real(f, order)
+
+    monkeypatch.setattr(dec_mod, "laurent_sort_key", counting)
+    rng = random.Random(7272)
+    for branches in _mixed_corpus(rng, 40):
+        calls.clear()
+        dec = decompose(branches)
+        assert len(calls) == len(dec.copies)
+        assert [id(f) for f in calls] == [id(u.alpha_sub) for u in dec.copies]
+
+
+# -- differential test against two-pass keying --------------------------------
+
+
+def _two_pass_decompose(branches):
+    """Reference for ``decompose``: the copies are keyed once to group them
+    and once more, at the same common order, for the separation test; each
+    charpoly is ``CycloPoly.one()`` times every member's zeta in turn."""
+    ub = unramify(branches)
+    order = _common_order([u.alpha_sub for u in ub])
+    groups = {}
+    for u in ub:
+        groups.setdefault(laurent_sort_key(u.alpha_sub, order), []).append(u)
+    factors = []
+    for key in sorted(groups):
+        members = sorted(groups[key], key=lambda u: (u.label, u.root_index))
+        by_label = {u.label: u.m for u in members}
+        factors.append((members[0].alpha_sub, tuple(u.origin for u in members),
+                        sum(u.m for u in members), sum(by_label.values()), members))
+
+    polar_order = _common_order([u.alpha_sub for u in ub])
+    const_order = lcm(*{u.delta0.order for u in ub})
+    seen, witness = {}, None
+    for u in ub:
+        key = (laurent_sort_key(u.alpha_sub, polar_order),
+               tuple(sorted(u.delta0.lift(const_order).coeffs.items())))
+        if key in seen:
+            witness = (seen[key], u.origin)
+            break
+        seen[key] = u.origin
+
+    out = []
+    for alpha, origins, rank_b, rank_d, members in factors:
+        charpoly = None
+        if witness is None:
+            charpoly = CycloPoly.one()
+            for u in members:
+                charpoly = charpoly * u.zeta
+        out.append((alpha, origins, rank_b, rank_d, charpoly))
+    return out, witness is None, witness
+
+
+def _mixed_corpus(rng, n_sets=150):
+    """Branch sets with p_l in {1, 2, 3, 6}, cyclotomic polar parts, some of
+    them repeated on another branch, and constant terms from a small set, so
+    that equal polar parts come with equal and with distinct constants."""
+    for _ in range(n_sets):
+        branches = []
+        for i in range(rng.randint(1, 5)):
+            p = rng.choice([1, 2, 3, 6])
+            if branches and rng.random() < 0.3:
+                twin = rng.choice(branches)
+                p, q, alpha = twin.p, twin.q, twin.alpha
+            else:
+                q = rng.randint(1, 4)
+                alpha = rand_polar(rng, q, cyclo_coeffs=True)
+            delta = {0: rng.choice([0, 1, -1])}
+            if rng.random() < 0.5:
+                delta[rng.randint(1, 4)] = Fraction(rng.randint(1, 3))
+            m = rng.randint(1, 2)
+            branches.append(mk(f"l{i}", p=p, q=q, alpha=alpha,
+                               delta=LaurentPoly(delta), m=m,
+                               zeta=rand_monic(rng, m)))
+        yield branches
+
+
+def _charpoly_terms(poly):
+    return None if poly is None else [(c.order, c.coeffs) for c in poly.coeffs]
+
+
+def test_decompose_matches_two_pass_keying():
+    rng = random.Random(8383)
+    outcomes = set()
+    shared_polar = 0
+    for branches in _mixed_corpus(rng):
+        dec = decompose(branches)
+        ref_factors, ref_holds, ref_witness = _two_pass_decompose(branches)
+        assert (dec.star_holds, dec.star_witness) == (ref_holds, ref_witness)
+        assert len(dec.factors) == len(ref_factors)
+        for f, (alpha, members, rank_b, rank_d, charpoly) in zip(dec.factors, ref_factors):
+            assert f.alpha == alpha
+            assert {e: c.order for e, c in f.alpha.terms.items()} \
+                == {e: c.order for e, c in alpha.terms.items()}
+            assert f.members == members
+            assert (f.rank_branchwise, f.rank_distinct) == (rank_b, rank_d)
+            assert _charpoly_terms(f.charpoly) == _charpoly_terms(charpoly)
+            shared_polar += len(members) > 1 and dec.star_holds
+        outcomes.add(dec.star_holds)
+    # Both outcomes occur, and separation holds for some factor of several
+    # copies, which keying by the polar part alone would call a failure.
+    assert outcomes == {True, False}
+    assert shared_polar > 0

@@ -3,9 +3,12 @@
 Each ``tests/golden/<command>/NAME.in.json`` is run through
 ``expdirect <command> --input NAME.in.json`` with default flags, and the
 bytes written must equal ``NAME.out.json``.  See ``tests/golden/README.md``
-for how the corpus is laid out and regenerated.
+for how the corpus is laid out and regenerated.  Every ``report`` golden is
+also run with ``--oracle off``, which must print the same document without
+its ``oracle`` entries.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -30,3 +33,19 @@ def test_golden_bytes(case, tmp_path):
     assert main([case.parent.name, "--input", str(case), "--output", str(out)]) == 0
     expected = case.with_name(case.name.replace(".in.json", ".out.json"))
     assert out.read_bytes() == expected.read_bytes()
+
+
+REPORTS = [case for case in CASES if case.parent.name == "report"]
+
+
+@pytest.mark.parametrize(
+    "case", REPORTS, ids=[c.name[:-len(".in.json")] for c in REPORTS])
+def test_report_oracle_off_is_the_golden_without_oracle(case, tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["report", "--oracle", "off", "--input", str(case),
+                 "--output", str(out)]) == 0
+    golden = json.loads(case.with_name(case.name.replace(".in.json", ".out.json"))
+                        .read_text())
+    for point in golden["points"]:
+        point.pop("oracle", None)
+    assert out.read_text() == json.dumps(golden, sort_keys=True, indent=2) + "\n"

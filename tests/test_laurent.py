@@ -335,3 +335,19 @@ def test_bipoly_results_equal_the_validated_raw_terms(seed):
                         {(i + j, j): x for (i, j), x in p.terms.items()})
     _assert_built_clean(p.subst_first_by_product(),
                         {(i, i + j): x for (i, j), x in p.terms.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_birational_carries_the_contents_of_its_parts(seed):
+    rng = random.Random(seed)
+    num = BiPoly(_rand_terms(rng))
+    den = BiPoly(_rand_terms(rng))
+    if den.is_zero():
+        den = BiPoly.constant(_bi_coeff(rng))
+    g = BiRational(num * BiPoly.monomial(rng.randrange(3), rng.randrange(3)),
+                   den * BiPoly.monomial(rng.randrange(3), rng.randrange(3)))
+    for h in (g, g.translate(_bi_coeff(rng)), g.compose_monomial_map(CHART_FIRST),
+              g.compose_monomial_map(CHART_SECOND)):
+        assert h.num_content == h.num.content()
+        assert h.den_content == h.den.content()

@@ -1,5 +1,6 @@
 """Exact JSON round trips and schema rejection."""
 
+import gc
 import json
 import random
 from fractions import Fraction
@@ -154,3 +155,19 @@ def test_dumps_matches_json_dumps(doc):
 def test_dumps_rejects_what_reports_never_hold(doc):
     with pytest.raises(TypeError):
         dumps(doc)
+
+
+def test_dumps_leaves_no_reference_cycle():
+    # With the collector paused, whatever dumps leaves in a cycle piles up
+    # until the next collection.
+    doc = {"a": [1, {"b": "c", "d": []}, None, True, False], "e": {}}
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(100):
+            dumps(doc)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
