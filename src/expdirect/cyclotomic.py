@@ -1,48 +1,52 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_N).
 
-A value is a rational linear combination of powers of a primitive N-th root
-of unity, reduced to the power basis 1, z, ..., z^(phi(N)-1) modulo the N-th
-cyclotomic polynomial.  The order N is declared at construction and never
-changes behind the caller's back; binary operations lift both operands to the
-least common multiple of their orders, so equality across orders is equality
-as complex numbers.  All values are immutable.
+Every value is held in one canonical form, the one GAP uses (T. Breuer,
+AAECC 8, 1997; W. Bosma, AAECC 1, 1990):
 
-Every value holds a reduced dict: basis exponents 0 <= k < phi(N) only, each
-mapped to a nonzero Fraction.  The public constructor ``CycloNum(order,
-coeffs)`` is where outside input enters: it checks that the order is
-positive, the coefficient types, and folds and reduces any exponent.
-Arithmetic results are already reduced and skip that validation, and so do
-the constant constructors ``zero``, ``one`` and ``from_rational``, which
-check only their order and value; only the order a value is first built at
-(in a constructor, ``lift`` or ``times_root``) is checked, and only for
-positivity.  The kernel caps no order: the command line bounds the orders
-an input can reach before it starts work.
+- ``order`` is the value's minimal conductor, the least N with the value in
+  Q(zeta_N).  It is never 2 mod 4, since Q(zeta_2M) = Q(zeta_M) for odd M,
+  and it is 1 exactly for rationals.
+- ``coeffs`` maps Zumbroich basis exponents of Q(zeta_N) to nonzero
+  Fractions, and the value is the sum of ``coeffs[e] * zeta_N^e``.
 
-``a.times_root(n, k)`` is ``a * root_of_unity(n, k)`` done as an exponent
-shift.  Its order is the one that product has: ``a.order`` when
-zeta_n^k = +-1, ``n`` when ``a`` is rational, and ``lcm(a.order, n)``
-otherwise.
+So two values are equal exactly when their ``(order, coeffs)`` are, and the
+hash is that of the pair.  All values are immutable.
+
+The basis test: for each prime power p^v exactly dividing N let
+x_p = e * (N/p^v)^-1 mod p^v, the p-part of zeta_N^e.  Exponent e is in the
+basis when the top base-p digit of every x_p is 0 for p = 2 and nonzero for
+odd p.  Any other exponent is rewritten (``_normalised``) with
+zeta^e = -sum_{t=1..p-1} zeta^(e + t*N/p), which is -zeta^(e + N/2) for
+p = 2; each rewrite moves only the top digit of x_p.  A result is then brought to its conductor
+(``_canonical``), one prime at a time until no prime applies: when p^2 | N
+or p = 2 and every exponent is divisible by p, e -> e/p; when p || N is odd
+and the coefficients are constant on every coset {e + t*N/p}, the coset
+becomes -c at e0/p, where e0 is the coset member divisible by p.  Negation
+and scaling by a nonzero rational keep the conductor and skip that step.
+
+The public constructor ``CycloNum(order, coeffs)`` is where outside input
+enters: it takes any integer exponent at any positive order, checks the
+coefficient types and stores the canonical form.  Arithmetic results are
+built canonical and skip that validation.  ``_check_order`` sees every
+order a value is written or computed at; the conductor it is stored at
+divides that order.  The kernel caps no order: the command line bounds the
+orders an input can reach before it starts work.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 __all__ = [
     "CycloNum",
     "CycloPoly",
     "PolyFraction",
-    "IncompatibleOrderError",
     "cyclotomic_polynomial",
     "root_of_unity",
     "totient",
 ]
-
-
-class IncompatibleOrderError(ValueError):
-    """A value cannot be represented at the requested order."""
 
 
 def _check_order(order: int) -> None:
@@ -51,22 +55,33 @@ def _check_order(order: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def totient(n: int) -> int:
-    """Euler's phi function."""
-    if n < 1:
-        raise ValueError("totient is defined for positive integers")
-    result = n
+def _prime_powers(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(p, p^v, (n/p^v)^-1 mod p^v) for each p^v exactly dividing n,
+    p ascending."""
+    out = []
     m = n
     p = 2
     while p * p <= m:
         if m % p == 0:
+            q = 1
             while m % p == 0:
                 m //= p
-            result -= result // p
+                q *= p
+            out.append((p, q, pow(n // q, -1, q)))
         p += 1
     if m > 1:
-        result -= result // m
-    return result
+        out.append((m, m, pow(n // m, -1, m)))
+    return tuple(out)
+
+
+def totient(n: int) -> int:
+    """Euler's phi function."""
+    if n < 1:
+        raise ValueError("totient is defined for positive integers")
+    phi = n
+    for p, _, _ in _prime_powers(n):
+        phi = phi // p * (p - 1)
+    return phi
 
 
 def _divisors(n: int) -> list[int]:
@@ -115,49 +130,68 @@ def _cyclotomic_int_coeffs(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-_reduction_rows: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _rows_for(order: int, upto: int) -> list[tuple[int, ...]]:
-    """Reduction rows row[t] = coefficients of z^(phi+t) in the power basis."""
-    phi = totient(order)
-    rows = _reduction_rows.setdefault(order, [])
-    if not rows:
-        cyc = _cyclotomic_int_coeffs(order)
-        rows.append(tuple(-c for c in cyc[:phi]))
-    while len(rows) <= upto - phi:
-        prev = rows[-1]
-        base = rows[0]
-        shifted = [0] + list(prev[: phi - 1])
-        overflow = prev[phi - 1]
-        if overflow:
-            shifted = [s + overflow * b for s, b in zip(shifted, base)]
-        rows.append(tuple(shifted))
-    return rows
-
-
-def _reduce_exponents(order: int, raw: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Rewrite exponents 0 <= e < order in the power basis; drop zero values.
-
-    Reduction rows are built only up to the highest exponent read.
-    """
-    phi = totient(order)
-    out: dict[int, Fraction] = {}
-    top = max(raw, default=0)
-    if top >= phi:
-        rows = _rows_for(order, top)
-    for e, c in raw.items():
-        if not c:
+def _normalised(n: int, raw: dict[int, Fraction]) -> dict[int, Fraction]:
+    """``raw`` (exponents 0 <= e < n, nonzero values) rewritten on the
+    Zumbroich basis at order n."""
+    for p, q, inv in _prime_powers(n):
+        top = q // p
+        step = n // p  # adds 1 to the top digit of x_p, nothing elsewhere
+        odd = p != 2
+        if all((e * inv % q >= top) == odd for e in raw):
             continue
-        if e < phi:
-            prev = out.get(e)
-            out[e] = c if prev is None else prev + c
+        out: dict[int, Fraction] = {}
+        for e, c in raw.items():
+            if (e * inv % q >= top) == odd:
+                prev = out.get(e)
+                out[e] = c if prev is None else prev + c
+            else:
+                for t in range(1, p):
+                    f = (e + t * step) % n
+                    prev = out.get(f)
+                    out[f] = -c if prev is None else prev - c
+        raw = {e: c for e, c in out.items() if c}
+    return raw
+
+
+def _coset_sums(n: int, p: int, coeffs: dict[int, Fraction]):
+    """For odd p exactly dividing n: ``coeffs`` at order n/p when they are
+    constant on every coset {e + t*n/p}, else None."""
+    if len(coeffs) % (p - 1):
+        return None
+    m = n // p
+    sums: dict[int, Fraction] = {}
+    for e, c in coeffs.items():
+        r = e % m
+        prev = sums.get(r)
+        if prev is None:
+            sums[r] = c
+        elif prev != c:
+            return None
+    if len(sums) * (p - 1) != len(coeffs):
+        return None
+    # e0 = p*f is the coset member divisible by p: f = r * p^-1 mod m.
+    w = pow(p, -1, m)
+    return {r * w % m: -c for r, c in sums.items()}
+
+
+def _canonical(n: int, coeffs: dict[int, Fraction]) -> "CycloNum":
+    """The value of ``coeffs`` (Zumbroich basis at order n, nonzero values)
+    at its minimal conductor."""
+    while coeffs:
+        for p, q, _ in _prime_powers(n):
+            if p == 2 or q != p:
+                if all(e % p == 0 for e in coeffs):
+                    coeffs = {e // p: c for e, c in coeffs.items()}
+                    break
+            else:
+                lowered = _coset_sums(n, p, coeffs)
+                if lowered is not None:
+                    coeffs = lowered
+                    break
         else:
-            for i, ri in enumerate(rows[e - phi]):
-                if ri:
-                    prev = out.get(i)
-                    out[i] = c * ri if prev is None else prev + c * ri
-    return {e: c for e, c in out.items() if c}
+            return _reduced(n, coeffs)
+        n //= p
+    return _reduced(1, coeffs)
 
 
 def _as_fraction(value) -> Fraction:
@@ -169,15 +203,18 @@ def _as_fraction(value) -> Fraction:
 
 
 class CycloNum:
-    """An exact element of Q(zeta_N) in the power basis at a declared order.
+    """An exact element of Q(zeta_N), at its minimal conductor N, on the
+    Zumbroich basis.
 
-    ``coeffs`` maps basis exponents k (0 <= k < phi(N)) to nonzero Fractions.
-    Exponents outside the basis range are accepted by the constructor and
-    reduced; zero coefficients are dropped.
+    ``coeffs`` maps basis exponents to nonzero Fractions.  The constructor
+    takes any integer exponent at any positive order and stores the
+    canonical form.
 
     >>> z = root_of_unity(4, 1)
     >>> z * z == -1
     True
+    >>> CycloNum(6, {1: 1})  # zeta_6 = -zeta_3^2
+    CycloNum(3, -1*z^2)
     """
 
     __slots__ = ("order", "coeffs")
@@ -193,33 +230,28 @@ class CycloNum:
                 e %= order
                 prev = raw.get(e)
                 raw[e] = c if prev is None else prev + c
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", _reduce_exponents(order, raw))
+        value = _canonical(order, _normalised(
+            order, {e: c for e, c in raw.items() if c}))
+        object.__setattr__(self, "order", value.order)
+        object.__setattr__(self, "coeffs", value.coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloNum is immutable")
 
     # -- constructors -------------------------------------------------
 
-    # An exponent-0 value is in the power basis at every order, so the
-    # constant constructors check the order and the value and skip the
-    # reduction the public constructor does.
+    @classmethod
+    def zero(cls) -> "CycloNum":
+        return _reduced(1, {})
 
     @classmethod
-    def zero(cls, order: int = 1) -> "CycloNum":
-        _check_order(order)
-        return _reduced(order, {})
+    def one(cls) -> "CycloNum":
+        return _reduced(1, {0: Fraction(1)})
 
     @classmethod
-    def one(cls, order: int = 1) -> "CycloNum":
-        _check_order(order)
-        return _reduced(order, {0: Fraction(1)})
-
-    @classmethod
-    def from_rational(cls, value, order: int = 1) -> "CycloNum":
-        _check_order(order)
+    def from_rational(cls, value) -> "CycloNum":
         value = _as_fraction(value)
-        return _reduced(order, {0: value} if value else {})
+        return _reduced(1, {0: value} if value else {})
 
     # -- structure ----------------------------------------------------
 
@@ -227,33 +259,25 @@ class CycloNum:
         return not self.coeffs
 
     def is_rational(self) -> bool:
-        coeffs = self.coeffs
-        return not coeffs or (len(coeffs) == 1 and 0 in coeffs)
+        return self.order == 1
 
     def as_rational(self) -> Fraction:
-        if not self.is_rational():
+        if self.order != 1:
             raise ValueError(f"{self!r} is not rational")
         return self.coeffs.get(0, Fraction(0))
 
-    def lift(self, order: int) -> "CycloNum":
-        """The same field element represented at a multiple of this order."""
-        if order == self.order:
-            return self
+    def lift(self, order: int) -> dict[int, Fraction]:
+        """The coefficients embedded at a multiple ``order`` of this order,
+        ``{e * order // self.order: c}``: the same value, but not on the
+        basis at ``order`` in general."""
         if order % self.order != 0:
-            raise IncompatibleOrderError(
-                f"order {self.order} does not divide {order}"
-            )
+            raise ValueError(f"order {self.order} does not divide {order}")
         _check_order(order)
         step = order // self.order
-        return _reduced(order, _reduce_exponents(
-            order, {e * step: c for e, c in self.coeffs.items()}))
+        return {e * step: c for e, c in self.coeffs.items()}
 
     def times_root(self, n: int, k: int) -> "CycloNum":
         """``self * root_of_unity(n, k)``, by shifting exponents.
-
-        The result has the order that product has: ``self.order`` when
-        zeta_n^k = +-1, ``n`` when ``self`` is rational, and the lcm of
-        the two orders otherwise.
 
         >>> CycloNum.from_rational(2).times_root(4, 3)
         CycloNum(4, -2*z)
@@ -262,11 +286,8 @@ class CycloNum:
         k %= n
         if 2 * k % n == 0:
             return self if k == 0 else -self
-        if self.is_rational():
-            r = self.coeffs.get(0)
-            return _reduced(n, {} if r is None else _reduce_exponents(n, {k: r}))
         m = self.order
-        order = m * n // gcd(m, n)
+        order = lcm(m, n)
         if order != m:
             _check_order(order)
         step, shift = order // m, k * (order // n)
@@ -274,7 +295,7 @@ class CycloNum:
         for e, c in self.coeffs.items():
             e = e * step + shift
             raw[e - order if e >= order else e] = c
-        return _reduced(order, _reduce_exponents(order, raw))
+        return _canonical(order, _normalised(order, raw))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -282,20 +303,26 @@ class CycloNum:
         if isinstance(other, CycloNum):
             return other
         if isinstance(other, (int, Fraction)):
-            return CycloNum.from_rational(other, 1)
+            return CycloNum.from_rational(other)
         return None
-
-    def _common(self, other: "CycloNum"):
-        n = self.order * other.order // gcd(self.order, other.order)
-        return self.lift(n), other.lift(n)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._common(other)
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        n = self.order
+        if n == other.order:
+            a, b = self.coeffs, other.coeffs
+        else:
+            n = lcm(n, other.order)
+            a = self.coeffs if n == self.order else _normalised(n, self.lift(n))
+            b = other.coeffs if n == other.order else _normalised(n, other.lift(n))
+        out = dict(a)
+        for e, c in b.items():
             prev = out.get(e)
             if prev is None:
                 out[e] = c
@@ -305,7 +332,7 @@ class CycloNum:
                     out[e] = c
                 else:
                     del out[e]
-        return _reduced(a.order, out)
+        return _canonical(n, out)
 
     __radd__ = __add__
 
@@ -328,44 +355,61 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.is_rational():
+        if other.order == 1:
             return self._scaled(other)
-        if self.is_rational():
+        if self.order == 1:
             return other._scaled(self)
-        a, b = self._common(other)
-        n = a.order
+        n = self.order
+        if n == other.order:
+            a, b = self.coeffs, other.coeffs
+        else:
+            n = lcm(n, other.order)
+            a, b = self.lift(n), other.lift(n)
         conv: dict[int, Fraction] = {}
-        for i, ca in a.coeffs.items():
-            for j, cb in b.coeffs.items():
+        for i, ca in a.items():
+            for j, cb in b.items():
                 k = i + j
                 if k >= n:
                     k -= n
                 prev = conv.get(k)
                 conv[k] = ca * cb if prev is None else prev + ca * cb
-        return _reduced(n, _reduce_exponents(n, conv))
+        return _canonical(n, _normalised(n, {k: c for k, c in conv.items() if c}))
 
     __rmul__ = __mul__
 
     def _scaled(self, rational: "CycloNum") -> "CycloNum":
-        # self times a rational CycloNum, at self's order.
+        # self times a rational CycloNum: the conductor is kept.
         r = rational.coeffs.get(0)
         if r is None:
-            return _reduced(self.order, {})
+            return _reduced(1, {})
         return _reduced(self.order, {e: c * r for e, c in self.coeffs.items()})
 
     def inv(self) -> "CycloNum":
-        """Multiplicative inverse, via the extended Euclidean algorithm."""
-        if self.is_zero():
+        """Multiplicative inverse.  A single term c*zeta^e inverts to
+        (1/c)*zeta^-e; any other value is reduced modulo the cyclotomic
+        polynomial once and inverted by the extended Euclidean algorithm.
+        The conductor is kept."""
+        coeffs = self.coeffs
+        if not coeffs:
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        if self.is_rational():
-            return _reduced(self.order, {0: 1 / self.coeffs[0]})
-        phi = totient(self.order)
-        a = [Fraction(0)] * phi
-        for e, c in self.coeffs.items():
+        n = self.order
+        if len(coeffs) == 1:
+            (e, c), = coeffs.items()
+            return _reduced(n, _normalised(n, {-e % n: 1 / c}))
+        cyc = _cyclotomic_int_coeffs(n)
+        phi = len(cyc) - 1
+        a = [Fraction(0)] * n
+        for e, c in coeffs.items():
             a[e] = c
-        modulus = [Fraction(c) for c in _cyclotomic_int_coeffs(self.order)]
-        s = _poly_invert_mod(a, modulus)
-        return _reduced(self.order, {i: c for i, c in enumerate(s) if c})
+        # Power-basis coordinates: subtract multiples of the monic modulus.
+        for i in range(n - 1, phi - 1, -1):
+            f = a[i]
+            if f:
+                for j, cj in enumerate(cyc[:phi]):
+                    if cj:
+                        a[i - phi + j] -= f * cj
+        s = _poly_invert_mod(a[:phi], [Fraction(c) for c in cyc])
+        return _reduced(n, _normalised(n, {i: c for i, c in enumerate(s) if c}))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -386,7 +430,7 @@ class CycloNum:
         if n < 0:
             base = self.inv()
             n = -n
-        result = CycloNum.one(self.order)
+        result = CycloNum.one()
         while n:
             if n & 1:
                 result = result * base
@@ -400,15 +444,15 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.order == other.order:
-            return self.coeffs == other.coeffs
-        a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return self.order == other.order and self.coeffs == other.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)
 
-    __hash__ = None  # cross-order equality has no cheap canonical hash
+    def __hash__(self):
+        if self.order == 1:  # equal to an int or Fraction: hash as one
+            return hash(self.coeffs.get(0, 0))
+        return hash((self.order, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         if self.is_zero():
@@ -426,8 +470,8 @@ class CycloNum:
 
 def _reduced(order: int, coeffs: dict[int, Fraction]) -> CycloNum:
     """A CycloNum holding ``coeffs`` as is: the private constructor for
-    results, whose order has been checked and whose dict is already reduced
-    (basis exponents only, nonzero Fraction values)."""
+    results already in canonical form (minimal conductor, basis exponents,
+    nonzero Fraction values)."""
     num = object.__new__(CycloNum)
     object.__setattr__(num, "order", order)
     object.__setattr__(num, "coeffs", coeffs)
@@ -513,8 +557,8 @@ def root_of_unity(n: int, k: int) -> CycloNum:
 class CycloPoly:
     """Polynomial in one variable over the cyclotomic numbers, constant first.
 
-    Used for characteristic polynomials of monodromy; coefficients may live
-    at different orders and are lifted on demand by CycloNum arithmetic.
+    Used for characteristic polynomials of monodromy; each coefficient is
+    a CycloNum at its own conductor.
     """
 
     __slots__ = ("coeffs",)

@@ -10,18 +10,18 @@ are assembled only under the separation condition (pairwise distinctness of
 polar part + constant term across all copies).
 
 Each copy is keyed once per ``decompose``: ``keyed_copies`` pairs it with the
-key of its polar part at the copies' common cyclotomic order, and both the
-grouping and the separation test read that key.
+key of its polar part, and both the grouping and the separation test read
+that key.  Cyclotomic values are canonical, so equal polar parts have equal
+keys as they stand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .branch import (DEFAULT_TRUNCATION, Branch, UnramifiedBranch,
                      ramification_order, require_valid, unramify)
-from .cyclotomic import CycloNum, CycloPoly
+from .cyclotomic import CycloPoly
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -74,34 +74,22 @@ class FormalDecomposition:
     copies: tuple[UnramifiedBranch, ...] = ()
 
 
-def laurent_sort_key(f: LaurentPoly, order: int):
-    """Deterministic total order on Laurent polynomials: (pole order, terms).
-
-    Coefficients are lifted to a common cyclotomic order before keying, so the
-    key is stable under permutations and representation order differences.
-    """
+def laurent_sort_key(f: LaurentPoly):
+    """Deterministic total order on Laurent polynomials: (pole order, terms),
+    each term keyed by its exponent and its coefficient's canonical
+    ``(order, coeffs)``.  Equal polynomials have equal keys."""
     items = []
     for e in sorted(f.terms):
-        c = f.terms[e].lift(order)
-        items.append((e, tuple(sorted(
+        c = f.terms[e]
+        items.append((e, c.order, tuple(sorted(
             (k, v.numerator, v.denominator) for k, v in c.coeffs.items()
         ))))
     return (f.pole_order(), tuple(items))
 
 
-def _common_order(polys) -> int:
-    # lcm over a set, not a generator: CPython builds star-args from a
-    # generator as a tuple of guessed length and resizes it, the resized
-    # tuple is freed into the free list of another length, and a process
-    # that runs many problems grows with their number.
-    return lcm(*{c.order for f in polys for c in f.terms.values()})
-
-
 def keyed_copies(ub: list[UnramifiedBranch]) -> list[tuple[tuple, UnramifiedBranch]]:
-    """Each copy paired with ``laurent_sort_key`` of its polar part, at the
-    common order of all the polar parts."""
-    order = _common_order([u.alpha_sub for u in ub])
-    return [(laurent_sort_key(u.alpha_sub, order), u) for u in ub]
+    """Each copy paired with ``laurent_sort_key`` of its polar part."""
+    return [(laurent_sort_key(u.alpha_sub), u) for u in ub]
 
 
 def exponential_factors(keyed: list[tuple[tuple, UnramifiedBranch]]) -> list[ExponentialFactor]:
@@ -141,21 +129,13 @@ def star_condition(keyed: list[tuple[tuple, UnramifiedBranch]]):
     when both parts are: each copy is keyed by its polar key and its
     constant term.
     """
-    const_order = lcm(*{u.delta0.order for _, u in keyed})
     seen: dict[tuple, tuple[str, int]] = {}
     for polar_key, u in keyed:
-        key = (polar_key, tuple(sorted(u.delta0.lift(const_order).coeffs.items())))
+        key = (polar_key, u.delta0)
         if key in seen:
             return False, (seen[key], u.origin)
         seen[key] = u.origin
     return True, None
-
-
-def _at_order_one(zeta: CycloPoly) -> CycloPoly:
-    """``zeta`` with its rational coefficients at order 1: what a product
-    with the rational ``CycloPoly.one()`` makes of them."""
-    return CycloPoly([CycloNum.from_rational(c.as_rational()) if c.is_rational() else c
-                      for c in zeta.coeffs])
 
 
 def char_polys(factors: list[ExponentialFactor],
@@ -163,9 +143,7 @@ def char_polys(factors: list[ExponentialFactor],
     """Fill in monodromy characteristic polynomials, one zeta per member.
 
     Requires the separation condition; the charpoly of a factor is the
-    product over its (branch, root) members, as ``CycloPoly.one()`` times
-    each member's zeta in turn computes it.  The first member's zeta is
-    brought to order 1 once per branch.
+    product over its (branch, root) members' zetas, in member order.
     """
     holds, witness = star_condition(keyed)
     if not holds:
@@ -174,13 +152,9 @@ def char_polys(factors: list[ExponentialFactor],
             witness,
         )
     zetas = {u.origin: u.zeta for _, u in keyed}
-    firsts: dict[str, CycloPoly] = {}
     out = []
     for f in factors:
-        first = f.members[0]
-        prod = firsts.get(first[0])
-        if prod is None:
-            prod = firsts[first[0]] = _at_order_one(zetas[first])
+        prod = zetas[f.members[0]]
         for other in f.members[1:]:
             prod = prod * zetas[other]
         out.append(ExponentialFactor(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .cyclotomic import CycloNum
 
@@ -76,11 +76,6 @@ class LaurentPoly:
     def support(self) -> list[int]:
         return sorted(self.terms)
 
-    def min_exponent(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no support")
-        return min(self.terms)
-
     def pole_order(self) -> int:
         """Order of the pole at the origin (0 when holomorphic)."""
         if self.is_zero():
@@ -132,9 +127,6 @@ class LaurentPoly:
 
     def polar_part(self) -> "LaurentPoly":
         return LaurentPoly({e: c for e, c in self.terms.items() if e < 0})
-
-    def positive_part(self) -> "LaurentPoly":
-        return LaurentPoly({e: c for e, c in self.terms.items() if e > 0})
 
     def const_term(self) -> CycloNum:
         c = self.terms.get(0)
@@ -212,15 +204,6 @@ class BiPoly:
     @classmethod
     def monomial(cls, i: int, j: int, c=1) -> "BiPoly":
         return cls({(i, j): c})
-
-    @classmethod
-    def from_univariate(cls, f: LaurentPoly, var: int) -> "BiPoly":
-        """Embed a holomorphic LaurentPoly as a polynomial in variable 0 or 1."""
-        if f.pole_order():
-            raise ValueError("cannot embed a polar Laurent polynomial")
-        if var == 0:
-            return cls({(e, 0): c for e, c in f.terms.items()})
-        return cls({(0, e): c for e, c in f.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -318,17 +301,8 @@ class BiPoly:
         return CycloNum.zero() if c is None else c
 
     def restrict_first_to_zero(self) -> LaurentPoly:
-        """Restriction to u = 0: the terms free of u, as a polynomial in v.
-
-        Each coefficient is represented at the lcm of the orders of its
-        column (all terms with the same power of v), the order that summing
-        the column at u = 0 yields; serialized orders depend on it.
-        """
-        orders: dict[int, int] = {}
-        for (_, j), c in self.terms.items():
-            orders[j] = lcm(orders.get(j, 1), c.order)
-        return LaurentPoly({j: c.lift(orders[j])
-                            for (i, j), c in self.terms.items() if i == 0})
+        """Restriction to u = 0: the terms free of u, as a polynomial in v."""
+        return LaurentPoly({j: c for (i, j), c in self.terms.items() if i == 0})
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):

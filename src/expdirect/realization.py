@@ -9,16 +9,16 @@ comparison therefore works with ramification-independent canonical classes:
 primitive pair plus orbit closure plus rank plus monodromy polynomial.
 
 Grouping builds each orbit once per call of ``_orbit_class_keys``: a polar
-part equal to a member of an orbit already built reuses that orbit's key,
-and the round trip reads an orbit's size off its key.  ``realize`` and
-``roundtrip_check`` validate the spec; ``_realize`` and ``_roundtrip_check``
-are the same work for a caller that has validated it already.
+part whose key is that of a member of an orbit already built reuses that
+orbit's key, and the round trip reads an orbit's size off its key.
+``realize`` and ``roundtrip_check`` validate the spec; ``_realize`` and
+``_roundtrip_check`` are the same work for a caller that has validated it
+already.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .branch import Branch
 from .cyclotomic import CycloPoly
@@ -94,47 +94,31 @@ def orbit_closure(p: int, alpha: LaurentPoly) -> list[LaurentPoly]:
     """Distinct twists alpha(xi * t) over the p-th roots of unity xi,
     in canonical order."""
     seen: dict[tuple, LaurentPoly] = {}
-    twisted = [subst_root_power(alpha, p, i, 1) for i in range(1, p + 1)]
-    order = lcm(*{c.order for f in twisted for c in f.terms.values()})
-    for f in twisted:
-        seen.setdefault(laurent_sort_key(f, order), f)
+    for i in range(1, p + 1):
+        f = subst_root_power(alpha, p, i, 1)
+        seen.setdefault(laurent_sort_key(f), f)
     return [seen[k] for k in sorted(seen)]
 
 
 def _orbit_class_keys(p: int, alphas) -> list[tuple]:
     """Orbit-class keys for several polar parts at once.
 
-    Each root-of-unity orbit is closed once: a polar part equal to an element
-    of an orbit already built at the same primitive ramification takes that
-    orbit's key, since orbit-mates have one set of values.
-
-    All keys are built at one shared coefficient order, so equal field values
-    produce equal keys regardless of the order each coefficient was built at.
-    That order is the lcm of the coefficient orders of the orbits built and
-    of every input polar part.  An orbit closed from a reused mate would hold
-    that mate as written (its identity twist), and its other twists' orders
-    follow from the written ones and ``p0``; counting the inputs therefore
-    gives the order of one closure per polar part, and with it the key order
-    that ``realize`` sorts its branches by.
+    The key of an orbit is its primitive ramification ``p0`` with the sorted
+    keys of its members.  Each root-of-unity orbit is closed once: a polar
+    part whose key is that of a member of an orbit already built at the
+    same ``p0`` takes that orbit's key.
     """
-    orbits: list[tuple[int, list[LaurentPoly]]] = []
-    classes = []
-    order = 1
+    orbit_of: dict[tuple, tuple] = {}
+    keys = []
     for alpha in alphas:
         p0, a0 = canonicalize(p, alpha)
-        order = lcm(order, *{c.order for c in a0.terms.values()})
-        cls = next((i for i, (q0, orbit) in enumerate(orbits)
-                    if q0 == p0 and any(a0 == f for f in orbit)), None)
-        if cls is None:
-            orbit = orbit_closure(p0, a0)
-            order = lcm(order, *{c.order for f in orbit
-                                 for c in f.terms.values()})
-            cls = len(orbits)
-            orbits.append((p0, orbit))
-        classes.append(cls)
-    keys = [(p0, tuple(sorted(laurent_sort_key(f, order) for f in orbit)))
-            for p0, orbit in orbits]
-    return [keys[i] for i in classes]
+        key = orbit_of.get((p0, laurent_sort_key(a0)))
+        if key is None:
+            key = (p0, tuple(laurent_sort_key(f) for f in orbit_closure(p0, a0)))
+            for member in key[1]:
+                orbit_of[(p0, member)] = key
+        keys.append(key)
+    return keys
 
 
 def realize(spec: FormalModuleSpec) -> list[Branch]:
@@ -225,10 +209,9 @@ def _roundtrip_check(spec: FormalModuleSpec) -> RoundTripReport:
 
     dec = decompose(branches)
 
-    # Key the spec side and the computed side together at one shared
-    # coefficient order, so representation differences cannot split classes.
-    # The computed ramification divides the declared one; rescale exponents
-    # to compare both sides at the declared order.
+    # Key the spec side and the computed side together, so each orbit is
+    # closed once.  The computed ramification divides the declared one;
+    # rescale exponents to compare both sides at the declared order.
     spec_alphas = [s.alpha for s in spec.summands]
     scale = spec.p // dec.p
     got_alphas = [LaurentPoly({e * scale: c for e, c in f.alpha.terms.items()})

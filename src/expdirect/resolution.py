@@ -137,10 +137,6 @@ class ResolutionTree:
     axis_points: tuple[AxisPointRecord, ...]
     ed_chart: EdChart
 
-    @property
-    def shifts(self) -> list[CycloNum]:
-        return [s.shift for s in self.steps]
-
     def normal_forms(self) -> dict:
         """Marked points and generic component tags of the final surface."""
         forms: dict = {}
@@ -238,7 +234,7 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
 
         # Next center: the unique root of the numerator on the new component.
         num1 = num_at0.coeff(1)
-        if slope is None or num1.order != slope.order or num1 != slope:
+        if slope is None or num1 != slope:
             slope, slope_inv = num1, num1.inv()
         shift = -num_at0.const_term() * slope_inv
         if cv >= 1 and not shift.is_zero():

@@ -1,8 +1,10 @@
 """JSON encodings for every external data shape.
 
 All numbers are exact: rationals travel as "num/den" strings, cyclotomic
-numbers as order plus power-basis coordinates, polynomials as coefficient
-lists.  Parsing rejects anything that is not an exact rational (the
+numbers as ``{"order", "coeffs"}`` meaning the sum of coeffs[k] * zeta_order^k
+(emitted as stored: the minimal conductor and Zumbroich basis exponents;
+parsed from any order and any integer exponents), polynomials as
+coefficient lists.  Parsing rejects anything that is not an exact rational (the
 coefficient domain is the union of the cyclotomic fields; floats or symbolic
 strings are errors, not approximands), and every parser that reads a
 cyclotomic number takes the order cap ``max_order`` and refuses a larger

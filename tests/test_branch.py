@@ -88,7 +88,7 @@ def test_unramify_counts_and_lowest_exponents():
         total = 0
         for u in out:
             b = by_label[u.label]
-            assert u.alpha_sub.min_exponent() == -p * b.q // b.p
+            assert u.alpha_sub.pole_order() == p * b.q // b.p
             assert u.m == b.m and u.zeta == b.zeta
             total += u.m * (p * b.q // b.p)
         assert total == p * sum(b.m * b.q for b in branches)

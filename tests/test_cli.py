@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expdirect.cli import main
-from expdirect.cyclotomic import CycloPoly, root_of_unity
+from expdirect.cyclotomic import CycloNum, CycloPoly, root_of_unity
 from expdirect.laurent import LaurentPoly
 from expdirect.realization import FormalModuleSpec, FormalSummand
-from expdirect.serialize import branch_to_json, laurent_to_json, spec_to_json
+from expdirect.serialize import (branch_to_json, cyclo_to_json, laurent_to_json,
+                                 spec_to_json)
 from tests.helpers import mk, rand_branch, worked_example_branches
 from tests.test_realization import rand_spec
 
@@ -338,6 +339,31 @@ def test_order_cap(tmp_path, capsys):
                    "--max-order", 10403) == 0
 
 
+def test_a_high_order_value_is_built_and_emitted_in_small_memory():
+    # zeta_6000^5999 normalises to a handful of basis terms; no table that
+    # grows with the square of the order is built or kept.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        value = CycloNum(6000, {5999: 1})
+        doc = cyclo_to_json(value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert doc["order"] == 6000 and 0 < len(doc["coeffs"]) <= 8
+
+
+def test_validate_reads_a_high_order_value(tmp_path, capsys):
+    b = branch_to_json(mk("a"))
+    b["alpha"] = {"terms": {"-1": {"order": 6000, "coeffs": {"5999": 1}}}}
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps({"points": [{"c": "0", "branches": [b]}]}))
+    assert run_cli("validate", "--input", path) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_validate_checks_parsed_orders_only(tmp_path, capsys):
     # validate builds no products: a point whose order bound exceeds the cap
     # passes as long as each declared order is within it.
@@ -349,9 +375,11 @@ def test_validate_checks_parsed_orders_only(tmp_path, capsys):
 
 
 def test_every_order_built_divides_the_preflight_bound(monkeypatch, tmp_path):
-    # Products take the lcm of their orders, twists use the p_l-th roots and
-    # grouping lifts to the lcm of the polar orders, so no value may leave
-    # the field of its input's order bound.
+    # Products take the lcm of their orders and twists use the p_l-th roots,
+    # so no value may leave the field of its input's order bound.  The one
+    # exception is parsing: the constructor rewrites an input value at the
+    # order the file declares, which the parser caps, and stores it at its
+    # conductor, which divides the bound.
     import expdirect.cli as cli_mod
     import expdirect.cyclotomic as cyclotomic
 
@@ -391,8 +419,21 @@ def test_every_order_built_divides_the_preflight_bound(monkeypatch, tmp_path):
         assert run_cli(command, "--input", path,
                        "--output", tmp_path / "out.json") == 0, path
         assert bounds, path
-        assert all(any(b % n == 0 for b in bounds) for n in orders), \
-            (path, sorted(orders), bounds)
+        declared = set(_declared_orders(json.loads(Path(path).read_text())))
+        assert all(n in declared or any(b % n == 0 for b in bounds)
+                   for n in orders), (path, sorted(orders), bounds)
+
+
+def _declared_orders(doc):
+    """Every ``order`` an input file writes for a cyclotomic value."""
+    if isinstance(doc, dict):
+        if isinstance(doc.get("order"), int) and "coeffs" in doc:
+            yield doc["order"]
+        for v in doc.values():
+            yield from _declared_orders(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from _declared_orders(v)
 
 
 # Malformed and extreme JSON for the hypothesis test below.  Pole orders stay

@@ -2,21 +2,24 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import expdirect.cyclotomic as cyclotomic
 from expdirect.cyclotomic import (
     CycloNum,
     CycloPoly,
-    IncompatibleOrderError,
     PolyFraction,
     cyclotomic_polynomial,
     root_of_unity,
     totient,
 )
+from expdirect.decomposition import laurent_sort_key
+from expdirect.laurent import LaurentPoly
 
 
 def numeric(a: CycloNum, dps: int = 40) -> mpmath.mpc:
@@ -81,21 +84,22 @@ def test_root_powers(n):
 
 
 def test_lift_examples():
+    # lift embeds the stored coefficients at a multiple order; the
+    # constructor brings them back to the canonical form.
     minus1 = CycloNum(2, {1: 1})
-    assert minus1 == -1
-    lifted = minus1.lift(4)
-    assert lifted.order == 4 and lifted == -1
+    assert minus1 == -1 and (minus1.order, minus1.coeffs) == (1, {0: -1})
+    assert minus1.lift(4) == {0: -1}
+    assert CycloNum(4, minus1.lift(4)) == -1
 
     z3 = root_of_unity(3, 1)
     z6 = root_of_unity(6, 1)
-    assert z3.lift(6) == z6 * z6
-    # 6th-order representation of zeta_3 cubes to 1.
-    assert z3.lift(6) ** 3 == 1
+    assert z3.lift(6) == {2: 1}
+    assert CycloNum(6, z3.lift(6)) == z6 * z6 == z3
+    assert CycloNum(6, z3.lift(6)) ** 3 == 1
 
-    zero = CycloNum.zero(1)
-    assert zero.lift(12).is_zero()
+    assert CycloNum(3, {}).lift(12) == {}
 
-    with pytest.raises(IncompatibleOrderError):
+    with pytest.raises(ValueError):
         root_of_unity(4, 1).lift(6)
 
 
@@ -108,26 +112,38 @@ def test_arithmetic_examples():
     assert z8.inv() == root_of_unity(8, 7)
     assert z8 * root_of_unity(8, 7) == 1
     with pytest.raises(ZeroDivisionError):
-        CycloNum.zero(3).inv()
+        CycloNum(3, {}).inv()
 
 
 def test_eq_examples():
     assert root_of_unity(6, 3) == CycloNum.from_rational(-1)
     assert not (root_of_unity(3, 1) == root_of_unity(6, 1))
-    assert CycloNum.zero(3) == CycloNum.zero(8)
+    assert CycloNum(3, {}) == CycloNum(8, {}) == CycloNum.zero()
+
+
+def _conv(a: dict, b: dict) -> dict:
+    out = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            out[i + j] = out.get(i + j, Fraction(0)) + ca * cb
+    return out
 
 
 @settings(deadline=None)
 @given(st.integers(1, 16), st.integers(1, 16))
 def test_lift_is_ring_homomorphism(seed, m):
+    # Sums and products of the embedded coefficients, read at the target
+    # order, are the canonical sum and product.
     rng = random.Random(seed * 1000 + m)
     a = rand_cyclo(rng, max_order=8)
     b = rand_cyclo(rng, max_order=8)
     target = a.order * b.order * m
     if target > 2000:
         target = a.order * b.order
-    assert (a * b).lift(target) == a.lift(target) * b.lift(target)
-    assert (a + b).lift(target) == a.lift(target) + b.lift(target)
+    la, lb = a.lift(target), b.lift(target)
+    assert CycloNum(target, la) == a
+    assert CycloNum(target, _conv(la, lb)) == a * b
+    assert CycloNum(target, _raw_sum(la, lb)) == a + b
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,7 +166,8 @@ def test_eq_matches_numeric_on_random_pairs():
     for _ in range(250):
         a = rand_cyclo(rng)
         if rng.random() < 0.3:
-            b = a.lift(a.order * rng.randint(1, 4))
+            order = a.order * rng.randint(1, 4)
+            b = CycloNum(order, a.lift(order))
         else:
             b = rand_cyclo(rng)
         symbolic = a == b
@@ -182,10 +199,10 @@ def test_polyfraction_reduction():
 
 # -- fast paths against the public constructor ------------------------------
 #
-# Arithmetic results skip the constructor's validation and reduction.  Each one
-# must equal, in order and coeffs, the public constructor applied to the raw
-# (unreduced, unfolded) sum or product, and hold only basis exponents with
-# nonzero values.
+# Arithmetic results skip the constructor's validation.  Each one must equal,
+# in order and coeffs, the public constructor applied to the raw (unreduced,
+# unfolded) sum or product, and be canonical: basis exponents only, nonzero
+# Fraction values, the minimal conductor as order.
 
 _ORDERS = list(range(1, 13)) + [60]
 
@@ -195,17 +212,42 @@ def cyclo_nums(draw, orders=_ORDERS):
     order = draw(st.sampled_from(orders))
     exps = st.integers(0, totient(order) - 1)
     if draw(st.booleans()):
-        exps = st.just(0)  # a rational value at this order
+        exps = st.just(0)  # a rational value written at this order
     coeffs = draw(st.dictionaries(
         exps, st.fractions(min_value=-9, max_value=9, max_denominator=9),
         max_size=4))
     return CycloNum(order, coeffs)
 
 
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    out, p = [], 2
+    while n > 1:
+        q = 1
+        while n % p == 0:
+            n //= p
+            q *= p
+        if q > 1:
+            out.append((p, q))
+        p += 1
+    return out
+
+
+def in_basis(n: int, e: int) -> bool:
+    """The Zumbroich basis test: for each p^v exactly dividing n, the top
+    base-p digit of e * (n/p^v)^-1 mod p^v is 0 for p = 2, nonzero for odd p."""
+    if not 0 <= e < n:
+        return False
+    for p, q in _prime_powers(n):
+        top = e * pow(n // q, -1, q) % q // (q // p)
+        if (top != 0) if p == 2 else (top == 0):
+            return False
+    return True
+
+
 def assert_canonical(x: CycloNum, ref: CycloNum) -> None:
     assert (x.order, x.coeffs) == (ref.order, ref.coeffs)
-    phi = totient(x.order)
-    assert all(0 <= e < phi and type(c) is Fraction and c
+    assert x.order % 4 != 2
+    assert all(in_basis(x.order, e) and type(c) is Fraction and c
                for e, c in x.coeffs.items())
 
 
@@ -241,20 +283,8 @@ def test_add_neg_sub_match_the_constructor(a, b):
 @settings(max_examples=150, deadline=None)
 @given(cyclo_nums(), cyclo_nums())
 def test_mul_matches_the_constructor(a, b):
-    if b.is_rational():
-        r = b.as_rational()
-        ref = CycloNum(a.order, {e: c * r for e, c in a.coeffs.items()})
-    elif a.is_rational():
-        r = a.as_rational()
-        ref = CycloNum(b.order, {e: c * r for e, c in b.coeffs.items()})
-    else:
-        n = _lcm(a.order, b.order)
-        raw = {}
-        for i, ca in _raw_at(a, n).items():
-            for j, cb in _raw_at(b, n).items():
-                raw[i + j] = raw.get(i + j, Fraction(0)) + ca * cb
-        ref = CycloNum(n, raw)
-    assert_canonical(a * b, ref)
+    n = _lcm(a.order, b.order)
+    assert_canonical(a * b, CycloNum(n, _conv(_raw_at(a, n), _raw_at(b, n))))
     assert_canonical(a * 3, CycloNum(a.order, {e: 3 * c for e, c in a.coeffs.items()}))
 
 
@@ -262,7 +292,8 @@ def test_mul_matches_the_constructor(a, b):
 @given(cyclo_nums(), st.integers(1, 5))
 def test_inv_and_lift_match_the_constructor(a, m):
     order = a.order * m
-    assert_canonical(a.lift(order), CycloNum(order, _raw_at(a, order)))
+    assert a.lift(order) == _raw_at(a, order)
+    assert_canonical(CycloNum(order, a.lift(order)), a)
     if a.is_zero():
         return
     inv = a.inv()
@@ -270,22 +301,12 @@ def test_inv_and_lift_match_the_constructor(a, m):
     assert a * inv == 1
 
 
-def _twist_order(c: CycloNum, n: int, k: int) -> int:
-    if 2 * k % n == 0:  # zeta_n^k = +-1
-        return c.order
-    return n if c.is_rational() else _lcm(c.order, n)
-
-
 def _check_twist(c: CycloNum, n: int, k: int) -> None:
     got = c.times_root(n, k)
     product = c * root_of_unity(n, k)
     assert (got.order, got.coeffs) == (product.order, product.coeffs)
-    order = _twist_order(c, n, k)
-    if 2 * k % n == 0:
-        sign = 1 if k % n == 0 else -1
-        raw = {e: sign * v for e, v in c.coeffs.items()}
-    else:
-        raw = {e + k * (order // n): v for e, v in _raw_at(c, order).items()}
+    order = _lcm(c.order, n)
+    raw = {e + k * (order // n): v for e, v in _raw_at(c, order).items()}
     assert_canonical(got, CycloNum(order, raw))
 
 
@@ -296,9 +317,9 @@ def test_twist_matches_mul_by_root_of_unity(c, n, k):
 
 
 @pytest.mark.parametrize("c", [
-    CycloNum.from_rational(Fraction(3, 2), 5),  # rational, order divides no n
+    CycloNum(5, {0: Fraction(3, 2)}),  # rational, written at an order dividing no n
     CycloNum.from_rational(-2),
-    CycloNum.zero(7),
+    CycloNum(7, {}),
     root_of_unity(3, 1) - Fraction(1, 2),
     CycloNum(60, {1: 1, 7: Fraction(-2, 3)}),
 ])
@@ -310,8 +331,9 @@ def test_twist_examples_include_plus_minus_one(c, n):
 
 # -- constant constructors against the public constructor --------------------
 #
-# zero, one and from_rational skip the public constructor's reduction; each
-# must build what CycloNum(order, {0: v}) builds, or raise what it raises.
+# zero, one and from_rational build order-1 values without the public
+# constructor's normalisation; each must build what CycloNum(order, {0: v})
+# builds at any order, or raise what it raises.
 
 def _built(make):
     try:
@@ -327,10 +349,188 @@ def _built(make):
     st.integers(-10**20, 10**20), st.booleans(), st.just(0),
     st.floats(allow_nan=False), st.text(max_size=2), st.none()))
 def test_constant_constructors_match_the_constructor(order, v):
-    assert _built(lambda: CycloNum.from_rational(v, order)) \
+    if order < 1:
+        with pytest.raises(ValueError, match="order must be a positive integer"):
+            CycloNum(order, {0: v})
+        return
+    assert _built(lambda: CycloNum.from_rational(v)) \
         == _built(lambda: CycloNum(order, {0: v}))
-    assert _built(lambda: CycloNum.zero(order)) == _built(lambda: CycloNum(order, {}))
-    assert _built(lambda: CycloNum.one(order)) == _built(lambda: CycloNum(order, {0: 1}))
-    if order >= 1:
-        assert _built(lambda: CycloNum.from_rational(v)) \
-            == _built(lambda: CycloNum(1, {0: v}))
+    assert _built(CycloNum.zero) == _built(lambda: CycloNum(order, {}))
+    assert _built(CycloNum.one) == _built(lambda: CycloNum(order, {0: 1}))
+
+
+# -- canonical form ------------------------------------------------------------
+#
+# Values are written at orders 1..60, 105 and 210 with any integer exponents.
+# Every result must equal the mpmath value of its inputs to 50 digits, sit at
+# its minimal conductor (checked through the Galois action, numerically) on
+# the Zumbroich basis, and so be identical, hash included, to the same value
+# written at any other order.
+
+_WRITTEN_ORDERS = list(range(1, 61)) + [105, 210]
+_DPS = 60
+_TOL = mpmath.mpf(10) ** -50
+
+
+@st.composite
+def written(draw, orders=_WRITTEN_ORDERS):
+    """(order, raw coefficients) as an input may write them."""
+    order = draw(st.sampled_from(orders))
+    raw = draw(st.dictionaries(
+        st.integers(-2 * order, 2 * order),
+        st.fractions(min_value=-9, max_value=9, max_denominator=9),
+        max_size=4 if order <= 60 else 2))
+    return order, raw
+
+
+@lru_cache(maxsize=None)
+def _roots(order: int) -> tuple:
+    with mpmath.workdps(_DPS + 10):
+        return tuple(mpmath.expjpi(mpmath.mpf(2 * j) / order) for j in range(order))
+
+
+def _value(order: int, raw: dict, k: int = 1):
+    """mpmath value of sum c * zeta_order^(k*e)."""
+    roots = _roots(order)
+    with mpmath.workdps(_DPS):
+        return mpmath.fsum([mpmath.mpf(c.numerator) / c.denominator * roots[k * e % order]
+                            for e, c in raw.items()]) if raw else mpmath.mpc(0)
+
+
+def _close(x, y) -> bool:
+    return abs(x - y) <= _TOL * max(1, abs(x), abs(y))
+
+
+def assert_minimal(x: CycloNum) -> None:
+    """Canonical, and not fixed by the Galois group of Q(zeta_N) over
+    Q(zeta_(N/p)) for any prime p dividing N: N is the conductor."""
+    n = x.order
+    assert n % 4 != 2
+    assert all(in_basis(n, e) and type(c) is Fraction and c for e, c in x.coeffs.items())
+    if not x.coeffs:
+        assert n == 1
+    here = _value(n, x.coeffs)
+    for p, _ in _prime_powers(n):
+        sub = n // p
+        moved = [k for k in range(1, n, sub) if gcd(k, n) == 1
+                 and not _close(_value(n, x.coeffs, k), here)]
+        assert moved, (x, p)
+
+
+def _invertible_fast(x: CycloNum) -> bool:
+    # Dense values at orders 105 and 210 take seconds to invert.
+    return x.order <= 60 or len(x.coeffs) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(written(), written(), st.sampled_from(_WRITTEN_ORDERS),
+       st.integers(-300, 300), st.integers(-2, 4))
+def test_operations_equal_mpmath_at_the_minimal_conductor(wa, wb, n, k, power):
+    a, b = CycloNum(*wa), CycloNum(*wb)
+    va, vb = _value(*wa), _value(*wb)
+    with mpmath.workdps(_DPS):
+        results = [(a, va), (b, vb), (a + b, va + vb), (a - b, va - vb),
+                   (-a, -va), (a * b, va * vb),
+                   (a.times_root(n, k), va * _value(n, {k: Fraction(1)}))]
+        if a and _invertible_fast(a):
+            results.append((a.inv(), 1 / va))
+        if power >= 0 or (a and _invertible_fast(a)):
+            results.append((a ** power, va ** power))
+        for got, want in results:
+            assert _close(_value(got.order, got.coeffs), want), (wa, wb, got)
+            assert_minimal(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(written(), st.integers(1, 6), st.integers(0, 10))
+def test_one_value_written_at_two_orders_is_identical(w, m, e):
+    order, raw = w
+    a = CycloNum(order, raw)
+    # The same value at a multiple order, with a cancelling pair of terms.
+    big = order * m
+    raw_big = {x * m: c for x, c in raw.items()}
+    raw_big[e] = raw_big.get(e, Fraction(0)) + 1
+    b = CycloNum(big, raw_big) - root_of_unity(big, e)
+    assert (a.order, a.coeffs) == (b.order, b.coeffs)
+    assert hash(a) == hash(b) and a == b
+    if a.is_rational():
+        assert hash(a) == hash(a.as_rational()) and a == a.as_rational()
+
+
+# Each group holds one value written at several orders.
+_ALIASES = [
+    [root_of_unity(3, 1), CycloNum(6, {2: 1}), CycloNum(12, {4: 1}), CycloNum(15, {5: 1})],
+    [Fraction(1, 2), CycloNum(4, {0: Fraction(1, 2)}),
+     CycloNum(3, {1: Fraction(-1, 2), 2: Fraction(-1, 2)})],
+    [root_of_unity(4, 1), CycloNum(8, {2: 1}), CycloNum(12, {3: 1}), CycloNum(20, {5: 1})],
+    [-1, CycloNum(2, {1: 1}), CycloNum(12, {4: 1, 8: 1}), CycloNum(5, {1: 1, 2: 1, 3: 1, 4: 1})],
+]
+_term_specs = st.lists(st.tuples(st.integers(-3, -1), st.integers(0, len(_ALIASES) - 1),
+                                 st.integers(1, 3)), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sort_keys_are_equal_exactly_for_equal_polynomials(data):
+    # g is written from f's terms with other aliases half of the time, so
+    # equal polynomials arise often and are written at different orders.
+    f_spec = data.draw(_term_specs)
+    g_spec = f_spec if data.draw(st.booleans()) else data.draw(_term_specs)
+
+    def poly(spec):
+        terms = {}
+        for e, group, scale in spec:
+            value = data.draw(st.sampled_from(_ALIASES[group])) * scale
+            terms[e] = terms[e] + value if e in terms else value
+        return LaurentPoly(terms)
+
+    f, g = poly(f_spec), poly(g_spec)
+    same = all(_close(_value(c.order, c.coeffs), _value(d.order, d.coeffs))
+               for c, d in ((f.coeff(e), g.coeff(e)) for e in range(-3, 0)))
+    assert (f == g) == same
+    assert (laurent_sort_key(f) == laurent_sort_key(g)) == same
+
+
+def _power_basis_inverse(a: CycloNum) -> CycloNum:
+    """a.inv() through the power basis and ``_poly_invert_mod``."""
+    n = a.order
+    dense = [0] * n
+    for e, c in a.coeffs.items():
+        dense[e] = c
+    coords = divmod(CycloPoly(dense), cyclotomic_polynomial(n))[1].coeffs
+    phi = totient(n)
+    vec = [c.as_rational() for c in coords] + [Fraction(0)] * (phi - len(coords))
+    modulus = [Fraction(c) for c in cyclotomic._cyclotomic_int_coeffs(n)]
+    return CycloNum(n, dict(enumerate(cyclotomic._poly_invert_mod(vec, modulus))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(written(list(range(1, 61))))
+def test_inv_matches_the_euclidean_reference(w):
+    a = CycloNum(*w)
+    if not a:
+        return
+    inv = a.inv()
+    ref = _power_basis_inverse(a)
+    assert (inv.order, inv.coeffs) == (ref.order, ref.coeffs)
+    assert a * inv == 1
+
+
+def test_single_term_values_never_reach_euclid(monkeypatch):
+    calls = []
+    euclid = cyclotomic._poly_invert_mod
+
+    def counted(a, modulus):
+        calls.append(len(modulus))
+        return euclid(a, modulus)
+
+    monkeypatch.setattr(cyclotomic, "_poly_invert_mod", counted)
+    rng = random.Random(97)
+    for n in [*range(1, 61), 97, 105, 210, 6000]:
+        for _ in range(3):
+            a = CycloNum(n, {rng.randrange(n): Fraction(rng.randint(1, 9), rng.randint(1, 9))})
+            if len(a.coeffs) == 1:
+                assert a * a.inv() == 1
+    assert calls == []
+    (root_of_unity(5, 1) + 2).inv()
+    assert calls == [5]

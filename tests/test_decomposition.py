@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from math import lcm
 
 import mpmath
 import pytest
@@ -12,7 +11,6 @@ from expdirect.cyclotomic import CycloNum, CycloPoly
 from expdirect.decomposition import (
     ExponentialFactor,
     StarConditionError,
-    _common_order,
     char_polys,
     decompose,
     exponential_factors,
@@ -226,13 +224,11 @@ def test_decompose_evaluates_star_condition_once(monkeypatch, twin_delta0, holds
 
 def _shifted_sum_star_condition(ub):
     """Reference for ``star_condition``: key each copy by its polar part plus
-    constant term as one Laurent polynomial, lifted to the common order of
-    all the sums."""
+    constant term as one Laurent polynomial."""
     shifted = [u.alpha_sub + LaurentPoly({0: u.delta0}) for u in ub]
-    order = _common_order(shifted)
     seen = {}
     for u, f in zip(ub, shifted):
-        key = laurent_sort_key(f, order)
+        key = laurent_sort_key(f)
         if key in seen:
             return False, (seen[key], u.origin)
         seen[key] = u.origin
@@ -285,8 +281,9 @@ def _orders(poly):
 
 
 def test_single_member_charpoly_is_the_product_with_one():
-    # A rational written at order 4 and a zero written at order 3 come out at
-    # order 1, as CycloPoly.one() * zeta makes them; the order-3 root stays.
+    # A rational written at order 4 and a zero written at order 3 are stored
+    # at order 1, their conductor, so a single member's charpoly is its zeta
+    # as CycloPoly.one() * zeta gives it; the order-3 root stays.
     zeta = CycloPoly([CycloNum(4, {0: 2}), CycloNum(3, {}),
                       CycloNum(3, {1: -1}), 1])
     branches = [mk("a", p=1, q=1, m=3, zeta=zeta),
@@ -313,9 +310,9 @@ def test_decompose_keys_each_copy_once(monkeypatch):
     calls = []
     real = dec_mod.laurent_sort_key
 
-    def counting(f, order):
+    def counting(f):
         calls.append(f)
-        return real(f, order)
+        return real(f)
 
     monkeypatch.setattr(dec_mod, "laurent_sort_key", counting)
     rng = random.Random(7272)
@@ -331,13 +328,12 @@ def test_decompose_keys_each_copy_once(monkeypatch):
 
 def _two_pass_decompose(branches):
     """Reference for ``decompose``: the copies are keyed once to group them
-    and once more, at the same common order, for the separation test; each
-    charpoly is ``CycloPoly.one()`` times every member's zeta in turn."""
+    and once more for the separation test; each charpoly is
+    ``CycloPoly.one()`` times every member's zeta in turn."""
     ub = unramify(branches)
-    order = _common_order([u.alpha_sub for u in ub])
     groups = {}
     for u in ub:
-        groups.setdefault(laurent_sort_key(u.alpha_sub, order), []).append(u)
+        groups.setdefault(laurent_sort_key(u.alpha_sub), []).append(u)
     factors = []
     for key in sorted(groups):
         members = sorted(groups[key], key=lambda u: (u.label, u.root_index))
@@ -345,12 +341,10 @@ def _two_pass_decompose(branches):
         factors.append((members[0].alpha_sub, tuple(u.origin for u in members),
                         sum(u.m for u in members), sum(by_label.values()), members))
 
-    polar_order = _common_order([u.alpha_sub for u in ub])
-    const_order = lcm(*{u.delta0.order for u in ub})
     seen, witness = {}, None
     for u in ub:
-        key = (laurent_sort_key(u.alpha_sub, polar_order),
-               tuple(sorted(u.delta0.lift(const_order).coeffs.items())))
+        key = (laurent_sort_key(u.alpha_sub),
+               u.delta0.order, tuple(sorted(u.delta0.coeffs.items())))
         if key in seen:
             witness = (seen[key], u.origin)
             break

@@ -9,11 +9,13 @@ its ``oracle`` entries.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from expdirect.cli import main
+from expdirect.cli import DEFAULT_ORDER_LIMIT, main
+from expdirect.serialize import cyclo_from_json, cyclo_to_json, dumps
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(GOLDEN.glob("*/*.in.json"))
@@ -49,3 +51,30 @@ def test_report_oracle_off_is_the_golden_without_oracle(case, tmp_path):
     for point in golden["points"]:
         point.pop("oracle", None)
     assert out.read_text() == json.dumps(golden, sort_keys=True, indent=2) + "\n"
+
+
+def _cyclo_values(doc):
+    if isinstance(doc, dict):
+        if set(doc) == {"order", "coeffs"}:
+            yield doc
+            return
+        for v in doc.values():
+            yield from _cyclo_values(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from _cyclo_values(v)
+
+
+def test_golden_values_are_canonical():
+    # Every value a golden holds is stored as the parser stores it (minimal
+    # conductor, Zumbroich basis), and emits to the same bytes again.
+    seen = 0
+    for case in CASES:
+        out = case.with_name(case.name.replace(".in.json", ".out.json"))
+        for data in _cyclo_values(json.loads(out.read_text())):
+            value = cyclo_from_json(data, max_order=DEFAULT_ORDER_LIMIT)
+            assert (value.order, value.coeffs) == \
+                (data["order"], {int(e): Fraction(c) for e, c in data["coeffs"].items()})
+            assert dumps(cyclo_to_json(value)) == dumps(data)
+            seen += 1
+    assert seen > 400
