@@ -12,7 +12,6 @@ from .branch import Branch, UnramifiedBranch, ramification_order, unramify, vali
 from .cyclotomic import (
     CycloNum,
     CycloPoly,
-    PolyFraction,
     cyclotomic_polynomial,
     root_of_unity,
 )
@@ -38,18 +37,15 @@ from .resolution import (
     ResolutionTree,
     StrictTransformResult,
     build_resolution,
-    chi_psi,
-    local_chi,
     strict_transform,
     verify_corollary,
-    zeta_psi,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Branch", "UnramifiedBranch", "ramification_order", "unramify", "validate",
-    "CycloNum", "CycloPoly", "PolyFraction", "cyclotomic_polynomial",
+    "CycloNum", "CycloPoly", "cyclotomic_polynomial",
     "root_of_unity",
     "ExponentialFactor", "FormalDecomposition", "decompose",
     "BiPoly", "BiRational", "LaurentPoly", "subst_root_power",
@@ -58,6 +54,5 @@ __all__ = [
     "FormalModuleSpec", "FormalSummand", "canonicalize", "realize",
     "roundtrip_check",
     "CopySeries", "ResolutionTree", "StrictTransformResult", "build_resolution",
-    "chi_psi",
-    "local_chi", "strict_transform", "verify_corollary", "zeta_psi",
+    "strict_transform", "verify_corollary",
 ]

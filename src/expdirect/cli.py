@@ -23,7 +23,6 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from functools import cache
-from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
@@ -141,7 +140,7 @@ def _point_report(c: str, k: int, branches, warnings, options: Options) -> Point
         series = [CopySeries(u) for u in dec.copies]
         reports = []
         for factor in dec.factors:
-            rep = verify_corollary(series, factor.alpha)
+            rep = verify_corollary(series, factor)
             reports.append(rep)
             consistent = consistent and rep.consistent
         oracle = tuple(reports)
@@ -169,9 +168,10 @@ def point_report_to_json(rep: PointReport) -> dict:
 
 
 def _disagreement(point: PointReport, rep: CorollaryReport) -> str:
-    """One line naming the copies the two membership tests disagree on."""
+    """One line naming the copies the two membership tests disagree on, and
+    the separation, rank or charpoly values the two sides disagree on."""
     by_blowup, by_polar = set(rep.members_by_blowup), set(rep.members_by_polar)
-    chain = 2 * rep.alpha.pole_order()
+    chain = 2 * rep.factor.pole_order
     parts = [
         f"{name} is a member by {'blow-up' if name in by_blowup else 'polar part'}"
         f" only ({steps} of {chain} blow-up steps matched)"
@@ -181,8 +181,14 @@ def _disagreement(point: PointReport, rep: CorollaryReport) -> str:
     if not rep.star_agrees:
         parts.append(f"separation by blow-up {rep.star_by_blowup}, "
                      f"by polar part {rep.star_by_polar}")
+    if not rep.rank_agrees:
+        parts.append(f"rank by blow-up {rep.rank_by_blowup}, "
+                     f"by decomposition {rep.factor.rank_branchwise}")
+    if not rep.charpoly_agrees:
+        parts.append(f"charpoly by blow-up {rep.charpoly_by_blowup!r}, "
+                     f"by decomposition {rep.factor.charpoly!r}")
     return (f"error: oracle disagreement at point (c={point.c!r}, k={point.k}), "
-            f"factor alpha = {rep.alpha!r}: " + "; ".join(parts))
+            f"factor alpha = {rep.factor.alpha!r}: " + "; ".join(parts))
 
 
 def run_file(path: str, options: Options):

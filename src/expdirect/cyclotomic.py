@@ -42,7 +42,6 @@ from math import lcm
 __all__ = [
     "CycloNum",
     "CycloPoly",
-    "PolyFraction",
     "cyclotomic_polynomial",
     "root_of_unity",
     "totient",
@@ -596,10 +595,6 @@ class CycloPoly:
     def is_monic(self) -> bool:
         return not self.is_zero() and self.leading() == 1
 
-    def monic(self) -> "CycloPoly":
-        inv = self.leading().inv()
-        return CycloPoly([c * inv for c in self.coeffs])
-
     def __add__(self, other):
         if not isinstance(other, CycloPoly):
             return NotImplemented
@@ -664,16 +659,6 @@ class CycloPoly:
                 rem[i - d + j] = rem[i - d + j] - f * oj
         return CycloPoly(quot), CycloPoly(rem[:d] if d else [])
 
-    def __mod__(self, other: "CycloPoly"):
-        return divmod(self, other)[1]
-
-    def gcd(self, other: "CycloPoly") -> "CycloPoly":
-        """Monic greatest common divisor.  gcd(0, 0) = 0."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a if a.is_zero() else a.monic()
-
     def __eq__(self, other):
         if not isinstance(other, CycloPoly):
             return NotImplemented
@@ -691,63 +676,3 @@ class CycloPoly:
             return repr(c)
 
         return f"CycloPoly([{', '.join(show(c) for c in self.coeffs)}])"
-
-
-class PolyFraction:
-    """Reduced fraction of polynomials over Q(zeta), denominator monic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: CycloPoly, den: CycloPoly | None = None):
-        if den is None:
-            den = CycloPoly.one()
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
-        if not g.is_zero() and g.degree > 0:
-            num = divmod(num, g)[0]
-            den = divmod(den, g)[0]
-        lead_inv = den.leading().inv()
-        object.__setattr__(self, "num", num * lead_inv)
-        object.__setattr__(self, "den", den * lead_inv)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyFraction is immutable")
-
-    @classmethod
-    def one(cls) -> "PolyFraction":
-        return cls(CycloPoly.one())
-
-    def inv(self) -> "PolyFraction":
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverse of zero fraction")
-        return PolyFraction(self.den, self.num)
-
-    def __mul__(self, other):
-        if isinstance(other, CycloPoly):
-            other = PolyFraction(other)
-        if not isinstance(other, PolyFraction):
-            return NotImplemented
-        return PolyFraction(self.num * other.num, self.den * other.den)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        result = PolyFraction.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyFraction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"PolyFraction({self.num!r}, {self.den!r})"

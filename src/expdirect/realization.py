@@ -170,19 +170,18 @@ def _realize(spec: FormalModuleSpec) -> list[Branch]:
 
 @dataclass(frozen=True)
 class RoundTripReport:
+    """Outcome of a round trip.  ``matched``, ``missing`` and ``extra`` hold
+    ``(ramification, alpha, rank)`` entries, alpha primitive: a spec summand
+    once per element of its orbit, an unmatched computed factor once."""
+
     ok: bool
     spec_ramification: int
     computed_ramification: int
-    matched: tuple[str, ...] = ()
-    missing: tuple[str, ...] = ()
-    extra: tuple[str, ...] = ()
+    matched: tuple[tuple[int, LaurentPoly, int], ...] = ()
+    missing: tuple[tuple[int, LaurentPoly, int], ...] = ()
+    extra: tuple[tuple[int, LaurentPoly, int], ...] = ()
     conflicts: tuple[str, ...] = ()
     decomposition: FormalDecomposition | None = None
-
-
-def _describe(p0: int, alpha: LaurentPoly, rank: int) -> str:
-    terms = ", ".join(f"{c!r}*t^{e}" for e, c in sorted(alpha.terms.items()))
-    return f"(ramification {p0}, alpha {terms}, rank {rank})"
 
 
 def roundtrip_check(spec: FormalModuleSpec) -> RoundTripReport:
@@ -248,11 +247,11 @@ def _roundtrip_check(spec: FormalModuleSpec) -> RoundTripReport:
                 hit = i
                 break
         if hit is None:
-            missing.append(_describe(p0, a0, rank))
+            missing.append((p0, a0, rank))
         else:
-            matched.append(_describe(p0, a0, rank))
+            matched.append((p0, a0, rank))
             remaining.pop(hit)
-    extra = [_describe(p0, a0, rank) for (_, p0, a0, rank, _cp) in remaining]
+    extra = [(p0, a0, rank) for (_, p0, a0, rank, _cp) in remaining]
 
     return RoundTripReport(
         ok=not missing and not extra,

@@ -24,21 +24,19 @@ prefix, (p/p_l)*(truncation+1) - 1 for a branch of ramification p_l, so a
 coefficient beyond what that branch declared is an error, never a silent
 wrong value.
 
-The stratified Euler-characteristic and monodromy-zeta assemblies over the
-distinguished component live here too; they telescope to values depending
-only on the branch multiplicities and monodromy polynomials, which the tests
-verify against the direct formulas.
+``verify_corollary`` checks one factor of the decomposition against the
+chain: its members and their separation, and the rank and monodromy it
+assembles over the distinguished component from the copies that meet it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 from .branch import UnramifiedBranch
-from .cyclotomic import CycloNum, CycloPoly, PolyFraction
-from .decomposition import StarConditionError
+from .cyclotomic import CycloNum, CycloPoly
+from .decomposition import ExponentialFactor
 from .laurent import (
     BiPoly,
     BiRational,
@@ -55,14 +53,10 @@ __all__ = [
     "ResolutionTree",
     "StrictTransformResult",
     "CorollaryReport",
-    "PointKind",
     "TruncationError",
     "build_resolution",
     "strict_transform",
     "verify_corollary",
-    "local_chi",
-    "chi_psi",
-    "zeta_psi",
 ]
 
 
@@ -136,24 +130,6 @@ class ResolutionTree:
     p_point: CrossingRecord
     axis_points: tuple[AxisPointRecord, ...]
     ed_chart: EdChart
-
-    def normal_forms(self) -> dict:
-        """Marked points and generic component tags of the final surface."""
-        forms: dict = {}
-        for comp in self.components:
-            if comp.index == self.distinguished:
-                forms[("generic", comp.index)] = NormalFormTag(
-                    NormalFormKind.HOLOMORPHIC_COORD, 0, 0, None, True)
-            else:
-                forms[("generic", comp.index)] = NormalFormTag(
-                    NormalFormKind.POLE_ONE_VAR, comp.pole_order, 0)
-        for step in self.steps:
-            key = ("P",) if step.index == self.distinguished \
-                else ("crossing", step.crossing.left, step.crossing.right)
-            forms[key] = step.crossing.tag
-        for ap in self.axis_points:
-            forms[("axis", ap.component)] = ap.tag
-        return forms
 
 
 def _structural(cond: bool, message: str):
@@ -358,7 +334,7 @@ def strict_transform(y: CopySeries,
 
 @dataclass(frozen=True)
 class CorollaryReport:
-    alpha: LaurentPoly
+    factor: ExponentialFactor
     membership_agrees: bool
     star_agrees: bool
     members_by_blowup: tuple[str, ...]
@@ -367,144 +343,90 @@ class CorollaryReport:
     star_by_polar: bool
     points: tuple[tuple[str, CycloNum], ...]
     steps_matched: tuple[tuple[str, int], ...]
+    rank_by_blowup: int
+    charpoly_by_blowup: CycloPoly | None
+
+    @property
+    def rank_agrees(self) -> bool:
+        return self.rank_by_blowup == self.factor.rank_branchwise
+
+    @property
+    def charpoly_agrees(self) -> bool:
+        return self.factor.charpoly is None or \
+            self.charpoly_by_blowup == self.factor.charpoly
 
     @property
     def consistent(self) -> bool:
-        return self.membership_agrees and self.star_agrees
+        return (self.membership_agrees and self.star_agrees
+                and self.rank_agrees and self.charpoly_agrees)
 
 
 def verify_corollary(series: Sequence[CopySeries],
-                     alpha: LaurentPoly) -> CorollaryReport:
-    """Check the blow-up oracle against polar-part grouping.
+                     factor: ExponentialFactor) -> CorollaryReport:
+    """Check one exponential factor of the decomposition against the
+    blow-up chain of its polar part.
 
     ``series`` holds one CopySeries per unramified copy of the point; the
     same series are passed for every factor, so each coefficient is
     computed once per point.
 
-    Membership of a copy in the factor of ``alpha`` must coincide with its
-    strict transform meeting the distinguished component, and the separation
-    condition restricted to those members must coincide with the meeting
-    points being pairwise distinct.  Disagreement flags a bug, not bad input.
+    The polar side is the factor as decomposed: its members, separated when
+    their constant terms are pairwise distinct.  The blow-up side is the
+    copies whose strict transforms meet the distinguished component E,
+    separated when their meeting points are pairwise distinct.  From those
+    copies it assembles the factor's rank, -chi of the nearby cycles over
+    E, and its monodromy, 1/zeta.  With r the generic rank and k clusters
+    of coinciding points, chi is the stratified sum
+
+        -r + sum over clusters of (r - sum of the cluster's m) + (1 - k)*r
+
+    over the meeting point, the marked points and E minus those k + 1
+    points.  It telescopes to -(sum of m), so ``rank_by_blowup`` is the
+    multiplicity summed over the meeting copies.  The zeta telescopes the
+    same way, to the inverse product of their monodromy polynomials; it is
+    assembled only under separation, and ``charpoly_by_blowup`` is None
+    otherwise.
+
+    The report is consistent when membership and separation agree, the
+    rank equals ``rank_branchwise`` and, where the factor has a charpoly,
+    the charpolys are equal.  Disagreement flags a bug, not bad input.
     Copies are named ``label#root_index`` in the report; ``steps_matched``
     pairs each name with the number of blow-up centers its copy tracked.
     """
-    tree = build_resolution(alpha)
-    copies = [y.copy for y in series]
-    names = [f"{u.label}#{u.root_index}" for u in copies]
-    results = [strict_transform(y, tree) for y in series]
-    by_blowup = tuple(n for n, r in zip(names, results) if r.meets_ed)
-    by_polar = tuple(n for n, u in zip(names, copies) if u.alpha_sub == alpha)
-
-    shifted = [u.alpha_sub + LaurentPoly({0: u.delta0})
-               for u in copies if u.alpha_sub == alpha]
-    star_polar = True
-    for i in range(len(shifted)):
-        for j in range(i + 1, len(shifted)):
-            if shifted[i] == shifted[j]:
-                star_polar = False
-    points = [(n, r.point_on_ed) for n, r in zip(names, results) if r.meets_ed]
-    star_blowup = True
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if points[i][1] == points[j][1]:
-                star_blowup = False
+    tree = build_resolution(factor.alpha)
+    members = set(factor.members)
+    by_blowup, by_polar, points, steps, meeting = [], [], [], [], []
+    constants = set()
+    for y in series:
+        u = y.copy
+        name = f"{u.label}#{u.root_index}"
+        res = strict_transform(y, tree)
+        steps.append((name, res.steps_matched))
+        if u.origin in members:
+            by_polar.append(name)
+            constants.add(u.delta0)
+        if res.meets_ed:
+            by_blowup.append(name)
+            points.append((name, res.point_on_ed))
+            meeting.append(u)
+    star_blowup = len({pt for _, pt in points}) == len(points)
+    star_polar = len(constants) == len(by_polar)
+    charpoly = None
+    if star_blowup:
+        charpoly = meeting[0].zeta if meeting else CycloPoly.one()
+        for u in meeting[1:]:
+            charpoly = charpoly * u.zeta
 
     return CorollaryReport(
-        alpha=alpha,
-        membership_agrees=set(by_blowup) == set(by_polar),
+        factor=factor,
+        membership_agrees=by_blowup == by_polar,
         star_agrees=star_blowup == star_polar,
-        members_by_blowup=by_blowup,
-        members_by_polar=by_polar,
+        members_by_blowup=tuple(by_blowup),
+        members_by_polar=tuple(by_polar),
         star_by_blowup=star_blowup,
         star_by_polar=star_polar,
         points=tuple(points),
-        steps_matched=tuple((n, r.steps_matched) for n, r in zip(names, results)),
+        steps_matched=tuple(steps),
+        rank_by_blowup=sum(u.m for u in meeting),
+        charpoly_by_blowup=charpoly,
     )
-
-
-class PointKind(Enum):
-    """Stratum types entering the nearby-cycle bookkeeping."""
-
-    SMOOTH_POLE = "smooth point, monomial pole along the projection divisor"
-    CROSSING_POLE = "normal crossing, monomial pole in both variables"
-    DISTINGUISHED_MEET = "meeting point of the distinguished component"
-    CHART_POINT = "point of the distinguished component"
-
-
-def local_chi(kind: PointKind, r: int, local_m=()) -> int:
-    """Euler characteristic of the local nearby-cycle complex at one point.
-
-    Pole strata kill the complex; the meeting point contributes -r; a point
-    of the distinguished component contributes the generic rank minus the
-    multiplicities of the strict transforms through it.
-    """
-    if kind is PointKind.SMOOTH_POLE or kind is PointKind.CROSSING_POLE:
-        return 0
-    if kind is PointKind.DISTINGUISHED_MEET:
-        return -r
-    if kind is PointKind.CHART_POINT:
-        return r - sum(local_m)
-    raise ValueError(f"unknown point kind {kind!r}")
-
-
-def _point_clusters(transforms) -> list[list[StrictTransformResult]]:
-    clusters: list[list[StrictTransformResult]] = []
-    for res in transforms:
-        if not res.meets_ed:
-            continue
-        for cl in clusters:
-            if cl[0].point_on_ed == res.point_on_ed:
-                cl.append(res)
-                break
-        else:
-            clusters.append([res])
-    return clusters
-
-
-def chi_psi(tree: ResolutionTree, transforms, multiplicities, r: int) -> int:
-    """Stratified Euler characteristic over the distinguished component.
-
-    ``transforms`` are StrictTransformResult records; ``multiplicities`` maps
-    branch labels to conormal multiplicities.  Off-component strata are
-    checked to vanish via the tree's tags; the component itself contributes
-    its meeting point, the strict-transform points, and the open stratum of
-    a rational curve minus k+1 points.
-    """
-    for key, tag in tree.normal_forms().items():
-        if key[0] in ("crossing", "axis") or \
-                (key[0] == "generic" and key[1] != tree.distinguished):
-            kind = PointKind.CROSSING_POLE if tag.pole_v else PointKind.SMOOTH_POLE
-            assert local_chi(kind, r) == 0
-    clusters = _point_clusters(transforms)
-    k = len(clusters)
-    total = local_chi(PointKind.DISTINGUISHED_MEET, r)
-    for cl in clusters:
-        total += local_chi(PointKind.CHART_POINT, r,
-                           [multiplicities[res.label] for res in cl])
-    total += (1 - k) * r  # chi of the component minus k+1 points, times rank
-    return total
-
-
-def zeta_psi(tree: ResolutionTree, transforms, zetas,
-             zeta_r: CycloPoly) -> PolyFraction:
-    """Monodromy zeta assembled over the distinguished component.
-
-    Requires pairwise-distinct meeting points among the transforms (the
-    separation condition); ``zetas`` maps labels to the branch monodromy
-    polynomials and ``zeta_r`` is the generic-stratum polynomial, whose
-    contributions must cancel exactly in the reduced fraction.
-    """
-    clusters = _point_clusters(transforms)
-    if any(len(cl) > 1 for cl in clusters):
-        bad = next(cl for cl in clusters if len(cl) > 1)
-        raise StarConditionError(
-            "separation condition fails: "
-            + " and ".join(res.label for res in bad)
-            + " meet the distinguished component at one point"
-        )
-    k = len(clusters)
-    ratio = PolyFraction(CycloPoly.one(), zeta_r)
-    for cl in clusters:
-        ratio = ratio * PolyFraction(zeta_r, zetas[cl[0].label])
-    ratio = ratio * PolyFraction(zeta_r) ** (1 - k)
-    return ratio

@@ -259,13 +259,17 @@ def spec_from_json(data, path: str = "$", *, max_order: int) -> FormalModuleSpec
 
 
 def roundtrip_to_json(rep: RoundTripReport) -> dict:
+    def classes(entries):
+        return [{"ramification": p0, "alpha": laurent_to_json(alpha),
+                 "rank": rank} for p0, alpha, rank in entries]
+
     out = {
         "ok": rep.ok,
         "spec_ramification": rep.spec_ramification,
         "computed_ramification": rep.computed_ramification,
-        "matched": list(rep.matched),
-        "missing": list(rep.missing),
-        "extra": list(rep.extra),
+        "matched": classes(rep.matched),
+        "missing": classes(rep.missing),
+        "extra": classes(rep.extra),
         "conflicts": list(rep.conflicts),
     }
     if rep.decomposition is not None:
@@ -344,7 +348,7 @@ def tree_to_text(tree: ResolutionTree) -> str:
 
 def corollary_to_json(rep: CorollaryReport) -> dict:
     return {
-        "alpha": laurent_to_json(rep.alpha),
+        "alpha": laurent_to_json(rep.factor.alpha),
         "consistent": rep.consistent,
         "membership_agrees": rep.membership_agrees,
         "star_agrees": rep.star_agrees,

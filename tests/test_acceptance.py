@@ -12,8 +12,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from expdirect.branch import ramification_order, unramify
-from expdirect.cyclotomic import CycloNum, CycloPoly, PolyFraction, root_of_unity
+from expdirect.branch import ramification_order
+from expdirect.cyclotomic import CycloNum, CycloPoly, root_of_unity
 from expdirect.decomposition import decompose, exponential_factors, star_condition
 from expdirect.laurent import LaurentPoly, NormalFormKind
 from expdirect.newton import (
@@ -28,10 +28,8 @@ from expdirect.realization import FormalModuleSpec, FormalSummand, realize, \
 from expdirect.resolution import (
     CopySeries,
     build_resolution,
-    chi_psi,
     strict_transform,
     verify_corollary,
-    zeta_psi,
 )
 from tests.helpers import (
     mk,
@@ -141,46 +139,48 @@ def test_criterion_4_strict_transform_oracle():
     checked = 0
     for _ in range(100):
         branches, alpha = _unramified_instance(rng)
-        rep = verify_corollary([CopySeries(u) for u in unramify(branches, 8)],
-                               alpha)
-        assert rep.membership_agrees, rep
-        assert rep.star_agrees, rep
+        dec = decompose(branches, truncation=8)
+        series = [CopySeries(u) for u in dec.copies]
+        for factor in dec.factors:
+            rep = verify_corollary(series, factor)
+            assert rep.membership_agrees, rep
+            assert rep.star_agrees, rep
+        # The target need not be a factor: a copy meets its distinguished
+        # component exactly when it has the target's polar part.
+        tree = build_resolution(alpha)
+        for y in series:
+            assert strict_transform(y, tree).meets_ed == (y.copy.alpha_sub == alpha)
         checked += 1
     assert checked == 100
     _report(4, "blow-up membership and separation oracle on 100 instances")
 
 
 def test_criterion_5_stratified_totals_telescope():
+    # verify_corollary assembles each factor's rank (-chi) and monodromy
+    # (1/zeta) over the distinguished component; both must equal the direct
+    # formulas over the branches with the factor's polar part.
     rng = random.Random(11_005)
     chi_checked = zeta_checked = 0
     while chi_checked < 100 or zeta_checked < 100:
-        branches, alpha = _unramified_instance(rng)
-        tree = build_resolution(alpha)
-        transforms = [strict_transform(CopySeries(u), tree)
-                      for u in unramify(branches, 8)]
-        mults = {b.label: b.m for b in branches}
-        members = [b for b in branches if b.alpha == alpha]
-        expected_chi = -sum(b.m for b in members)
-        for r in range(1, 7):
-            assert chi_psi(tree, transforms, mults, r) == expected_chi
-        chi_checked += 1
-
-        points = [t.point_on_ed for t in transforms if t.meets_ed]
-        separated = all(
-            not (points[i] == points[j])
-            for i in range(len(points)) for j in range(i + 1, len(points))
-        )
-        if separated:
-            zetas = {b.label: b.zeta for b in branches}
-            zeta_r = rand_monic(rng, rng.randint(1, 4))
-            got = zeta_psi(tree, transforms, zetas, zeta_r)
-            want = PolyFraction.one()
-            for b in members:
-                want = want * PolyFraction(CycloPoly.one(), b.zeta)
-            assert got == want
-            zeta_checked += 1
+        branches, _ = _unramified_instance(rng)
+        dec = decompose(branches, truncation=8)
+        series = [CopySeries(u) for u in dec.copies]
+        for factor in dec.factors:
+            rep = verify_corollary(series, factor)
+            assert rep.consistent, rep
+            members = [b for b in branches if b.alpha == factor.alpha]
+            assert rep.rank_by_blowup == sum(b.m for b in members)
+            chi_checked += 1
+            if rep.star_by_blowup:
+                want = CycloPoly.one()
+                for b in members:
+                    want = want * b.zeta
+                assert rep.charpoly_by_blowup == want
+                zeta_checked += 1
+            else:
+                assert rep.charpoly_by_blowup is None
     _report(5, f"Euler/zeta telescoping on {chi_checked} chi and "
-               f"{zeta_checked} zeta instances, r in 1..6")
+               f"{zeta_checked} zeta instances, over decomposed factors")
 
 
 def test_criterion_6_resolution_structure():
@@ -193,13 +193,15 @@ def test_criterion_6_resolution_structure():
             assert len(tree.steps) == 2 * q
             poles = [c.pole_order for c in tree.components]
             assert poles.count(0) == 1 and tree.distinguished == 2 * q
-            forms = tree.normal_forms()
-            for key, tag in forms.items():
-                if key == ("generic", tree.distinguished):
-                    assert tag.kind is NormalFormKind.HOLOMORPHIC_COORD
-                else:
-                    assert tag.kind in (NormalFormKind.POLE_ONE_VAR,
-                                        NormalFormKind.POLE_TWO_VAR)
+            # Every point the chain classified is a monomial pole; the
+            # meeting point of the distinguished component is u^-1.
+            tags = [s.crossing.tag for s in tree.steps]
+            tags += [ap.tag for ap in tree.axis_points]
+            for tag in tags:
+                assert tag.kind in (NormalFormKind.POLE_ONE_VAR,
+                                    NormalFormKind.POLE_TWO_VAR)
+            assert tree.steps[-1].crossing is tree.p_point
+            assert (tree.p_point.tag.pole_u, tree.p_point.tag.pole_v) == (1, 0)
             checked += 1
     assert checked == 20
     _report(6, "2q blow-ups and full normal-form classification, q in 1..5")
@@ -267,14 +269,10 @@ def test_criterion_9_worked_instance_golden():
     # criterion 2 on the polygon, and the blow-up oracle from criterion 4.
     expect = grid_minkowski_vertices([(2, 2), (2, 3)])
     assert [(int(x), int(y)) for x, y in poly.vertices()] == expect
-    flat = [
-        mk("u1", p=1, q=2, alpha=LaurentPoly({-2: 1}), m=2,
-           zeta=(lam - one) ** 2),
-        mk("u2", p=1, q=3, alpha=LaurentPoly({-3: -1}), m=1, zeta=lam + one),
-        mk("u3", p=1, q=3, alpha=LaurentPoly({-3: 1}), m=1, zeta=lam + one),
-    ]
-    series = [CopySeries(u) for u in unramify(flat, 8)]
+    series = [CopySeries(u) for u in dec.copies]
     for factor in dec.factors:
-        rep = verify_corollary(series, factor.alpha)
+        rep = verify_corollary(series, factor)
         assert rep.consistent
+        assert rep.rank_by_blowup == factor.rank_branchwise
+        assert rep.charpoly_by_blowup == factor.charpoly
     _report(9, "golden two-branch instance reproduces all frozen values")

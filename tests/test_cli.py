@@ -232,9 +232,9 @@ def test_report_exit_3_on_oracle_mismatch(problem_file, monkeypatch, capsys):
 
     real = cli_mod.verify_corollary
 
-    def broken(series, alpha):
+    def broken(series, factor):
         # The polar side forgets the factor's first member.
-        rep = real(series, alpha)
+        rep = real(series, factor)
         object.__setattr__(rep, "members_by_polar", rep.members_by_polar[1:])
         object.__setattr__(rep, "membership_agrees", False)
         return rep
@@ -253,6 +253,34 @@ def test_report_exit_3_on_oracle_mismatch(problem_file, monkeypatch, capsys):
         "l2#1 is a member by blow-up only (6 of 6 blow-up steps matched)",
         "l2#2 is a member by blow-up only (6 of 6 blow-up steps matched)",
     ]
+
+
+@pytest.mark.parametrize("mutate, want", [
+    (lambda fs: [dataclasses.replace(fs[0], rank_branchwise=3), *fs[1:]],
+     "rank by blow-up 2, by decomposition 3"),
+    (lambda fs: [dataclasses.replace(fs[0], charpoly=fs[1].charpoly), *fs[1:]],
+     "charpoly by blow-up CycloPoly([1, -2, 1]), "
+     "by decomposition CycloPoly([1, 1])"),
+], ids=["rank", "charpoly"])
+def test_report_exit_3_on_mutant_factor(problem_file, monkeypatch, capsys,
+                                        mutate, want):
+    # A decomposition that misstates one factor's rank or charpoly is caught
+    # by the oracle's own assembly over the distinguished component.
+    import expdirect.cli as cli_mod
+
+    real = cli_mod.decompose
+
+    def mutant(branches, truncation):
+        dec = real(branches, truncation=truncation)
+        if not dec.factors:
+            return dec
+        return dataclasses.replace(dec, factors=tuple(mutate(dec.factors)))
+
+    monkeypatch.setattr(cli_mod, "decompose", mutant)
+    assert run_cli("report", "--input", problem_file) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == ("error: oracle disagreement at point (c='0', k=0), "
+                    "factor alpha = LaurentPoly((CycloNum(1, 1))*t^-2): " + want)
 
 
 def test_max_order_flag(problem_file, tmp_path, capsys):
@@ -605,10 +633,10 @@ def test_report_oracle_inverts_at_most_once_per_copy_and_factor(monkeypatch, tmp
             calls["inv"] += 1
         return inv(self)
 
-    def counted_verify(series, alpha):
+    def counted_verify(series, factor):
         calls["in_oracle"] = True
         try:
-            return verify(series, alpha)
+            return verify(series, factor)
         finally:
             calls["in_oracle"] = False
 

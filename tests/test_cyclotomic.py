@@ -13,7 +13,6 @@ import expdirect.cyclotomic as cyclotomic
 from expdirect.cyclotomic import (
     CycloNum,
     CycloPoly,
-    PolyFraction,
     cyclotomic_polynomial,
     root_of_unity,
     totient,
@@ -180,21 +179,12 @@ def test_eq_matches_numeric_on_random_pairs():
     assert agree == 250
 
 
-def test_cyclopoly_division_and_gcd():
+def test_cyclopoly_division():
     x = CycloPoly.variable()
     one = CycloPoly.one()
     p = (x + one) * (x - one)
     q, r = divmod(p, x + one)
     assert r.is_zero() and q == x - one
-    assert p.gcd((x + one) ** 2) == x + one
-
-
-def test_polyfraction_reduction():
-    x = CycloPoly.variable()
-    one = CycloPoly.one()
-    f = PolyFraction((x + one) * (x - one), (x + one) ** 2)
-    assert f == PolyFraction(x - one, x + one)
-    assert f * f.inv() == PolyFraction.one()
 
 
 # -- fast paths against the public constructor ------------------------------

@@ -1,4 +1,6 @@
-"""Blow-up chain structure, strict transforms, and the stratified totals."""
+"""Blow-up chain structure, strict transforms, and the oracle's check of
+each factor: membership, separation, and the rank and monodromy assembled
+over the distinguished component."""
 
 import dataclasses
 import random
@@ -8,32 +10,40 @@ from fractions import Fraction
 import pytest
 
 from expdirect.branch import Branch, unramify
-from expdirect.cyclotomic import CycloNum, CycloPoly, PolyFraction, root_of_unity
-from expdirect.decomposition import StarConditionError, decompose
+from expdirect.cyclotomic import CycloNum, CycloPoly, root_of_unity
+from expdirect.decomposition import decompose
 from expdirect.laurent import LaurentPoly, NormalFormKind
 from expdirect.resolution import (
-    PointKind,
     TruncationError,
     build_resolution,
-    chi_psi,
-    local_chi,
     strict_transform,
     verify_corollary,
-    zeta_psi,
     CopySeries,
 )
-from tests.helpers import mk, rand_branch, rand_monic, rand_polar
+from tests.helpers import (mk, rand_branch, rand_monic, rand_polar,
+                           worked_example_branches)
 
 
-def flat(label, alpha, delta0=None, m=1, zeta=None, delta=None):
-    """The copy of a p = 1 branch from a polar part and an optional constant
-    term, known to the default truncation."""
+def flat_branch(label, alpha, delta0=None, m=1, zeta=None, delta=None):
+    """A p = 1 branch from a polar part and an optional constant term."""
     if delta is None:
         delta = LaurentPoly({0: delta0}) if delta0 is not None else LaurentPoly.zero()
-    q = alpha.pole_order()
     zeta = zeta if zeta is not None else CycloPoly([-1, 1]) ** m
-    (copy,) = unramify([Branch(label, 1, q, alpha, delta, m, zeta)])
+    return Branch(label, 1, alpha.pole_order(), alpha, delta, m, zeta)
+
+
+def flat(*args, **kwargs):
+    """The copy of ``flat_branch(...)``, known to the default truncation."""
+    (copy,) = unramify([flat_branch(*args, **kwargs)])
     return copy
+
+
+def oracle(branches, truncation=8):
+    """``verify_corollary`` on every factor of the branches' decomposition,
+    keyed by the factor's polar part."""
+    dec = decompose(branches, truncation=truncation)
+    series = [CopySeries(u) for u in dec.copies]
+    return {repr(f.alpha): verify_corollary(series, f) for f in dec.factors}
 
 
 def test_chain_length_and_shape():
@@ -58,16 +68,17 @@ def test_chain_with_general_coefficients():
             alpha = rand_polar(rng, q, cyclo_coeffs=True)
             tree = build_resolution(alpha)
             assert len(tree.steps) == 2 * q
-            forms = tree.normal_forms()
-            assert forms[("generic", 2 * q)].kind is NormalFormKind.HOLOMORPHIC_COORD
-            for key, tag in forms.items():
-                if key == ("P",):
-                    assert tag.kind is NormalFormKind.POLE_ONE_VAR
-                elif key[0] == "generic" and key[1] != 2 * q:
-                    assert tag.kind is NormalFormKind.POLE_ONE_VAR
-                elif key[0] in ("crossing", "axis"):
-                    assert tag.kind in (NormalFormKind.POLE_TWO_VAR,
-                                        NormalFormKind.POLE_ONE_VAR)
+            # The tags the chain classified: every crossing before the last
+            # is a monomial pole, the last is the meeting point, and every
+            # surviving axis crossing is a two-variable pole.
+            assert tree.steps[-1].crossing is tree.p_point
+            assert tree.p_point.tag.kind is NormalFormKind.POLE_ONE_VAR
+            for step in tree.steps[:-1]:
+                assert step.crossing.tag.kind in (NormalFormKind.POLE_TWO_VAR,
+                                                  NormalFormKind.POLE_ONE_VAR)
+            for ap in tree.axis_points:
+                assert ap.tag.kind is NormalFormKind.POLE_TWO_VAR
+                assert ap.component != tree.distinguished
 
 
 def test_tree_shape_depends_only_on_pole_order():
@@ -144,101 +155,155 @@ def test_verify_corollary_on_unramified_worked_example():
     lam = CycloPoly.variable()
     one = CycloPoly.one()
     branches = [
-        flat("l1", LaurentPoly({-2: 1}), m=2, zeta=(lam - one) ** 2),
-        flat("l2x1", LaurentPoly({-3: -1}), zeta=lam + one),
-        flat("l2x2", LaurentPoly({-3: 1}), zeta=lam + one),
+        flat_branch("l1", LaurentPoly({-2: 1}), m=2, zeta=(lam - one) ** 2),
+        flat_branch("l2x1", LaurentPoly({-3: -1}), zeta=lam + one),
+        flat_branch("l2x2", LaurentPoly({-3: 1}), zeta=lam + one),
     ]
-    series = [CopySeries(u) for u in branches]
-    rep = verify_corollary(series, LaurentPoly({-3: 1}))
-    assert rep.consistent
-    assert rep.members_by_blowup == ("l2x2#1",)
+    reps = oracle(branches)
+    assert all(rep.consistent for rep in reps.values())
+    rep = reps[repr(LaurentPoly({-3: 1}))]
+    assert rep.members_by_blowup == rep.members_by_polar == ("l2x2#1",)
+    assert rep.rank_by_blowup == 1 and rep.charpoly_by_blowup == lam + one
 
-    rep2 = verify_corollary(series, LaurentPoly({-1: 1}))
-    assert rep2.consistent and rep2.members_by_blowup == ()
-
-    dup = branches + [flat("dup", LaurentPoly({-3: 1}), zeta=lam + one)]
-    rep3 = verify_corollary([CopySeries(u) for u in dup], LaurentPoly({-3: 1}))
+    dup = branches + [flat_branch("dup", LaurentPoly({-3: 1}), zeta=lam + one)]
+    rep3 = oracle(dup)[repr(LaurentPoly({-3: 1}))]
     assert rep3.consistent  # both sides agree the separation fails
     assert not rep3.star_by_blowup and not rep3.star_by_polar
-
-
-def test_local_chi_table():
-    assert local_chi(PointKind.CROSSING_POLE, 7) == 0
-    assert local_chi(PointKind.SMOOTH_POLE, 3) == 0
-    assert local_chi(PointKind.DISTINGUISHED_MEET, 5) == -5
-    assert local_chi(PointKind.CHART_POINT, 5, [2, 1]) == 2
-    assert local_chi(PointKind.CHART_POINT, 5) == 5
+    assert rep3.factor.charpoly is None and rep3.charpoly_by_blowup is None
 
 
 def test_chi_psi_telescopes():
+    # -chi over the distinguished component telescopes to the multiplicity
+    # summed over the copies that meet it: verify_corollary's rank.
     alpha = LaurentPoly({-1: 1})
-    tree = build_resolution(alpha)
-    b = flat("a", alpha, m=2, zeta=CycloPoly([-1, 1]) ** 2)
-    transforms = [strict_transform(CopySeries(b), tree)]
-    for r in range(1, 7):
-        assert chi_psi(tree, transforms, {"a": 2}, r) == -2
-    # Empty membership: everything cancels.
-    out = strict_transform(CopySeries(flat("far", LaurentPoly({-2: 1}))), tree)
-    for r in range(1, 7):
-        assert chi_psi(tree, [out], {"far": 1}, r) == 0
+    lam, one = CycloPoly.variable(), CycloPoly.one()
+    branches = [flat_branch("a", alpha, m=2, zeta=(lam + one) ** 2),
+                flat_branch("far", LaurentPoly({-2: 1}))]
+    reps = oracle(branches)
+    rep = reps[repr(alpha)]
+    assert rep.consistent and rep.rank_by_blowup == 2
+    assert reps[repr(LaurentPoly({-2: 1}))].rank_by_blowup == 1
+    # A chain no copy meets: everything cancels, to rank 0 and charpoly 1.
+    dec = decompose(branches)
+    empty = dataclasses.replace(dec.factors[0], alpha=LaurentPoly({-3: 1}),
+                                members=(), rank_branchwise=0, charpoly=None)
+    rep = verify_corollary([CopySeries(u) for u in dec.copies], empty)
+    assert rep.consistent and rep.members_by_blowup == ()
+    assert rep.rank_by_blowup == 0 and rep.charpoly_by_blowup == one
 
 
 def test_chi_psi_shared_point_groups_multiplicities():
     # Two branches with equal constant term land on one point: still one
     # marked point, multiplicities added.
     alpha = LaurentPoly({-2: 1})
-    tree = build_resolution(alpha)
-    b1 = flat("a", alpha, delta0=0, m=2, zeta=CycloPoly([-1, 1]) ** 2)
-    b2 = flat("b", alpha, delta=LaurentPoly({1: 1}), m=1)
-    transforms = [strict_transform(CopySeries(x), tree) for x in (b1, b2)]
-    assert transforms[0].point_on_ed == transforms[1].point_on_ed
-    for r in range(1, 7):
-        assert chi_psi(tree, transforms, {"a": 2, "b": 1}, r) == -3
+    b1 = flat_branch("a", alpha, delta0=0, m=2, zeta=CycloPoly([-1, 1]) ** 2)
+    b2 = flat_branch("b", alpha, delta=LaurentPoly({1: 1}), m=1)
+    (rep,) = oracle([b1, b2]).values()
+    assert rep.points[0][1] == rep.points[1][1]
+    assert rep.consistent and rep.rank_by_blowup == 3
 
 
 def test_zeta_psi_example():
     lam = CycloPoly.variable()
     one = CycloPoly.one()
-    alpha = LaurentPoly({-1: 1})
-    tree = build_resolution(alpha)
-    b = flat("a", alpha, zeta=lam + one)
-    transforms = [strict_transform(CopySeries(b), tree)]
-    got = zeta_psi(tree, transforms, {"a": lam + one}, zeta_r=lam - one)
-    assert got == PolyFraction(CycloPoly.one(), lam + one)
+    (rep,) = oracle([flat_branch("a", LaurentPoly({-1: 1}), zeta=lam + one)]).values()
+    assert rep.consistent and rep.charpoly_by_blowup == lam + one
 
 
 def test_zeta_psi_requires_separation():
+    # Two copies meeting the distinguished component at one point: no
+    # monodromy is assembled, on either side.
     alpha = LaurentPoly({-1: 1})
-    tree = build_resolution(alpha)
-    b1 = flat("a", alpha, delta0=0)
-    b2 = flat("b", alpha, delta0=0)
-    transforms = [strict_transform(CopySeries(x), tree) for x in (b1, b2)]
-    with pytest.raises(StarConditionError):
-        zeta_psi(tree, transforms, {"a": CycloPoly([-1, 1]),
-                                    "b": CycloPoly([-1, 1])},
-                 zeta_r=CycloPoly([-1, 1]))
+    (rep,) = oracle([flat_branch("a", alpha, delta0=0),
+                     flat_branch("b", alpha, delta0=0)]).values()
+    assert not rep.star_by_blowup and rep.charpoly_by_blowup is None
+    assert rep.factor.charpoly is None and rep.consistent
 
 
 def test_zeta_psi_random_cancellation():
     rng = random.Random(90)
     for _ in range(20):
-        q = rng.randint(1, 3)
-        alpha = rand_polar(rng, q)
-        tree = build_resolution(alpha)
-        n = rng.randint(0, 3)
-        branches = [
-            flat(f"b{i}", alpha, delta0=i, m=rng.randint(1, 3))
-            for i in range(n)
-        ]
-        zetas = {b.label: rand_monic(rng, b.m) for b in branches}
-        transforms = [strict_transform(CopySeries(b), tree) for b in branches]
-        for r in (1, 2, 5):
-            zr = rand_monic(rng, r)
-            got = zeta_psi(tree, transforms, zetas, zr)
-            want = PolyFraction.one()
-            for b in branches:
-                want = want * PolyFraction(CycloPoly.one(), zetas[b.label])
-            assert got == want
+        alpha = rand_polar(rng, rng.randint(1, 3))
+        branches = []
+        for i in range(rng.randint(1, 3)):
+            m = rng.randint(1, 3)
+            branches.append(flat_branch(f"b{i}", alpha, delta0=i, m=m,
+                                        zeta=rand_monic(rng, m)))
+        (rep,) = oracle(branches).values()
+        want = CycloPoly.one()
+        for b in branches:
+            want = want * b.zeta
+        assert rep.charpoly_by_blowup == want == rep.factor.charpoly
+        assert rep.rank_by_blowup == sum(b.m for b in branches)
+        assert rep.consistent
+
+
+def reference_oracle(series, alpha):
+    """The per-copy polar-part test and the pairwise separation loops that
+    ``verify_corollary`` replaced: (members by polar part, separation by
+    polar part, separation by blow-up)."""
+    tree = build_resolution(alpha)
+    copies = [y.copy for y in series]
+    names = [f"{u.label}#{u.root_index}" for u in copies]
+    by_polar = tuple(n for n, u in zip(names, copies) if u.alpha_sub == alpha)
+    shifted = [u.alpha_sub + LaurentPoly({0: u.delta0})
+               for u in copies if u.alpha_sub == alpha]
+    star_polar = True
+    for i in range(len(shifted)):
+        for j in range(i + 1, len(shifted)):
+            if shifted[i] == shifted[j]:
+                star_polar = False
+    points = [r.point_on_ed for r in (strict_transform(y, tree) for y in series)
+              if r.meets_ed]
+    star_blowup = True
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if points[i] == points[j]:
+                star_blowup = False
+    return by_polar, star_polar, star_blowup
+
+
+@pytest.mark.parametrize("seed", [80, 81])
+def test_factor_oracle_equals_the_per_copy_reference(seed):
+    # Branches drawn from two polar parts and two constant terms, at
+    # ramifications 1, 2 and 3: copies repeat polar parts and constants.
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(12):
+        pool = [rand_polar(rng, rng.randint(1, 3), cyclo_coeffs=True)
+                for _ in range(2)]
+        branches = []
+        for i in range(rng.randint(2, 5)):
+            alpha, m = rng.choice(pool), rng.randint(1, 2)
+            branches.append(Branch(
+                f"b{i}", rng.randint(1, 3), alpha.pole_order(), alpha,
+                LaurentPoly({0: rng.randint(0, 1), 2: rng.randint(-2, 2)}),
+                m, rand_monic(rng, m)))
+        dec = decompose(branches, truncation=3)
+        series = [CopySeries(u) for u in dec.copies]
+        for factor in dec.factors:
+            rep = verify_corollary(series, factor)
+            assert (rep.members_by_polar, rep.star_by_polar, rep.star_by_blowup) \
+                == reference_oracle(series, factor.alpha)
+            assert rep.consistent
+            seen.add(rep.star_by_polar)
+    assert seen == {True, False}
+
+
+def test_mutant_factor_is_inconsistent():
+    dec = decompose(worked_example_branches())
+    series = [CopySeries(u) for u in dec.copies]
+    first, second = dec.factors[:2]
+    assert first.charpoly != second.charpoly
+    assert verify_corollary(series, first).consistent
+
+    rep = verify_corollary(
+        series, dataclasses.replace(first, rank_branchwise=first.rank_branchwise + 1))
+    assert not rep.consistent and not rep.rank_agrees and rep.charpoly_agrees
+
+    rep = verify_corollary(series, dataclasses.replace(first, charpoly=second.charpoly))
+    assert not rep.consistent and rep.rank_agrees and not rep.charpoly_agrees
+    assert rep.charpoly_by_blowup == first.charpoly
 
 
 def test_series_truncation_error_names_required_depth():
