@@ -36,8 +36,7 @@ from .newton import (
     polygon_svg,
     slopes,
 )
-from .realization import (NormalizationConflictError, _roundtrip_check,
-                          realize, validate_spec)
+from .realization import NormalizationConflictError, realize, roundtrip_check
 from .resolution import (CopySeries, CorollaryReport, build_resolution,
                          verify_corollary)
 from . import serialize
@@ -362,7 +361,7 @@ def _cmd_realize(args, options: Options) -> int:
     spec = _load_spec(args.input, options)
     try:
         branches = realize(spec)
-    except (NormalizationConflictError, ValueError) as err:
+    except NormalizationConflictError as err:
         raise SchemaError("$.summands", str(err)) from None
     _dump({"branches": [serialize.branch_to_json(b) for b in branches]},
           args.output)
@@ -370,12 +369,7 @@ def _cmd_realize(args, options: Options) -> int:
 
 
 def _cmd_roundtrip(args, options: Options) -> int:
-    spec = _load_spec(args.input, options)
-    try:
-        validate_spec(spec)
-    except ValueError as err:
-        raise SchemaError("$", str(err)) from None
-    rep = _roundtrip_check(spec)
+    rep = roundtrip_check(_load_spec(args.input, options))
     _dump(serialize.roundtrip_to_json(rep), args.output)
     if rep.conflicts:
         return 2

@@ -27,23 +27,12 @@ from .laurent import LaurentPoly
 __all__ = [
     "ExponentialFactor",
     "FormalDecomposition",
-    "StarConditionError",
     "keyed_copies",
     "exponential_factors",
     "star_condition",
-    "char_polys",
     "decompose",
     "laurent_sort_key",
 ]
-
-
-class StarConditionError(ValueError):
-    """Monodromy assembly requested while the separation condition fails;
-    ``witness`` is the first violating pair of copy origins, when known."""
-
-    def __init__(self, message: str, witness=None):
-        self.witness = witness
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -138,35 +127,6 @@ def star_condition(keyed: list[tuple[tuple, UnramifiedBranch]]):
     return True, None
 
 
-def char_polys(factors: list[ExponentialFactor],
-               keyed: list[tuple[tuple, UnramifiedBranch]]) -> list[ExponentialFactor]:
-    """Fill in monodromy characteristic polynomials, one zeta per member.
-
-    Requires the separation condition; the charpoly of a factor is the
-    product over its (branch, root) members' zetas, in member order.
-    """
-    holds, witness = star_condition(keyed)
-    if not holds:
-        raise StarConditionError(
-            f"separation condition fails for {witness[0]} and {witness[1]}",
-            witness,
-        )
-    zetas = {u.origin: u.zeta for _, u in keyed}
-    out = []
-    for f in factors:
-        prod = zetas[f.members[0]]
-        for other in f.members[1:]:
-            prod = prod * zetas[other]
-        out.append(ExponentialFactor(
-            alpha=f.alpha,
-            members=f.members,
-            rank_branchwise=f.rank_branchwise,
-            rank_distinct=f.rank_distinct,
-            charpoly=prod,
-        ))
-    return out
-
-
 def decompose(branches: list[Branch],
               truncation: int = DEFAULT_TRUNCATION) -> FormalDecomposition:
     """Full decomposition driver over validated branch data.
@@ -174,6 +134,9 @@ def decompose(branches: list[Branch],
     Empty input is the purely regular case: trivial ramification, no factors.
     Factor order is deterministic and independent of input order.  The
     unramified copies are returned too, for the blow-up oracle to replay.
+    When the separation condition holds, each factor's charpoly is the
+    product of its members' zetas, in member order; otherwise no factor has
+    one.
     """
     branches = list(branches)
     if not branches:
@@ -183,11 +146,15 @@ def decompose(branches: list[Branch],
     ub = unramify(branches, truncation)
     keyed = keyed_copies(ub)
     factors = exponential_factors(keyed)
-    try:
-        factors = char_polys(factors, keyed)
-        holds, witness = True, None
-    except StarConditionError as err:
-        holds, witness = False, err.witness
+    holds, witness = star_condition(keyed)
+    if holds:
+        zetas = {u.origin: u.zeta for u in ub}
+        for i, f in enumerate(factors):
+            prod = zetas[f.members[0]]
+            for other in f.members[1:]:
+                prod = prod * zetas[other]
+            factors[i] = ExponentialFactor(f.alpha, f.members, f.rank_branchwise,
+                                           f.rank_distinct, prod)
     for f in factors:
         assert f.rank_branchwise >= 1
     return FormalDecomposition(

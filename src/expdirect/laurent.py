@@ -6,7 +6,8 @@ variable to nonzero cyclotomic coefficients.  Polar parts of branch
 parametrizations, their truncated holomorphic parts, and exponential factors
 all live here.  BiRational carries quotients of bivariate polynomials through
 the blow-up chain: recentering of the second variable, the two chart maps,
-and classification of the local shape at the origin.
+and classification of the local shape at the origin, which is one of the
+two monomial-pole normal forms or a ClassificationError.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ __all__ = [
 
 
 class ClassificationError(ValueError):
-    """Local form at the origin is not monomial-times-unit."""
+    """Local form at the origin is not a monomial pole times a unit."""
 
 
 def _coerce_num(c) -> CycloNum:
@@ -65,10 +66,6 @@ class LaurentPoly:
     @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff=1) -> "LaurentPoly":
-        return cls({exponent: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -120,10 +117,6 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     __rmul__ = __mul__
-
-    def shift(self, n: int) -> "LaurentPoly":
-        """Multiply by the n-th power of the variable."""
-        return LaurentPoly({e + n: c for e, c in self.terms.items()})
 
     def polar_part(self) -> "LaurentPoly":
         return LaurentPoly({e: c for e, c in self.terms.items() if e < 0})
@@ -296,10 +289,6 @@ class BiPoly:
                 out[k] = cj if s0 is None else s0 + cj
         return _bipoly({k: c for k, c in out.items() if c})
 
-    def const_term(self) -> CycloNum:
-        c = self.terms.get((0, 0))
-        return CycloNum.zero() if c is None else c
-
     def restrict_first_to_zero(self) -> LaurentPoly:
         """Restriction to u = 0: the terms free of u, as a polynomial in v."""
         return LaurentPoly({j: c for (i, j), c in self.terms.items() if i == 0})
@@ -339,29 +328,19 @@ CHART_SECOND = "x=u*v, y=v"
 
 
 class NormalFormKind(Enum):
-    HOLOMORPHIC_COORD = "holomorphic-unit-plus-coordinate"
     POLE_ONE_VAR = "monomial-pole-one-var"
     POLE_TWO_VAR = "monomial-pole-two-var"
-    NOT_NORMAL = "not-normal-form"
 
 
 @dataclass(frozen=True)
 class NormalFormTag:
-    """Local shape of a bivariate rational function at the origin.
-
-    pole_u/pole_v are the orders of the monomial pole in each local variable;
-    for the holomorphic case, ``value`` is the function value and
-    ``transverse`` records that the derivative along the second local
-    variable is nonzero (so value plus a coordinate is an honest local
-    normal form).
-    """
+    """Monomial pole of a bivariate rational function at the origin:
+    pole_u/pole_v are its orders in each local variable, and the kind says
+    whether one or both are positive."""
 
     kind: NormalFormKind
-    pole_u: int = 0
-    pole_v: int = 0
-    value: CycloNum | None = None
-    transverse: bool = False
-    detail: str = ""
+    pole_u: int
+    pole_v: int
 
 
 class BiRational:
@@ -411,51 +390,39 @@ class BiRational:
         return BiRational(num, den)
 
     def classify_at_point(self) -> NormalFormTag:
-        """Normal form of the function at the origin.
+        """Monomial-pole normal form of the function at the origin.
 
-        The residual numerator and denominator must be monomial-times-unit
-        there.  A denominator that fails this raises ClassificationError.
+        The function must be a unit times u^-pole_u * v^-pole_v there, with
+        at least one order positive: the residual numerator and denominator
+        (``num_content`` and ``den_content`` divided out) may not vanish at
+        the origin, and the numerator's content must divide the
+        denominator's.  Any other shape raises ClassificationError.
+
+        >>> tag = BiRational(BiPoly.constant(1), BiPoly.monomial(0, 1)).classify_at_point()
+        >>> tag.kind.name, tag.pole_u, tag.pole_v
+        ('POLE_ONE_VAR', 0, 1)
+        >>> g = BiRational(BiPoly({(0, 0): 1, (1, 1): 1}), BiPoly.monomial(3, 2))
+        >>> tag = g.classify_at_point()
+        >>> tag.kind.name, tag.pole_u, tag.pole_v
+        ('POLE_TWO_VAR', 3, 2)
+        >>> BiRational(BiPoly({(0, 0): 2, (0, 1): 1}), BiPoly.constant(1)).classify_at_point()
+        Traceback (most recent call last):
+        ...
+        expdirect.laurent.ClassificationError: no pole at the origin
         """
         na, nb = self.num_content
         da, db = self.den_content
-        nres = self.num.divide_monomial(na, nb)
-        dres = self.den.divide_monomial(da, db)
-        d00 = dres.const_term()
-        if d00.is_zero():
+        if self.den.terms.get((da, db)) is None:
             raise ClassificationError(
                 "denominator is not monomial-times-unit at the origin")
         pu, pv = da - na, db - nb
-        n00 = nres.const_term()
         if pu <= 0 and pv <= 0:
-            # Holomorphic: g = u^(-pu) v^(-pv) * nres/dres.
-            value = CycloNum.zero() if (pu < 0 or pv < 0) else n00 / d00
-            dv = self._transverse_dv(nres, dres, -pu, -pv)
-            kind = (NormalFormKind.HOLOMORPHIC_COORD if dv
-                    else NormalFormKind.NOT_NORMAL)
-            return NormalFormTag(kind, 0, 0, value, dv,
-                                 "" if dv else "vanishing transverse derivative")
-        if n00.is_zero() or pu < 0 or pv < 0:
-            return NormalFormTag(
-                NormalFormKind.NOT_NORMAL, max(pu, 0), max(pv, 0), None, False,
-                "numerator vanishes against a pole",
-            )
-        if pu >= 1 and pv >= 1:
+            raise ClassificationError("no pole at the origin")
+        if pu < 0 or pv < 0 or self.num.terms.get((na, nb)) is None:
+            raise ClassificationError("numerator vanishes against a pole")
+        if pu and pv:
             return NormalFormTag(NormalFormKind.POLE_TWO_VAR, pu, pv)
-        return NormalFormTag(NormalFormKind.POLE_ONE_VAR, max(pu, 0), max(pv, 0))
-
-    @staticmethod
-    def _transverse_dv(nres: BiPoly, dres: BiPoly, zu: int, zv: int) -> bool:
-        # Derivative at the origin of v -> g(0, v) = v^zv * nres(0,v)/dres(0,v)
-        # (zero identically when zu > 0); dres(0,0) is nonzero by construction.
-        if zu > 0 or zv > 1:
-            return False
-        n0 = nres.restrict_first_to_zero()
-        d0 = dres.restrict_first_to_zero()
-        if zv == 1:
-            return not n0.const_term().is_zero()
-        n_c, n_l = n0.const_term(), n0.coeff(1)
-        d_c, d_l = d0.const_term(), d0.coeff(1)
-        return not (n_l * d_c - n_c * d_l).is_zero()
+        return NormalFormTag(NormalFormKind.POLE_ONE_VAR, pu, pv)
 
     def __repr__(self):
         return f"BiRational({self.num!r}, {self.den!r})"

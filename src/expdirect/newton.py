@@ -10,7 +10,7 @@ concatenate edge multisets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 __all__ = [
@@ -90,10 +90,10 @@ def polygon_from_branches(branches) -> NewtonPolygon:
 
 
 def _fmt(x: Fraction, digits: int = 14) -> str:
-    getcontext().prec = digits + 6
-    d = Decimal(x.numerator) / Decimal(x.denominator)
-    s = format(d.normalize(), "f")
-    return s
+    with localcontext() as ctx:
+        ctx.prec = digits + 6
+        d = Decimal(x.numerator) / Decimal(x.denominator)
+        return format(d.normalize(), "f")
 
 
 def polygon_svg(poly: NewtonPolygon, *, scale: int = 40, pad: Fraction = Fraction(1)) -> str:

@@ -10,10 +10,9 @@ primitive pair plus orbit closure plus rank plus monodromy polynomial.
 
 Grouping builds each orbit once per call of ``_orbit_class_keys``: a polar
 part whose key is that of a member of an orbit already built reuses that
-orbit's key, and the round trip reads an orbit's size off its key.
-``realize`` and ``roundtrip_check`` validate the spec; ``_realize`` and
-``_roundtrip_check`` are the same work for a caller that has validated it
-already.
+orbit's key, and the round trip reads an orbit's size off its key.  A
+``FormalModuleSpec`` checks its invariants when it is built, so every spec
+that reaches ``realize`` or ``roundtrip_check`` is well formed.
 """
 
 from __future__ import annotations
@@ -50,29 +49,31 @@ class FormalSummand:
 
 @dataclass(frozen=True)
 class FormalModuleSpec:
+    """A formal description at ramification ``p``.  Construction raises
+    ValueError unless the invariants checked below hold."""
+
     p: int
     summands: tuple[FormalSummand, ...]
     regular_rank: int = 0
 
-
-def validate_spec(spec: FormalModuleSpec) -> None:
-    if spec.p < 1:
-        raise ValueError("ramification order must be positive")
-    if spec.regular_rank < 0:
-        raise ValueError("regular rank must be nonnegative")
-    for s in spec.summands:
-        if s.alpha.is_zero() or not s.alpha.polar_part() == s.alpha:
-            raise ValueError("summand polar parts must be nonzero with only "
-                             "negative exponents")
-        if s.rank < 1:
-            raise ValueError("summand rank must be positive")
-        if s.charpoly.is_zero() or not s.charpoly.is_monic() \
-                or s.charpoly.degree != s.rank:
-            raise ValueError("summand charpoly must be monic of degree rank")
-    for i in range(len(spec.summands)):
-        for j in range(i + 1, len(spec.summands)):
-            if spec.summands[i].alpha == spec.summands[j].alpha:
-                raise ValueError("summand polar parts must be pairwise distinct")
+    def __post_init__(self):
+        if self.p < 1:
+            raise ValueError("ramification order must be positive")
+        if self.regular_rank < 0:
+            raise ValueError("regular rank must be nonnegative")
+        for s in self.summands:
+            if s.alpha.is_zero() or not s.alpha.polar_part() == s.alpha:
+                raise ValueError("summand polar parts must be nonzero with only "
+                                 "negative exponents")
+            if s.rank < 1:
+                raise ValueError("summand rank must be positive")
+            if s.charpoly.is_zero() or not s.charpoly.is_monic() \
+                    or s.charpoly.degree != s.rank:
+                raise ValueError("summand charpoly must be monic of degree rank")
+        for i in range(len(self.summands)):
+            for j in range(i + 1, len(self.summands)):
+                if self.summands[i].alpha == self.summands[j].alpha:
+                    raise ValueError("summand polar parts must be pairwise distinct")
 
 
 def canonicalize(p: int, alpha: LaurentPoly) -> tuple[int, LaurentPoly]:
@@ -130,12 +131,6 @@ def realize(spec: FormalModuleSpec) -> list[Branch]:
     element.  Orbit members with conflicting rank or monodromy raise
     NormalizationConflictError.  The regular summand produces no branch.
     """
-    validate_spec(spec)
-    return _realize(spec)
-
-
-def _realize(spec: FormalModuleSpec) -> list[Branch]:
-    """``realize`` for a spec that ``validate_spec`` has accepted."""
     keys = _orbit_class_keys(spec.p, [s.alpha for s in spec.summands])
     groups: dict[tuple, list[FormalSummand]] = {}
     for key, s in zip(keys, spec.summands):
@@ -171,8 +166,10 @@ def _realize(spec: FormalModuleSpec) -> list[Branch]:
 @dataclass(frozen=True)
 class RoundTripReport:
     """Outcome of a round trip.  ``matched``, ``missing`` and ``extra`` hold
-    ``(ramification, alpha, rank)`` entries, alpha primitive: a spec summand
-    once per element of its orbit, an unmatched computed factor once."""
+    ``(ramification, alpha, rank)`` entries, alpha primitive: ``matched``
+    names each computed factor that matched an element of a spec orbit,
+    ``missing`` a spec summand once per unmatched element of its orbit,
+    ``extra`` an unmatched computed factor once."""
 
     ok: bool
     spec_ramification: int
@@ -192,14 +189,8 @@ def roundtrip_check(spec: FormalModuleSpec) -> RoundTripReport:
     raised.  A spec whose summands cannot be consistently orbit-closed is
     reported as a conflict.
     """
-    validate_spec(spec)
-    return _roundtrip_check(spec)
-
-
-def _roundtrip_check(spec: FormalModuleSpec) -> RoundTripReport:
-    """``roundtrip_check`` for a spec that ``validate_spec`` has accepted."""
     try:
-        branches = _realize(spec)
+        branches = realize(spec)
     except NormalizationConflictError as err:
         return RoundTripReport(
             ok=False, spec_ramification=spec.p, computed_ramification=0,
@@ -249,8 +240,7 @@ def _roundtrip_check(spec: FormalModuleSpec) -> RoundTripReport:
         if hit is None:
             missing.append((p0, a0, rank))
         else:
-            matched.append((p0, a0, rank))
-            remaining.pop(hit)
+            matched.append(remaining.pop(hit)[1:4])
     extra = [(p0, a0, rank) for (_, p0, a0, rank, _cp) in remaining]
 
     return RoundTripReport(

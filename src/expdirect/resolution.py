@@ -11,18 +11,22 @@ the neighbouring component.
 The chain is completely mechanical: every center is the unique intersection
 of the numerator curve's strict transform with the newest exceptional
 component, found by solving a linear equation; every chart step is the map
-x = u, y = u*v after a recentering translation of v.  Strict transforms of
-the unramified branch copies (``branch.unramify``) are replayed through the
-same chart script: step j reads coefficient j of the copy's series y(t)
-(``CopySeries``) and compares it with that step's center.  Each copy's
-series is built once per point and read by every factor's replay; its
-coefficients are computed on demand and kept, so none is computed twice and
-the copy's leading coefficient is inverted at most once.  A copy leaves at
-the first step whose center it misses, so a copy of another pole order never
-needs more than the series' leading term.  Each copy carries its own known
-prefix, (p/p_l)*(truncation+1) - 1 for a branch of ramification p_l, so a
-coefficient beyond what that branch declared is an error, never a silent
-wrong value.
+x = u, y = u*v after a recentering translation of v.  Each crossing and
+each surviving axis point is tagged by ``BiRational.classify_at_point``,
+whose tags are the two monomial-pole kinds, and checked against the
+expected kind where the chain makes it.
+
+Strict transforms of the unramified branch copies (``branch.unramify``) are
+replayed through the same chart script: step j reads coefficient j of the
+copy's series y(t) (``CopySeries``) and compares it with that step's center.
+Each copy's series is built once per point and read by every factor's
+replay; its coefficients are computed on demand and kept, so none is
+computed twice and the copy's leading coefficient is inverted at most once.
+A copy leaves at the first step whose center it misses, so a copy of another
+pole order never needs more than the series' leading term.  Each copy
+carries its own known prefix, (p/p_l)*(truncation+1) - 1 for a branch of
+ramification p_l, so a coefficient beyond what that branch declared is an
+error, never a silent wrong value.
 
 ``verify_corollary`` checks one factor of the decomposition against the
 chain: its members and their separation, and the rank and monodromy it
@@ -198,15 +202,16 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
             # Distinguished component: g extends with an affine value map.
             _structural(cv == 0, "distinguished component still meets an axis")
             _structural(index == 2 * q, f"chain closed after {index} != {2 * q} steps")
+            _structural((tag2.pole_u, tag2.pole_v) == (1, 0),
+                        "meeting point of the distinguished component not a "
+                        "first-order one-variable pole")
             ed = EdChart(num0=num_at0.const_term(), numlin=num_at0.coeff(1),
                          den0=den_res_at0.const_term())
-            tree = ResolutionTree(
+            return ResolutionTree(
                 alpha=alpha, q=q, steps=tuple(steps),
                 components=tuple(components), distinguished=index,
                 p_point=crossing, axis_points=tuple(axis_points), ed_chart=ed,
             )
-            _check_final_tags(tree)
-            return tree
 
         # Next center: the unique root of the numerator on the new component.
         num1 = num_at0.coeff(1)
@@ -215,31 +220,10 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
         shift = -num_at0.const_term() * slope_inv
         if cv >= 1 and not shift.is_zero():
             # The axis crossing at the origin survives; classify and keep it.
-            axis_points.append(AxisPointRecord(
-                component=index, tag=g.classify_at_point()))
-
-
-def _check_final_tags(tree: ResolutionTree) -> None:
-    # Every recorded point must be one of the guaranteed normal forms, with
-    # exactly one distinguished component and its single meeting point.
-    for step in tree.steps[:-1]:
-        _structural(
-            step.crossing.tag.kind in (NormalFormKind.POLE_TWO_VAR,
-                                       NormalFormKind.POLE_ONE_VAR),
-            f"crossing at step {step.index} not a monomial pole",
-        )
-    p_tag = tree.p_point.tag
-    _structural(p_tag.kind is NormalFormKind.POLE_ONE_VAR,
-                "meeting point of the distinguished component not a "
-                "first-order one-variable pole")
-    _structural(p_tag.pole_u == 1 and p_tag.pole_v == 0,
-                "pole at the meeting point has unexpected orders")
-    for ap in tree.axis_points:
-        _structural(ap.tag.kind is NormalFormKind.POLE_TWO_VAR,
-                    "surviving axis crossing not a two-variable pole")
-    poles = [c.pole_order for c in tree.components]
-    _structural(poles.count(0) == 1 and poles[-1] == 0,
-                "distinguished component not unique and last")
+            tag = g.classify_at_point()
+            _structural(tag.kind is NormalFormKind.POLE_TWO_VAR,
+                        "surviving axis crossing not a two-variable pole")
+            axis_points.append(AxisPointRecord(component=index, tag=tag))
 
 
 @dataclass(frozen=True)

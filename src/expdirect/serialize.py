@@ -250,12 +250,12 @@ def spec_from_json(data, path: str = "$", *, max_order: int) -> FormalModuleSpec
                                          f"{path}.summands[{i}].charpoly",
                                          max_order=max_order),
         ))
-    regular = obj.get("regular_rank", 0)
-    return FormalModuleSpec(
-        p=_expect_int(obj.get("p"), f"{path}.p"),
-        summands=tuple(summands),
-        regular_rank=_expect_int(regular, f"{path}.regular_rank"),
-    )
+    p = _expect_int(obj.get("p"), f"{path}.p")
+    regular = _expect_int(obj.get("regular_rank", 0), f"{path}.regular_rank")
+    try:
+        return FormalModuleSpec(p=p, summands=tuple(summands), regular_rank=regular)
+    except ValueError as err:
+        raise SchemaError(path, str(err)) from None
 
 
 def roundtrip_to_json(rep: RoundTripReport) -> dict:
@@ -278,14 +278,7 @@ def roundtrip_to_json(rep: RoundTripReport) -> dict:
 
 
 def _tag_to_json(tag) -> dict:
-    out = {"kind": tag.kind.value, "pole_u": tag.pole_u, "pole_v": tag.pole_v}
-    if tag.value is not None:
-        out["value"] = cyclo_to_json(tag.value)
-    if tag.kind.value == "holomorphic-unit-plus-coordinate":
-        out["transverse"] = tag.transverse
-    if tag.detail:
-        out["detail"] = tag.detail
-    return out
+    return {"kind": tag.kind.value, "pole_u": tag.pole_u, "pole_v": tag.pole_v}
 
 
 def tree_to_json(tree: ResolutionTree) -> dict:

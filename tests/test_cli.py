@@ -18,10 +18,10 @@ from expdirect.cli import main
 from expdirect.cyclotomic import CycloNum, CycloPoly, root_of_unity
 from expdirect.laurent import LaurentPoly
 from expdirect.realization import FormalModuleSpec, FormalSummand
-from expdirect.serialize import (branch_to_json, cyclo_to_json, laurent_to_json,
-                                 spec_to_json)
+from expdirect.serialize import (branch_to_json, cyclo_to_json, cyclopoly_to_json,
+                                 laurent_to_json, spec_to_json)
 from tests.helpers import mk, rand_branch, worked_example_branches
-from tests.test_realization import rand_spec
+from tests.test_realization import INVALID_SPECS, rand_spec
 
 
 @pytest.fixture()
@@ -174,6 +174,50 @@ def test_realize_and_roundtrip(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
     assert len(doc["decomposition"]["factors"]) == 2
+
+
+@pytest.mark.parametrize("command", ["realize", "roundtrip"])
+@pytest.mark.parametrize("case", INVALID_SPECS, ids=[c[0] for c in INVALID_SPECS])
+def test_invalid_spec_is_exit_2_at_the_root(tmp_path, capsys, command, case):
+    _, p, summands, regular, message = case
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "p": p,
+        "summands": [{"alpha": laurent_to_json(LaurentPoly(a)), "rank": rank,
+                      "charpoly": cyclopoly_to_json(CycloPoly(cp))}
+                     for a, rank, cp in summands],
+        "regular_rank": regular,
+    }))
+    assert run_cli(command, "--input", path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: $: {message}\n"
+
+
+def test_roundtrip_runs_the_public_realization_path(monkeypatch, tmp_path):
+    # expdirect roundtrip calls realization.roundtrip_check, which calls
+    # realization.realize: the names a caller (or a tracer) sees.
+    import expdirect.cli as cli_mod
+    import expdirect.realization as realization
+
+    calls = []
+    check, realize = realization.roundtrip_check, realization.realize
+
+    def spy_check(spec):
+        calls.append("roundtrip_check")
+        return check(spec)
+
+    def spy_realize(spec):
+        calls.append("realize")
+        return realize(spec)
+
+    monkeypatch.setattr(cli_mod, "roundtrip_check", spy_check)
+    monkeypatch.setattr(realization, "roundtrip_check", spy_check)
+    monkeypatch.setattr(realization, "realize", spy_realize)
+    case = Path(__file__).parent / "golden" / "roundtrip" / "01_p2_single.in.json"
+    assert run_cli("roundtrip", "--input", case,
+                   "--output", tmp_path / "out.json") == 0
+    assert calls == ["roundtrip_check", "realize"]
 
 
 def test_roundtrip_conflict_is_exit_2(tmp_path, capsys):

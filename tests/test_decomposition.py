@@ -9,9 +9,6 @@ import pytest
 from expdirect.branch import ramification_order, unramify
 from expdirect.cyclotomic import CycloNum, CycloPoly
 from expdirect.decomposition import (
-    ExponentialFactor,
-    StarConditionError,
-    char_polys,
     decompose,
     exponential_factors,
     keyed_copies,
@@ -68,13 +65,11 @@ def test_rank_divergence_with_distinct_delta0():
     b = mk("d", p=2, q=2, alpha=LaurentPoly({-2: 1}),
            delta=LaurentPoly({1: 1}), m=1, zeta=CycloPoly([1, 1]))
     dec = decompose([b])
-    # delta(0) = 0 for both copies: separation still fails.
+    # delta(0) = 0 for both copies: separation still fails, so the factor
+    # gets no charpoly.
     assert not dec.star_holds
-
-    keyed = keyed_copies(unramify([b]))
-    factors = exponential_factors(keyed)
-    with pytest.raises(StarConditionError):
-        char_polys(factors, keyed)
+    assert dec.star_witness == (("d", 1), ("d", 2))
+    assert dec.factors[0].charpoly is None
 
 
 def test_star_condition_examples():
@@ -110,12 +105,12 @@ def test_char_poly_product():
     assert f.charpoly == (lam - CycloPoly.one()) * (lam + CycloPoly.one())
 
 
-def test_char_polys_requires_star():
+def test_no_charpoly_without_separation():
     twins = [mk("a", p=1, q=1), mk("b", p=1, q=1)]
-    keyed = keyed_copies(unramify(twins))
-    factors = exponential_factors(keyed)
-    with pytest.raises(StarConditionError):
-        char_polys(factors, keyed)
+    dec = decompose(twins)
+    assert not dec.star_holds
+    assert dec.star_witness == (("a", 1), ("b", 1))
+    assert [f.charpoly for f in dec.factors] == [None]
 
 
 def _corpus(rng, n_sets=120):
@@ -247,33 +242,32 @@ def test_star_condition_matches_shifted_sum_keying():
 
 
 def test_charpoly_is_the_product_over_members():
-    # Through decompose a label never repeats in a factor once separation
-    # holds: copies of one branch share delta(0), so two of them with one
-    # polar part violate it.
+    # Under separation every factor's charpoly is the product of its
+    # members' zetas in member order, and a label never repeats in a factor:
+    # copies of one branch share delta(0), so two of them with one polar
+    # part violate separation.
+    shared = [mk("a", p=1, q=1, m=1, zeta=CycloPoly([-1, 1])),
+              mk("b", p=1, q=1, m=1, delta=LaurentPoly({0: 1}),
+                 zeta=CycloPoly([1, 1])),
+              mk("c", p=1, q=1, m=2, delta=LaurentPoly({0: 2}),
+                 zeta=CycloPoly([1, 2, 1]))]
     rng = random.Random(6262)
-    for branches in _corpus(rng):
-        for f in decompose(branches).factors:
-            if f.charpoly is not None:
-                labels = [label for label, _ in f.members]
-                assert len(set(labels)) == len(labels)
-
-    # char_polys itself follows the members it is given: a factor listing
-    # both copies of one branch takes that branch's zeta once per copy.
-    a = mk("a", p=2, q=1, m=1, zeta=CycloPoly([-1, 1]))
-    b = mk("b", p=1, q=1, m=2, alpha=LaurentPoly({-1: 3}),
-           zeta=CycloPoly([1, 2, 1]))
-    keyed = keyed_copies(unramify([a, b]))
-    assert star_condition(keyed)[0]
-    a0, a1, b0 = (u for _, u in keyed)
-    by_hand = [
-        ExponentialFactor(alpha=a0.alpha_sub, members=(a0.origin, a1.origin, b0.origin),
-                          rank_branchwise=4, rank_distinct=3),
-        ExponentialFactor(alpha=a1.alpha_sub, members=(a1.origin,),
-                          rank_branchwise=1, rank_distinct=1),
-    ]
-    repeated, single = char_polys(by_hand, keyed)
-    assert repeated.charpoly == a.zeta * a.zeta * b.zeta
-    assert single.charpoly == a.zeta
+    multi = 0
+    for branches in [shared, *_corpus(rng)]:
+        dec = decompose(branches)
+        zetas = {u.origin: u.zeta for u in dec.copies}
+        for f in dec.factors:
+            assert (f.charpoly is None) == (not dec.star_holds)
+            if f.charpoly is None:
+                continue
+            labels = [label for label, _ in f.members]
+            assert len(set(labels)) == len(labels)
+            expected = zetas[f.members[0]]
+            for origin in f.members[1:]:
+                expected = expected * zetas[origin]
+            assert f.charpoly == expected
+            multi += len(f.members) > 1
+    assert multi > 0
 
 
 def _orders(poly):

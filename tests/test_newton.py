@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from decimal import getcontext, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -145,3 +146,16 @@ def test_svg_vertices_are_cumulative_edge_sums():
     m2 = re.search(r'data-vertices="([^"]+)"', polygon_svg(scaled))
     got = [tuple(Fraction(x) for x in p.split(",")) for p in m2.group(1).split(";")]
     assert got == [(0, 0), (2, Fraction(2, 3)), (4, Fraction(5, 3))]
+
+
+def test_svg_leaves_the_callers_decimal_precision_alone():
+    # Coordinates print at 20 significant digits whatever the caller's
+    # precision, and the caller's precision is the same afterwards.
+    scaled = NewtonPolygon.from_edges([(2, Fraction(2, 3)), (2, 1)])
+    expected = polygon_svg(scaled)
+    assert 'height="146.66666666666666667"' in expected
+    for prec in (7, 28, 50):
+        with localcontext() as ctx:
+            ctx.prec = prec
+            assert polygon_svg(scaled) == expected
+            assert getcontext().prec == prec

@@ -101,6 +101,52 @@ def test_roundtrip_examples():
     assert r.ok and len(r.matched) == 2
 
 
+def test_roundtrip_matched_names_the_computed_factors():
+    # One entry per orbit element, each naming the factor it matched.
+    r = roundtrip_check(FormalModuleSpec(
+        2, (FormalSummand(LaurentPoly({-3: 1}), 1, LAM + ONE),)))
+    assert r.ok
+    got = sorted(((p0, laurent_sort_key(a), rank) for p0, a, rank in r.matched))
+    want = sorted((2, laurent_sort_key(f.alpha), f.rank_branchwise)
+                  for f in r.decomposition.factors)
+    assert got == want
+    assert {laurent_sort_key(a) for _, a, _ in r.matched} == {
+        laurent_sort_key(LaurentPoly({-3: 1})), laurent_sort_key(LaurentPoly({-3: -1}))}
+
+
+# One case per rule a FormalModuleSpec checks on construction:
+# (id, p, summands as (alpha terms, rank, charpoly coefficients),
+# regular rank, message).
+INVALID_SPECS = [
+    ("p_below_1", 0, [({-1: 1}, 1, [-1, 1])], 0,
+     "ramification order must be positive"),
+    ("negative_regular_rank", 1, [({-1: 1}, 1, [-1, 1])], -1,
+     "regular rank must be nonnegative"),
+    ("non_polar_alpha", 1, [({-1: 1, 1: 1}, 1, [-1, 1])], 0,
+     "summand polar parts must be nonzero with only negative exponents"),
+    ("zero_alpha", 1, [({}, 1, [-1, 1])], 0,
+     "summand polar parts must be nonzero with only negative exponents"),
+    ("rank_below_1", 1, [({-1: 1}, 0, [1])], 0,
+     "summand rank must be positive"),
+    ("charpoly_not_monic", 1, [({-1: 1}, 1, [1, 2])], 0,
+     "summand charpoly must be monic of degree rank"),
+    ("charpoly_degree_not_rank", 1, [({-1: 1}, 1, [1, 0, 1])], 0,
+     "summand charpoly must be monic of degree rank"),
+    ("repeated_alpha", 2, [({-3: 1}, 1, [1, 1]), ({-3: 1}, 1, [1, 1])], 0,
+     "summand polar parts must be pairwise distinct"),
+]
+
+
+@pytest.mark.parametrize("case", INVALID_SPECS, ids=[c[0] for c in INVALID_SPECS])
+def test_invalid_spec_is_refused_on_construction(case):
+    _, p, summands, regular, message = case
+    with pytest.raises(ValueError) as exc:
+        FormalModuleSpec(p, tuple(FormalSummand(LaurentPoly(a), rank, CycloPoly(cp))
+                                  for a, rank, cp in summands),
+                         regular_rank=regular)
+    assert str(exc.value) == message
+
+
 def test_roundtrip_reports_conflicts():
     r = roundtrip_check(FormalModuleSpec(2, (
         FormalSummand(LaurentPoly({-3: 1}), 1, LAM + ONE),
