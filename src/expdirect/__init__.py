@@ -19,9 +19,7 @@ from .decomposition import ExponentialFactor, FormalDecomposition, decompose
 from .laurent import BiPoly, BiRational, LaurentPoly, subst_root_power
 from .newton import (
     NewtonPolygon,
-    elementary_region,
     irregularity,
-    minkowski_sum,
     polygon_from_branches,
     slopes,
 )
@@ -49,8 +47,7 @@ __all__ = [
     "root_of_unity",
     "ExponentialFactor", "FormalDecomposition", "decompose",
     "BiPoly", "BiRational", "LaurentPoly", "subst_root_power",
-    "NewtonPolygon", "elementary_region", "irregularity",
-    "minkowski_sum", "polygon_from_branches", "slopes",
+    "NewtonPolygon", "irregularity", "polygon_from_branches", "slopes",
     "FormalModuleSpec", "FormalSummand", "canonicalize", "realize",
     "roundtrip_check",
     "CopySeries", "ResolutionTree", "StrictTransformResult", "build_resolution",

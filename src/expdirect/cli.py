@@ -14,6 +14,12 @@ unit of work (a point, a ``resolve`` alpha, a spec) whose order bound
 exceeds it.  The bound is the lcm of the unit's coefficient orders and
 ramification indices, and every order the pipeline builds for the unit
 divides it.
+
+``report``, ``verify``, ``invariants`` and ``decompose`` run one pipeline
+(``run_file``) and print a view of its point reports: the keys of each
+``report`` point listed in ``_VIEWS``.  The blow-up oracle runs only for a
+view that prints it (``verify`` always, ``report`` unless ``--oracle
+off``), and ``--svg`` draws each report's own Newton polygon.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .resolution import (CopySeries, CorollaryReport, build_resolution,
 from . import serialize
 from .serialize import SchemaError
 
-__all__ = ["main", "run_point", "run_file", "emit_svg", "PointReport", "Options",
+__all__ = ["main", "run_point", "run_file", "PointReport", "Options",
            "DEFAULT_ORDER_LIMIT"]
 
 # Default cap on cyclotomic orders, against phi(N) blow-up.
@@ -64,7 +70,10 @@ class PointReport:
     polygon: NewtonPolygon
     decomposition: FormalDecomposition
     oracle: tuple | None
-    consistent: bool
+
+    @property
+    def consistent(self) -> bool:
+        return all(rep.consistent for rep in self.oracle or ())
 
 
 def _parse_problem(data, options: Options):
@@ -133,21 +142,13 @@ def _point_report(c: str, k: int, branches, warnings, options: Options) -> Point
     dec = decompose(branches, truncation=options.truncation)
 
     oracle = None
-    consistent = True
     if options.oracle and branches:
         # One series per copy, shared by every factor's replay.
         series = [CopySeries(u) for u in dec.copies]
-        reports = []
-        for factor in dec.factors:
-            rep = verify_corollary(series, factor)
-            reports.append(rep)
-            consistent = consistent and rep.consistent
-        oracle = tuple(reports)
+        oracle = tuple(verify_corollary(series, factor) for factor in dec.factors)
 
-    return PointReport(
-        c=c, k=k, warnings=tuple(warnings), polygon=polygon,
-        decomposition=dec, oracle=oracle, consistent=consistent,
-    )
+    return PointReport(c=c, k=k, warnings=tuple(warnings), polygon=polygon,
+                       decomposition=dec, oracle=oracle)
 
 
 def point_report_to_json(rep: PointReport) -> dict:
@@ -191,7 +192,8 @@ def _disagreement(point: PointReport, rep: CorollaryReport) -> str:
 
 
 def run_file(path: str, options: Options):
-    """Process a problem file; returns (document, exit_code).
+    """Process a problem file; returns (point reports sorted by point,
+    exit_code).
 
     Exit code 3 comes with one stderr line per factor the oracle disputes.
     """
@@ -215,17 +217,12 @@ def run_file(path: str, options: Options):
     checked.sort(key=lambda t: (t[0], t[1]))
     reports = [_point_report(c, k, branches, warnings, merged)
                for c, k, branches, warnings in checked]
-    doc = {"points": [point_report_to_json(r) for r in reports]}
     code = 0 if all(r.consistent for r in reports) else 3
     for point in reports:
         for rep in point.oracle or ():
             if not rep.consistent:
                 print(_disagreement(point, rep), file=sys.stderr)
-    return doc, code
-
-
-def emit_svg(polygon: NewtonPolygon, path: str) -> None:
-    Path(path).write_text(polygon_svg(polygon))
+    return reports, code
 
 
 def _svg_path(base: str, c: str, k: int, many: bool) -> str:
@@ -236,12 +233,15 @@ def _svg_path(base: str, c: str, k: int, many: bool) -> str:
     return str(p.with_name(f"{p.stem}-{safe_c}-k{k}{p.suffix or '.svg'}"))
 
 
-def _dump(doc, out_path: str | None) -> None:
-    text = serialize.dumps(doc) + "\n"
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         Path(out_path).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump(doc, out_path: str | None) -> None:
+    _write(serialize.dumps(doc) + "\n", out_path)
 
 
 def _load_json(path: str):
@@ -277,52 +277,35 @@ def _cmd_validate(args, options: Options) -> int:
     return 0 if ok else 2
 
 
-def _cmd_invariants(args, options: Options) -> int:
-    doc, _ = run_file(args.input, replace(options, oracle=False))
-    slim = {"points": [
-        {key: pt[key] for key in
-         ("c", "k", "newton_polygon", "slopes", "irregularity", "warnings")}
-        for pt in doc["points"]
-    ]}
-    _dump(slim, args.output)
-    _write_svgs(args, doc)
-    return 0
+# The keys of each report point a subcommand prints (None: every key).  A
+# view that names "oracle" prints [] for a point without branches.
+_VIEWS = {
+    "report": None,
+    "verify": ("c", "k", "oracle", "consistent"),
+    "invariants": ("c", "k", "newton_polygon", "slopes", "irregularity", "warnings"),
+    "decompose": ("c", "k", "decomposition", "warnings"),
+}
 
 
-def _cmd_decompose(args, options: Options) -> int:
-    doc, _ = run_file(args.input, replace(options, oracle=False))
-    slim = {"points": [
-        {key: pt[key] for key in ("c", "k", "decomposition", "warnings")}
-        for pt in doc["points"]
-    ]}
-    _dump(slim, args.output)
-    return 0
-
-
-def _write_svgs(args, doc) -> None:
-    if not getattr(args, "svg", None):
-        return
-    pts = doc["points"]
-    for pt in pts:
-        poly = serialize.polygon_from_json(pt["newton_polygon"], "$")
-        emit_svg(poly, _svg_path(args.svg, pt["c"], pt["k"], len(pts) > 1))
-
-
-def _cmd_report(args, options: Options) -> int:
-    doc, code = run_file(args.input, options)
-    _dump(doc, args.output)
-    _write_svgs(args, doc)
-    return code
-
-
-def _cmd_verify(args, options: Options) -> int:
-    doc, code = run_file(args.input, options)
-    slim = {"points": [
-        {"c": pt["c"], "k": pt["k"], "oracle": pt.get("oracle", []),
-         "consistent": pt["consistent"]}
-        for pt in doc["points"]
-    ]}
-    _dump(slim, args.output)
+def _cmd_points(args, options: Options) -> int:
+    reports, code = run_file(args.input, options)
+    svgs = {}
+    if getattr(args, "svg", None):
+        for rep in reports:
+            path = _svg_path(args.svg, rep.c, rep.k, len(reports) > 1)
+            other = svgs.setdefault(path, rep)
+            if other is not rep:
+                print(f"error: points (c={other.c!r}, k={other.k}) and "
+                      f"(c={rep.c!r}, k={rep.k}) would share the SVG file {path}",
+                      file=sys.stderr)
+                return 2
+    keys = _VIEWS[args.command]
+    points = [point_report_to_json(rep) for rep in reports]
+    if keys is not None:
+        points = [{key: pt.get(key, []) for key in keys} for pt in points]
+    _dump({"points": points}, args.output)
+    for path, rep in svgs.items():
+        _write(polygon_svg(rep.polygon), path)
     return code
 
 
@@ -337,11 +320,7 @@ def _cmd_resolve(args, options: Options) -> int:
         raise SchemaError("$.alpha", "expected a nonzero purely polar part")
     tree = build_resolution(alpha)
     if args.text:
-        text = serialize.tree_to_text(tree)
-        if args.output:
-            Path(args.output).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write(serialize.tree_to_text(tree), args.output)
     else:
         _dump(serialize.tree_to_json(tree), args.output)
     return 0
@@ -378,13 +357,13 @@ def _cmd_roundtrip(args, options: Options) -> int:
 
 _COMMANDS = {
     "validate": _cmd_validate,
-    "invariants": _cmd_invariants,
-    "decompose": _cmd_decompose,
+    "invariants": _cmd_points,
+    "decompose": _cmd_points,
     "resolve": _cmd_resolve,
-    "verify": _cmd_verify,
+    "verify": _cmd_points,
     "realize": _cmd_realize,
     "roundtrip": _cmd_roundtrip,
-    "report": _cmd_report,
+    "report": _cmd_points,
 }
 
 
@@ -438,10 +417,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # The oracle runs only for a view that prints it.
+    view = _VIEWS.get(args.command, ())
     options = Options(
         truncation=args.truncation,
         max_order=args.max_order,
-        oracle=getattr(args, "oracle", "on") == "on",
+        oracle=getattr(args, "oracle", "on") == "on"
+        and (view is None or "oracle" in view),
     )
     try:
         return _COMMANDS[args.command](args, options)

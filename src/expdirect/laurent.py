@@ -191,10 +191,6 @@ class BiPoly:
         raise AttributeError("BiPoly is immutable")
 
     @classmethod
-    def constant(cls, c) -> "BiPoly":
-        return cls({(0, 0): c})
-
-    @classmethod
     def monomial(cls, i: int, j: int, c=1) -> "BiPoly":
         return cls({(i, j): c})
 
@@ -398,14 +394,14 @@ class BiRational:
         the origin, and the numerator's content must divide the
         denominator's.  Any other shape raises ClassificationError.
 
-        >>> tag = BiRational(BiPoly.constant(1), BiPoly.monomial(0, 1)).classify_at_point()
+        >>> tag = BiRational(BiPoly({(0, 0): 1}), BiPoly.monomial(0, 1)).classify_at_point()
         >>> tag.kind.name, tag.pole_u, tag.pole_v
         ('POLE_ONE_VAR', 0, 1)
         >>> g = BiRational(BiPoly({(0, 0): 1, (1, 1): 1}), BiPoly.monomial(3, 2))
         >>> tag = g.classify_at_point()
         >>> tag.kind.name, tag.pole_u, tag.pole_v
         ('POLE_TWO_VAR', 3, 2)
-        >>> BiRational(BiPoly({(0, 0): 2, (0, 1): 1}), BiPoly.constant(1)).classify_at_point()
+        >>> BiRational(BiPoly({(0, 0): 2, (0, 1): 1}), BiPoly({(0, 0): 1})).classify_at_point()
         Traceback (most recent call last):
         ...
         expdirect.laurent.ClassificationError: no pole at the origin

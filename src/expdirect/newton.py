@@ -15,8 +15,6 @@ from fractions import Fraction
 
 __all__ = [
     "NewtonPolygon",
-    "elementary_region",
-    "minkowski_sum",
     "slopes",
     "irregularity",
     "polygon_from_branches",
@@ -32,6 +30,8 @@ class NewtonPolygon:
 
     @staticmethod
     def from_edges(edges) -> "NewtonPolygon":
+        """The Minkowski sum of the one-edge regions (w, h): the edges merged
+        by slope."""
         merged: dict[Fraction, list[Fraction]] = {}
         for w, h in edges:
             w, h = Fraction(w), Fraction(h)
@@ -61,21 +61,6 @@ class NewtonPolygon:
         return sum((h for _, h in self.edges), Fraction(0))
 
 
-def elementary_region(m: int, p: int, q: int) -> NewtonPolygon:
-    """Single-edge polygon (m*p, m*q) of one branch."""
-    if m < 1 or p < 1 or q < 1:
-        raise ValueError("m, p, q must be positive")
-    return NewtonPolygon.from_edges([(Fraction(m * p), Fraction(m * q))])
-
-
-def minkowski_sum(polys) -> NewtonPolygon:
-    """Minkowski sum: the union of the edge multisets, merged by slope."""
-    edges = []
-    for poly in polys:
-        edges.extend(poly.edges)
-    return NewtonPolygon.from_edges(edges)
-
-
 def slopes(poly: NewtonPolygon) -> set[Fraction]:
     return {h / w for w, h in poly.edges}
 
@@ -86,7 +71,8 @@ def irregularity(poly: NewtonPolygon) -> Fraction:
 
 
 def polygon_from_branches(branches) -> NewtonPolygon:
-    return minkowski_sum(elementary_region(b.m, b.p, b.q) for b in branches)
+    """The Minkowski sum of the branches' one-edge regions (m*p, m*q)."""
+    return NewtonPolygon.from_edges((b.m * b.p, b.m * b.q) for b in branches)
 
 
 def _fmt(x: Fraction, digits: int = 14) -> str:

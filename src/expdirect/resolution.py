@@ -120,9 +120,6 @@ class EdChart:
     numlin: CycloNum
     den0: CycloNum
 
-    def value(self, v0: CycloNum) -> CycloNum:
-        return (self.num0 + self.numlin * v0) / self.den0
-
 
 @dataclass(frozen=True)
 class ResolutionTree:
@@ -156,7 +153,6 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
     num = BiPoly({(q, 0): 1}) - BiPoly({(e, 1): c for e, c in beta.items()})
     den = BiPoly.monomial(q, 1)
     g = BiRational(num, den)
-    px = (1, 0)  # first-projection pullback stays the monomial u^1
 
     steps: list[BlowUpStep] = []
     components: list[ComponentRecord] = []
@@ -175,14 +171,12 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
         # Crossing of the new component with the previous total transform,
         # seen in the complementary chart.
         tag2 = g.compose_monomial_map(CHART_SECOND).classify_at_point()
-        crossing = CrossingRecord(
-            left=index - 1, right=index, tag=tag2,
-            pi1_orders=(px[0], px[0] + px[1]),
-        )
+        # Every step uses the chart x = u, so the first projection pulls back
+        # to u^1 on every component and at every crossing.
+        crossing = CrossingRecord(left=index - 1, right=index, tag=tag2,
+                                  pi1_orders=(1, 1))
 
         g = g.compose_monomial_map(CHART_FIRST)
-        px = (px[0] + px[1], px[1])
-        _structural(px == (1, 0), "first projection left the monomial form")
 
         cu, cv = g.den_content
         num_cu, _ = g.num_content
@@ -194,7 +188,7 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
         _structural(num_at0.support() in ([0, 1], [1]) and
                     not num_at0.coeff(1).is_zero(),
                     "numerator trace on the new component not affine")
-        components.append(ComponentRecord(index=index, pole_order=cu, pi1_order=px[0]))
+        components.append(ComponentRecord(index=index, pole_order=cu, pi1_order=1))
         steps.append(BlowUpStep(index=index, shift=shift, chart=CHART_FIRST,
                                 crossing=crossing))
 

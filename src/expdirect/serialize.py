@@ -32,7 +32,7 @@ __all__ = [
     "cyclopoly_to_json", "cyclopoly_from_json",
     "laurent_to_json", "laurent_from_json",
     "branch_to_json", "branch_from_json",
-    "polygon_to_json", "polygon_from_json",
+    "polygon_to_json",
     "decomposition_to_json",
     "spec_to_json", "spec_from_json",
     "roundtrip_to_json",
@@ -184,19 +184,6 @@ def branch_from_json(data, path: str = "$", *, max_order: int) -> Branch:
 def polygon_to_json(poly: NewtonPolygon) -> dict:
     return {"edges": [[w.numerator, w.denominator, h.numerator, h.denominator]
                       for w, h in poly.edges]}
-
-
-def polygon_from_json(data, path: str = "$") -> NewtonPolygon:
-    obj = _expect_dict(data, path)
-    edges = []
-    for i, edge in enumerate(_expect_list(obj.get("edges", []), f"{path}.edges")):
-        nums = _expect_list(edge, f"{path}.edges[{i}]")
-        if len(nums) != 4:
-            raise SchemaError(f"{path}.edges[{i}]", "expected [w_num, w_den, h_num, h_den]")
-        wn, wd, hn, hd = (_expect_int(x, f"{path}.edges[{i}][{j}]")
-                          for j, x in enumerate(nums))
-        edges.append((Fraction(wn, wd), Fraction(hn, hd)))
-    return NewtonPolygon.from_edges(edges)
 
 
 def factor_to_json(f: ExponentialFactor) -> dict:

@@ -19,7 +19,6 @@ from expdirect.laurent import LaurentPoly, NormalFormKind
 from expdirect.newton import (
     NewtonPolygon,
     irregularity,
-    minkowski_sum,
     polygon_from_branches,
     slopes,
 )
@@ -73,7 +72,7 @@ def test_criterion_2_minkowski_grid_oracle():
     for n in (1, 2):
         for combo in itertools.combinations_with_replacement(candidates, n):
             if sum(w + h for w, h in combo) <= 14:
-                got = minkowski_sum([NewtonPolygon.from_edges([e]) for e in combo])
+                got = NewtonPolygon.from_edges(combo)
                 expect = grid_minkowski_vertices(list(combo))
                 assert [(int(x), int(y)) for x, y in got.vertices()] == expect
                 checked += 1
@@ -87,7 +86,7 @@ def test_criterion_2_minkowski_grid_oracle():
             edges.append((m * p, m * q))
         if sum(w + h for w, h in edges) > 40:
             continue
-        got = minkowski_sum([NewtonPolygon.from_edges([e]) for e in edges])
+        got = NewtonPolygon.from_edges(edges)
         expect = grid_minkowski_vertices(edges)
         assert [(int(x), int(y)) for x, y in got.vertices()] == expect
         done += 1

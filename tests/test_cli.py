@@ -84,6 +84,26 @@ def test_invariants_and_svg(problem_file, tmp_path):
     assert verts == [(0, 0), (2, 2), (4, 5)]
 
 
+@pytest.mark.parametrize("command", ["invariants", "report"])
+def test_svg_names_that_collide_are_exit_2(tmp_path, capsys, command):
+    # "a b" and "a_b" both map to poly-a_b-k0.svg: refused before the report
+    # or any SVG is written.
+    doc = {"points": [
+        {"c": c, "k": 0, "branches": [branch_to_json(mk("l", q=q))]}
+        for c, q in (("a b", 1), ("a_b", 2))
+    ]}
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps(doc))
+    out, svg = tmp_path / "out.json", tmp_path / "poly.svg"
+    assert run_cli(command, "--input", path, "--output", out, "--svg", svg) == 2
+    shared = tmp_path / "poly-a_b-k0.svg"
+    assert capsys.readouterr().err == (
+        f"error: points (c='a b', k=0) and (c='a_b', k=0) would share the SVG "
+        f"file {shared}\n")
+    assert not out.exists()
+    assert list(tmp_path.glob("*.svg")) == []
+
+
 def test_validate_rejects_inconsistent_zeta(problem_file, tmp_path, capsys):
     doc = json.loads(problem_file.read_text())
     doc["points"][0]["branches"][0]["m"] = 5  # deg(zeta) stays 2
@@ -251,6 +271,33 @@ def test_verify_subcommand(problem_file, capsys):
     assert all(c["consistent"] for c in checks)
     members = [c["members_by_blowup"] for c in checks]
     assert members == [["l1#1"], ["l2#1"], ["l2#2"]]
+    # A point without branches has nothing to check, and says so.
+    assert doc["points"][1] == {"c": "infty", "k": 0, "oracle": [],
+                                "consistent": True}
+
+
+@pytest.mark.parametrize("command, calls", [
+    ("invariants", 0), ("decompose", 0), ("verify", 3),
+])
+def test_oracle_runs_only_for_a_view_that_prints_it(
+        problem_file, monkeypatch, capsys, command, calls):
+    import expdirect.cli as cli_mod
+
+    seen = []
+    real = cli_mod.verify_corollary
+
+    def spy(series, factor):
+        seen.append(factor)
+        return real(series, factor)
+
+    monkeypatch.setattr(cli_mod, "verify_corollary", spy)
+    assert run_cli(command, "--input", problem_file) == 0
+    assert len(seen) == calls
+    if calls:
+        # One call per factor, in the order the report lists them.
+        checks = json.loads(capsys.readouterr().out)["points"][0]["oracle"]
+        assert [laurent_to_json(f.alpha) for f in seen] == \
+            [check["alpha"] for check in checks]
 
 
 def test_decompose_subcommand(problem_file, capsys):
@@ -269,7 +316,8 @@ def test_report_oracle_off(problem_file, tmp_path):
     assert all("oracle" not in pt for pt in doc["points"])
 
 
-def test_report_exit_3_on_oracle_mismatch(problem_file, monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["report", "verify"])
+def test_report_exit_3_on_oracle_mismatch(problem_file, monkeypatch, capsys, command):
     # Force a disagreement through the plumbing: the file-level contract is
     # exit 3 when the independent check contradicts the symbolic result.
     import expdirect.cli as cli_mod
@@ -284,7 +332,7 @@ def test_report_exit_3_on_oracle_mismatch(problem_file, monkeypatch, capsys):
         return rep
 
     monkeypatch.setattr(cli_mod, "verify_corollary", broken)
-    assert run_cli("report", "--input", problem_file) == 3
+    assert run_cli(command, "--input", problem_file) == 3
     # One line per disputed factor: the point, the factor, and the copy the
     # two sides disagree on with the blow-up steps it matched.
     lines = capsys.readouterr().err.splitlines()

@@ -78,3 +78,23 @@ def test_golden_values_are_canonical():
             assert dumps(cyclo_to_json(value)) == dumps(data)
             seen += 1
     assert seen > 400
+
+
+SVG_CASES = [GOLDEN / "report" / "10_multi_point.in.json",
+             GOLDEN / "invariants" / "01_mixed_p_1_2_3_6.in.json"]
+
+
+@pytest.mark.parametrize(
+    "case", SVG_CASES, ids=[f"{c.parent.name}/{c.name[:-len('.in.json')]}"
+                            for c in SVG_CASES])
+def test_golden_svg_bytes(case, tmp_path):
+    # --svg NAME.svg writes NAME.svg for one point, and
+    # NAME-<c>-k<k>.svg per point for several; each must equal its golden.
+    stem = case.name[:-len(".in.json")]
+    assert main([case.parent.name, "--input", str(case), "--output",
+                 str(tmp_path / "out.json"), "--svg", str(tmp_path / f"{stem}.svg")]) == 0
+    expected = sorted(case.parent.glob(f"{stem}*.svg"))
+    assert expected
+    assert sorted(p.name for p in tmp_path.glob("*.svg")) == [p.name for p in expected]
+    for path in expected:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes()

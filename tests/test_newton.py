@@ -11,12 +11,12 @@ import pytest
 
 from expdirect.newton import (
     NewtonPolygon,
-    elementary_region,
     irregularity,
-    minkowski_sum,
+    polygon_from_branches,
     polygon_svg,
     slopes,
 )
+from tests.helpers import mk
 
 _CODE = 1 << 20
 
@@ -64,17 +64,19 @@ def grid_minkowski_vertices(edges: list[tuple[int, int]]) -> list[tuple[int, int
 
 
 def test_elementary_examples():
-    assert elementary_region(1, 1, 1).edges == ((Fraction(1), Fraction(1)),)
-    assert elementary_region(2, 1, 1).edges == ((Fraction(2), Fraction(2)),)
-    assert elementary_region(1, 2, 3).edges == ((Fraction(2), Fraction(3)),)
+    # A branch (m, p, q) contributes the one-edge region (m*p, m*q).
+    def region(m, p, q):
+        return polygon_from_branches([mk(p=p, q=q, m=m)]).edges
+
+    assert region(1, 1, 1) == ((Fraction(1), Fraction(1)),)
+    assert region(2, 1, 1) == ((Fraction(2), Fraction(2)),)
+    assert region(1, 2, 3) == ((Fraction(2), Fraction(3)),)
 
 
 def test_minkowski_examples():
-    assert minkowski_sum([]).edges == ()
-    one = NewtonPolygon.from_edges([(1, 1)])
-    assert minkowski_sum([one, one]).edges == ((Fraction(2), Fraction(2)),)
-    p = minkowski_sum([NewtonPolygon.from_edges([(2, 2)]),
-                       NewtonPolygon.from_edges([(2, 3)])])
+    assert NewtonPolygon.from_edges([]).edges == ()
+    assert NewtonPolygon.from_edges([(1, 1), (1, 1)]).edges == ((Fraction(2), Fraction(2)),)
+    p = NewtonPolygon.from_edges([(2, 2), (2, 3)])
     assert p.edges == ((Fraction(2), Fraction(2)), (Fraction(2), Fraction(3)))
     assert slopes(p) == {Fraction(1), Fraction(3, 2)}
 
@@ -92,15 +94,18 @@ def test_slopes_and_irregularity_examples():
 def test_widths_heights_add():
     rng = random.Random(13)
     for _ in range(200):
-        polys = [elementary_region(rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 4))
-                 for _ in range(rng.randint(0, 5))]
-        total = minkowski_sum(polys)
+        edges = []
+        for _ in range(rng.randint(0, 5)):
+            m, p, q = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 4)
+            edges.append((m * p, m * q))
+        polys = [NewtonPolygon.from_edges([e]) for e in edges]
+        total = NewtonPolygon.from_edges(edges)
         assert total.width() == sum(p.width() for p in polys)
         assert total.height() == sum(p.height() for p in polys)
 
 
 def _assert_matches_oracle(int_edges):
-    got = minkowski_sum([NewtonPolygon.from_edges([e]) for e in int_edges])
+    got = NewtonPolygon.from_edges(int_edges)
     expect = grid_minkowski_vertices(int_edges)
     assert [(int(x), int(y)) for x, y in got.vertices()] == expect
 
