@@ -16,7 +16,7 @@ from .cyclotomic import (
     root_of_unity,
 )
 from .decomposition import ExponentialFactor, FormalDecomposition, decompose
-from .laurent import BiPoly, BiRational, LaurentPoly, subst_root_power
+from .laurent import LaurentPoly, subst_root_power
 from .newton import (
     NewtonPolygon,
     irregularity,
@@ -46,7 +46,7 @@ __all__ = [
     "CycloNum", "CycloPoly", "cyclotomic_polynomial",
     "root_of_unity",
     "ExponentialFactor", "FormalDecomposition", "decompose",
-    "BiPoly", "BiRational", "LaurentPoly", "subst_root_power",
+    "LaurentPoly", "subst_root_power",
     "NewtonPolygon", "irregularity", "polygon_from_branches", "slopes",
     "FormalModuleSpec", "FormalSummand", "canonicalize", "realize",
     "roundtrip_check",

@@ -291,8 +291,13 @@ def _cmd_points(args, options: Options) -> int:
     reports, code = run_file(args.input, options)
     svgs = {}
     if getattr(args, "svg", None):
+        out = Path(args.output).resolve() if args.output else None
         for rep in reports:
             path = _svg_path(args.svg, rep.c, rep.k, len(reports) > 1)
+            if Path(path).resolve() == out:
+                print(f"error: --output and the SVG of point (c={rep.c!r}, "
+                      f"k={rep.k}) would share the file {path}", file=sys.stderr)
+                return 2
             other = svgs.setdefault(path, rep)
             if other is not rep:
                 print(f"error: points (c={other.c!r}, k={other.k}) and "

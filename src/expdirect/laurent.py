@@ -1,13 +1,15 @@
-"""Laurent polynomials over Q(zeta) and the bivariate rational forms used by
-the blow-up engine.
+"""Laurent polynomials over Q(zeta) and the rational forms of the blow-up
+chain.
 
 A LaurentPoly is a finite-support map from integer exponents of the local
 variable to nonzero cyclotomic coefficients.  Polar parts of branch
 parametrizations, their truncated holomorphic parts, and exponential factors
-all live here.  BiRational carries quotients of bivariate polynomials through
-the blow-up chain: recentering of the second variable, the two chart maps,
-and classification of the local shape at the origin, which is one of the
-two monomial-pole normal forms or a ClassificationError.
+all live here.  BiRational carries the forms (a0 + a1*v)/(d0 + d1*v), each
+column a polynomial in u, through the blow-up chain: every form there has
+degree at most 1 in v, and recentering v and the chart x = u, y = u*v keep
+it so.  ``classify_at_point`` tags the local shape at the origin of the form
+or of its pull-back to the other chart: one of the two monomial-pole normal
+forms, or a ClassificationError.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from .cyclotomic import CycloNum
 
 __all__ = [
     "LaurentPoly",
-    "BiPoly",
     "BiRational",
     "NormalFormKind",
     "NormalFormTag",
@@ -45,7 +46,7 @@ class LaurentPoly:
     """Finite-support Laurent polynomial in one variable over Q(zeta).
 
     >>> f = LaurentPoly({-1: 1})
-    >>> (f * f).support()
+    >>> list((f * f).terms)
     [-2]
     """
 
@@ -69,9 +70,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def support(self) -> list[int]:
-        return sorted(self.terms)
 
     def pole_order(self) -> int:
         """Order of the pole at the origin (0 when holomorphic)."""
@@ -168,11 +166,9 @@ def support_gcd(f: LaurentPoly, extra: int) -> int:
 
 
 class BiPoly:
-    """Bivariate polynomial over Q(zeta), sparse in both variables.
-
-    The constructor validates and cleans its input; every arithmetic result
-    is built by ``_bipoly`` from an already-clean dict.
-    """
+    """Bivariate polynomial over Q(zeta), sparse in both variables: a map
+    from exponent pairs to nonzero coefficients, with a product.  The
+    benchmark's product kernel is its only user."""
 
     __slots__ = ("terms",)
 
@@ -185,46 +181,9 @@ class BiPoly:
                     if i < 0 or j < 0:
                         raise ValueError("BiPoly exponents must be nonnegative")
                     clean[(int(i), int(j))] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
-
-    @classmethod
-    def monomial(cls, i: int, j: int, c=1) -> "BiPoly":
-        return cls({(i, j): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-            else:
-                s = s + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return _bipoly(out)
-
-    def __neg__(self):
-        return _bipoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        self.terms = clean
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloNum)):
-            c = _coerce_num(other)
-            if c.is_zero():
-                return _bipoly({})
-            return _bipoly({k: a * c for k, a in self.terms.items()})
         if not isinstance(other, BiPoly):
             return NotImplemented
         out: dict[tuple[int, int], CycloNum] = {}
@@ -234,88 +193,7 @@ class BiPoly:
                 p = c1 * c2
                 s = out.get(k)
                 out[k] = p if s is None else s + p
-        return _bipoly({k: c for k, c in out.items() if c})
-
-    __rmul__ = __mul__
-
-    def content(self) -> tuple[int, int]:
-        """Largest monomial u^a v^b dividing every term."""
-        if self.is_zero():
-            return (0, 0)
-        return (min(i for i, _ in self.terms), min(j for _, j in self.terms))
-
-    def divide_monomial(self, a: int, b: int) -> "BiPoly":
-        """Divide by u^a v^b, which must divide every term (a and b at most
-        the ``content``)."""
-        return _bipoly({(i - a, j - b): c for (i, j), c in self.terms.items()})
-
-    def subst_second_by_product(self) -> "BiPoly":
-        """v -> u*v (the chart keeping the first variable)."""
-        return _bipoly({(i + j, j): c for (i, j), c in self.terms.items()})
-
-    def subst_first_by_product(self) -> "BiPoly":
-        """u -> u*v (the chart keeping the second variable)."""
-        return _bipoly({(i, i + j): c for (i, j), c in self.terms.items()})
-
-    def translate(self, b: CycloNum | int) -> "BiPoly":
-        """Recenter the second variable: substitute v -> v + b.
-
-        Term c*u^i*v^j contributes c * comb(j, t) * b^t to u^i*v^(j-t), in
-        ascending t.  The t = 0 part is c itself and the t = j part does not
-        multiply in its binomial 1; the chain's polynomials have degree at
-        most 1 in v, so it never builds another.
-        """
-        b = _coerce_num(b)
-        if b.is_zero() or self.is_zero():
-            return self
-        powers = [CycloNum.one()]
-        for _ in range(max(j for _, j in self.terms)):
-            powers.append(powers[-1] * b)
-        out: dict[tuple[int, int], CycloNum] = {}
-        for (i, j), c in self.terms.items():
-            for t in range(j + 1):
-                k = (i, j - t)
-                if t == 0:
-                    cj = c
-                elif t == j:
-                    cj = c * powers[t]
-                else:
-                    cj = c * comb(j, t) * powers[t]
-                s0 = out.get(k)
-                out[k] = cj if s0 is None else s0 + cj
-        return _bipoly({k: c for k, c in out.items() if c})
-
-    def restrict_first_to_zero(self) -> LaurentPoly:
-        """Restriction to u = 0: the terms free of u, as a polynomial in v."""
-        return LaurentPoly({j: c for (i, j), c in self.terms.items() if i == 0})
-
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(c == other.terms[k] for k, c in self.terms.items())
-
-    __hash__ = None
-
-    def __repr__(self):
-        if self.is_zero():
-            return "BiPoly(0)"
-        bits = []
-        for (i, j) in sorted(self.terms):
-            c = self.terms[(i, j)]
-            mono = f"u^{i}*v^{j}"
-            bits.append(f"({c!r})*{mono}")
-        return f"BiPoly({' + '.join(bits)})"
-
-
-def _bipoly(terms: dict[tuple[int, int], CycloNum]) -> BiPoly:
-    """A BiPoly holding ``terms`` as is: the private constructor for results,
-    whose keys are pairs of nonnegative ints and whose values are nonzero
-    CycloNums (compare ``cyclotomic._reduced``)."""
-    poly = object.__new__(BiPoly)
-    object.__setattr__(poly, "terms", terms)
-    return poly
+        return BiPoly(out)
 
 
 # Chart names for point blow-ups centered at the origin.
@@ -339,24 +217,69 @@ class NormalFormTag:
     pole_v: int
 
 
-class BiRational:
-    """Quotient of bivariate polynomials, common monomial factors cancelled.
+def _content(cols) -> tuple[int, int]:
+    """Largest monomial u^a v^b dividing c0 + c1*v, given as its columns
+    (c0, c1); (0, 0) for zero."""
+    c0, c1 = cols
+    if not (c0 or c1):
+        return 0, 0
+    return min([*c0, *c1]), 0 if c0 else 1
 
-    ``num_content`` and ``den_content`` are the ``content()`` of ``num`` and
-    ``den`` after the cancellation.
+
+def _divide_monomial(cols, a: int, b: int):
+    """(c0 + c1*v) / (u^a v^b), for a monomial dividing every term."""
+    c0, c1 = (cols[1], {}) if b else cols
+    if a:
+        c0 = {i - a: c for i, c in c0.items()}
+        c1 = {i - a: c for i, c in c1.items()}
+    return c0, c1
+
+
+def _translate(cols, b: CycloNum):
+    """c0 + c1*(v + b): c0 gains b*c1, zero sums dropped."""
+    c0, c1 = cols
+    if not c1:
+        return cols
+    out = dict(c0)
+    for i, c in c1.items():
+        s = out.get(i)
+        out[i] = c * b if s is None else s + c * b
+    return {i: c for i, c in out.items() if c}, c1
+
+
+def _corner(cols, second: bool) -> tuple[tuple[int, int], bool]:
+    """Content (a, b) of c0 + c1*v, the least exponent of each variable,
+    and whether a term sits at u^a*v^b: read from the terms u^i*v^j or,
+    when ``second``, from their pull-back under u -> u*v, which sends each
+    to the single term u^i*v^(i+j).  A zero form has content (0, 0)."""
+    exps = {(i, i + j if second else j) for j, col in enumerate(cols) for i in col}
+    if not exps:
+        return (0, 0), False
+    corner = min(i for i, _ in exps), min(j for _, j in exps)
+    return corner, corner in exps
+
+
+class BiRational:
+    """The form (a0 + a1*v) / (d0 + d1*v), common monomial factors cancelled.
+
+    ``num`` is the column pair (a0, a1) and ``den`` is (d0, d1): each column
+    maps exponents of u to nonzero CycloNums.  ``num_content`` and
+    ``den_content`` are the largest monomials u^a*v^b dividing the
+    numerator and the denominator after the cancellation; a zero numerator
+    cancels nothing and has content (0, 0).
     """
 
     __slots__ = ("num", "den", "num_content", "den_content")
 
-    def __init__(self, num: BiPoly, den: BiPoly):
-        if den.is_zero():
+    def __init__(self, num, den):
+        if not (den[0] or den[1]):
             raise ZeroDivisionError("zero denominator")
-        na, nb = num.content()
-        da, db = den.content()
+        na, nb = _content(num)
+        da, db = _content(den)
         ca, cb = min(na, da), min(nb, db)
-        if not num.is_zero() and (ca or cb):
-            num = num.divide_monomial(ca, cb)
-            den = den.divide_monomial(ca, cb)
+        if (num[0] or num[1]) and (ca or cb):
+            num = _divide_monomial(num, ca, cb)
+            den = _divide_monomial(den, ca, cb)
             na, nb, da, db = na - ca, nb - cb, da - ca, db - cb
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -371,50 +294,55 @@ class BiRational:
         b = _coerce_num(b)
         if b.is_zero():
             return self
-        return BiRational(self.num.translate(b), self.den.translate(b))
+        return BiRational(_translate(self.num, b), _translate(self.den, b))
 
-    def compose_monomial_map(self, chart: str) -> "BiRational":
-        """Pull back through one of the two standard point blow-up charts."""
-        if chart == CHART_FIRST:
-            num = self.num.subst_second_by_product()
-            den = self.den.subst_second_by_product()
-        elif chart == CHART_SECOND:
-            num = self.num.subst_first_by_product()
-            den = self.den.subst_first_by_product()
-        else:
-            raise ValueError(f"unknown chart {chart!r}")
-        return BiRational(num, den)
+    def compose_monomial_map(self) -> "BiRational":
+        """Pull back through the chart x = u, y = u*v: a1 and d1 each gain
+        one power of u."""
+        (a0, a1), (d0, d1) = self.num, self.den
+        return BiRational((a0, {i + 1: c for i, c in a1.items()}),
+                          (d0, {i + 1: c for i, c in d1.items()}))
 
-    def classify_at_point(self) -> NormalFormTag:
-        """Monomial-pole normal form of the function at the origin.
+    def classify_at_point(self, chart: str | None = None) -> NormalFormTag:
+        """Monomial-pole normal form at the origin of the function or, with
+        ``chart=CHART_SECOND``, of its pull-back under u -> u*v.
 
         The function must be a unit times u^-pole_u * v^-pole_v there, with
         at least one order positive: the residual numerator and denominator
-        (``num_content`` and ``den_content`` divided out) may not vanish at
-        the origin, and the numerator's content must divide the
-        denominator's.  Any other shape raises ClassificationError.
+        (their contents divided out) may not vanish at the origin, and the
+        numerator's content must divide the denominator's.  Any other shape
+        raises ClassificationError.  Both readings work from the exponents
+        alone: a content is the least exponent of each variable, and a
+        residual is a unit at the origin exactly when one term attains both.
 
-        >>> tag = BiRational(BiPoly({(0, 0): 1}), BiPoly.monomial(0, 1)).classify_at_point()
+        >>> one = CycloNum.one()
+        >>> tag = BiRational(({0: one}, {}), ({}, {0: one})).classify_at_point()
         >>> tag.kind.name, tag.pole_u, tag.pole_v
         ('POLE_ONE_VAR', 0, 1)
-        >>> g = BiRational(BiPoly({(0, 0): 1, (1, 1): 1}), BiPoly.monomial(3, 2))
+        >>> g = BiRational(({0: one}, {1: one}), ({}, {3: one}))  # (1 + u*v)/(u^3*v)
         >>> tag = g.classify_at_point()
         >>> tag.kind.name, tag.pole_u, tag.pole_v
-        ('POLE_TWO_VAR', 3, 2)
-        >>> BiRational(BiPoly({(0, 0): 2, (0, 1): 1}), BiPoly({(0, 0): 1})).classify_at_point()
+        ('POLE_TWO_VAR', 3, 1)
+        >>> tag = g.classify_at_point(CHART_SECOND)
+        >>> tag.kind.name, tag.pole_u, tag.pole_v
+        ('POLE_TWO_VAR', 3, 4)
+        >>> BiRational(({0: 2 * one}, {0: one}), ({0: one}, {})).classify_at_point()
         Traceback (most recent call last):
         ...
         expdirect.laurent.ClassificationError: no pole at the origin
         """
-        na, nb = self.num_content
-        da, db = self.den_content
-        if self.den.terms.get((da, db)) is None:
+        if chart not in (None, CHART_SECOND):
+            raise ValueError(f"chart must be None or CHART_SECOND, got {chart!r}")
+        second = chart == CHART_SECOND
+        (na, nb), num_unit = _corner(self.num, second)
+        (da, db), den_unit = _corner(self.den, second)
+        if not den_unit:
             raise ClassificationError(
                 "denominator is not monomial-times-unit at the origin")
         pu, pv = da - na, db - nb
         if pu <= 0 and pv <= 0:
             raise ClassificationError("no pole at the origin")
-        if pu < 0 or pv < 0 or self.num.terms.get((na, nb)) is None:
+        if pu < 0 or pv < 0 or not num_unit:
             raise ClassificationError("numerator vanishes against a pole")
         if pu and pv:
             return NormalFormTag(NormalFormKind.POLE_TWO_VAR, pu, pv)

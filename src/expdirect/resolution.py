@@ -11,10 +11,11 @@ the neighbouring component.
 The chain is completely mechanical: every center is the unique intersection
 of the numerator curve's strict transform with the newest exceptional
 component, found by solving a linear equation; every chart step is the map
-x = u, y = u*v after a recentering translation of v.  Each crossing and
-each surviving axis point is tagged by ``BiRational.classify_at_point``,
-whose tags are the two monomial-pole kinds, and checked against the
-expected kind where the chain makes it.
+x = u, y = u*v after a recentering translation of v, so g keeps degree at
+most 1 in v (a ``BiRational``).  Each crossing, read in the complementary
+chart, and each surviving axis point is tagged by
+``BiRational.classify_at_point``, whose tags are the two monomial-pole
+kinds, and checked against the expected kind where the chain makes it.
 
 Strict transforms of the unramified branch copies (``branch.unramify``) are
 replayed through the same chart script: step j reads coefficient j of the
@@ -42,7 +43,6 @@ from .branch import UnramifiedBranch
 from .cyclotomic import CycloNum, CycloPoly
 from .decomposition import ExponentialFactor
 from .laurent import (
-    BiPoly,
     BiRational,
     CHART_FIRST,
     CHART_SECOND,
@@ -148,16 +148,16 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
         raise ValueError("alpha must be nonzero and purely polar")
     q = alpha.pole_order()
 
-    # beta(x) = x^q * alpha(x); g = (x^q - y beta) / (x^q y).
-    beta = {e + q: c for e, c in alpha.terms.items()}
-    num = BiPoly({(q, 0): 1}) - BiPoly({(e, 1): c for e, c in beta.items()})
-    den = BiPoly.monomial(q, 1)
-    g = BiRational(num, den)
+    # beta(x) = x^q * alpha(x); g = (x^q - y beta) / (x^q y), as columns in
+    # x of the coefficients of y^0 and y^1.
+    one = CycloNum.one()
+    g = BiRational(({q: one}, {e + q: -c for e, c in alpha.terms.items()}),
+                   ({}, {q: one}))
 
     steps: list[BlowUpStep] = []
     components: list[ComponentRecord] = []
     axis_points: list[AxisPointRecord] = []
-    shift = CycloNum.zero()
+    zero = shift = CycloNum.zero()
     # The slope num1 repeats along the chain (it is -lead(alpha)): invert it
     # only when it changes.
     slope = slope_inv = None
@@ -170,23 +170,26 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
         g = g.translate(shift)
         # Crossing of the new component with the previous total transform,
         # seen in the complementary chart.
-        tag2 = g.compose_monomial_map(CHART_SECOND).classify_at_point()
+        tag2 = g.classify_at_point(CHART_SECOND)
         # Every step uses the chart x = u, so the first projection pulls back
         # to u^1 on every component and at every crossing.
         crossing = CrossingRecord(left=index - 1, right=index, tag=tag2,
                                   pi1_orders=(1, 1))
 
-        g = g.compose_monomial_map(CHART_FIRST)
+        g = g.compose_monomial_map()
 
         cu, cv = g.den_content
         num_cu, _ = g.num_content
         _structural(num_cu == 0, "numerator vanishes along the new component")
-        den_res_at0 = g.den.divide_monomial(cu, cv).restrict_first_to_zero()
-        _structural(den_res_at0.support() == [0],
+        # Traces on the new component u = 0: den0 of the residual
+        # denominator, num0 + num1*v of the numerator.
+        den_lo, den_hi = g.den if cv == 0 else (g.den[1], {})
+        den0 = den_lo.get(cu)
+        _structural(den0 is not None and cu not in den_hi,
                     "denominator has a non-axis zero on the new component")
-        num_at0 = g.num.restrict_first_to_zero()
-        _structural(num_at0.support() in ([0, 1], [1]) and
-                    not num_at0.coeff(1).is_zero(),
+        num0 = g.num[0].get(0, zero)
+        num1 = g.num[1].get(0)
+        _structural(num1 is not None,
                     "numerator trace on the new component not affine")
         components.append(ComponentRecord(index=index, pole_order=cu, pi1_order=1))
         steps.append(BlowUpStep(index=index, shift=shift, chart=CHART_FIRST,
@@ -199,8 +202,7 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
             _structural((tag2.pole_u, tag2.pole_v) == (1, 0),
                         "meeting point of the distinguished component not a "
                         "first-order one-variable pole")
-            ed = EdChart(num0=num_at0.const_term(), numlin=num_at0.coeff(1),
-                         den0=den_res_at0.const_term())
+            ed = EdChart(num0=num0, numlin=num1, den0=den0)
             return ResolutionTree(
                 alpha=alpha, q=q, steps=tuple(steps),
                 components=tuple(components), distinguished=index,
@@ -208,10 +210,9 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
             )
 
         # Next center: the unique root of the numerator on the new component.
-        num1 = num_at0.coeff(1)
         if slope is None or num1 != slope:
             slope, slope_inv = num1, num1.inv()
-        shift = -num_at0.const_term() * slope_inv
+        shift = -num0 * slope_inv
         if cv >= 1 and not shift.is_zero():
             # The axis crossing at the origin survives; classify and keep it.
             tag = g.classify_at_point()

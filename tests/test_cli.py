@@ -104,6 +104,29 @@ def test_svg_names_that_collide_are_exit_2(tmp_path, capsys, command):
     assert list(tmp_path.glob("*.svg")) == []
 
 
+@pytest.mark.parametrize("spelling", ["plain", "dotted", "absolute"])
+@pytest.mark.parametrize("command", ["invariants", "report"])
+def test_svg_that_names_the_output_file_is_exit_2(tmp_path, monkeypatch, capsys,
+                                                   command, spelling):
+    # Any spelling of --output that resolves to an SVG's file is refused
+    # before the report or any SVG is written.  With one point the SVG is
+    # --svg itself; with two, point c=0 writes poly-0-k0.svg.
+    monkeypatch.chdir(tmp_path)
+    one = [{"c": "0", "k": 0, "branches": [branch_to_json(mk("l", q=2))]}]
+    two = [*one, {"c": "infty", "k": 0, "branches": []}]
+    for points, svg, shared in ((one, "same.svg", "same.svg"),
+                                (two, "poly.svg", "poly-0-k0.svg")):
+        Path("in.json").write_text(json.dumps({"points": points}))
+        output = {"plain": shared, "dotted": f"./{shared}",
+                  "absolute": str(tmp_path / shared)}[spelling]
+        assert run_cli(command, "--input", "in.json", "--output", output,
+                       "--svg", svg) == 2
+        assert capsys.readouterr().err == (
+            f"error: --output and the SVG of point (c='0', k=0) would share "
+            f"the file {shared}\n")
+        assert list(tmp_path.glob("*.svg")) == []
+
+
 def test_validate_rejects_inconsistent_zeta(problem_file, tmp_path, capsys):
     doc = json.loads(problem_file.read_text())
     doc["points"][0]["branches"][0]["m"] = 5  # deg(zeta) stays 2

@@ -3,6 +3,7 @@ each factor: membership, separation, and the rank and monodromy assembled
 over the distinguished component."""
 
 import dataclasses
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,6 +21,7 @@ from expdirect.resolution import (
     verify_corollary,
     CopySeries,
 )
+from expdirect.serialize import dumps, tree_to_json
 from tests.helpers import (mk, rand_branch, rand_monic, rand_polar,
                            worked_example_branches)
 
@@ -94,6 +96,37 @@ def test_build_rejects_bad_alpha():
         build_resolution(LaurentPoly.zero())
     with pytest.raises(ValueError):
         build_resolution(LaurentPoly({-1: 1, 0: 2}))
+
+
+def chain_alphas(rng: random.Random, count: int) -> list[LaurentPoly]:
+    """Polar parts of pole order 1..24 whose coefficients are +-(1..3)/(1..3)
+    times a root of unity of order 1, 3, 4, 5, 6, 8 or 12; some have a
+    second term."""
+    alphas = []
+    for _ in range(count):
+        q = rng.randint(1, 24)
+        exps = [-q]
+        if q > 1 and rng.random() < 0.4:
+            exps.append(rng.randint(-q + 1, -1))
+        terms = {}
+        for e in exps:
+            n = rng.choice([1, 3, 4, 5, 6, 8, 12])
+            terms[e] = root_of_unity(n, rng.randrange(n)) * Fraction(
+                rng.choice([-1, 1]) * rng.randint(1, 3), rng.randint(1, 3))
+        alphas.append(LaurentPoly(terms))
+    return alphas
+
+
+# sha256 of the 500 trees below as JSON, recorded at commit 26f2eb0, where
+# the chain still ran on general bivariate polynomials.
+CHAIN_DIGEST = "ffdc7a3e63a109b73a95093853e547ea2697cc749d8dbd3e184fd547d89a2a41"
+
+
+def test_chain_bytes_equal_the_recorded_digest():
+    digest = hashlib.sha256()
+    for alpha in chain_alphas(random.Random(16), 500):
+        digest.update(dumps(tree_to_json(build_resolution(alpha))).encode())
+    assert digest.hexdigest() == CHAIN_DIGEST
 
 
 def test_strict_transform_membership():
