@@ -1,11 +1,12 @@
 """Command-line interface: JSON in, deterministic reports out.
 
 Exit codes: 0 on success, 2 for parse or validation failures (with a JSON
-path in the message) and for input that cannot be read, 3 when the
-independent blow-up oracle disagrees with the symbolic computation (one line
-per disagreeing factor goes to stderr) or a blow-up chain breaks its expected
-normal form (ClassificationError, with an ``error:`` line).  Exit 3 flags a
-bug, not a data problem.
+path in the message), for input that cannot be read and for an integer too
+long for Python to write (``sys.get_int_max_str_digits()``), before any
+output file is written; 3 when the independent blow-up oracle disagrees
+with the symbolic computation (one line per disagreeing factor goes to
+stderr) or a blow-up chain breaks its expected normal form
+(ClassificationError, with an ``error:`` line).  Exit 3 flags a bug.
 
 The order cap (``--max-order``, or a file's ``options.max_order``) is
 checked before any work, as exit 2 naming a JSON path: parsing refuses a
@@ -16,10 +17,9 @@ ramification indices, and every order the pipeline builds for the unit
 divides it.
 
 ``report``, ``verify``, ``invariants`` and ``decompose`` run one pipeline
-(``run_file``) and print a view of its point reports: the keys of each
-``report`` point listed in ``_VIEWS``.  The blow-up oracle runs only for a
-view that prints it (``verify`` always, ``report`` unless ``--oracle
-off``), and ``--svg`` draws each report's own Newton polygon.
+(``run_file``) that prints, per point, the keys ``_VIEWS`` lists for the
+subcommand (``report --oracle off`` drops ``oracle``) and runs only the
+stages they read.  ``--svg`` draws each report's own Newton polygon.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from math import lcm
 from pathlib import Path
@@ -59,16 +59,16 @@ DEFAULT_ORDER_LIMIT = 10_000
 class Options:
     truncation: int = DEFAULT_TRUNCATION
     max_order: int = DEFAULT_ORDER_LIMIT
-    oracle: bool = True
 
 
+# One point's stages; a stage that did not run is None.
 @dataclass(frozen=True)
 class PointReport:
     c: str
     k: int
     warnings: tuple[str, ...]
-    polygon: NewtonPolygon
-    decomposition: FormalDecomposition
+    polygon: NewtonPolygon | None
+    decomposition: FormalDecomposition | None
     oracle: tuple | None
 
     @property
@@ -88,7 +88,7 @@ def _parse_problem(data, options: Options):
         file_opts.get("max_order", options.max_order), "$.options.max_order")
     if max_order < 1:
         raise SchemaError("$.options.max_order", "expected a positive integer")
-    merged = replace(options, truncation=truncation, max_order=max_order)
+    merged = Options(truncation=truncation, max_order=max_order)
 
     points = []
     seen = set()
@@ -130,41 +130,51 @@ def _warnings(reports) -> list[str]:
     return [f"branch {r.label}: {w}" for r in reports for w in r.warnings]
 
 
+# The keys of a report point each subcommand prints; they decide what runs.
+_VIEWS = {
+    "report": ("c", "k", "warnings", "newton_polygon", "slopes", "irregularity",
+               "decomposition", "consistent", "oracle"),
+    "verify": ("c", "k", "oracle", "consistent"),
+    "invariants": ("c", "k", "newton_polygon", "slopes", "irregularity", "warnings"),
+    "decompose": ("c", "k", "decomposition", "warnings"),
+}
+
+
 def run_point(c: str, k: int, branches, options: Options) -> PointReport:
-    """Invariants, decomposition, and optional oracle checks for one germ."""
+    """Invariants, decomposition and oracle checks for one germ."""
     reports = validate_all(branches, options.truncation)
-    return _point_report(c, k, branches, _warnings(reports), options)
+    return _point_report(c, k, branches, _warnings(reports), options,
+                         _VIEWS["report"])
 
 
-def _point_report(c: str, k: int, branches, warnings, options: Options) -> PointReport:
-    """``run_point`` for branches already validated, with their warnings."""
-    polygon = polygon_from_branches(branches)
-    dec = decompose(branches, truncation=options.truncation)
-
-    oracle = None
-    if options.oracle and branches:
+def _point_report(c: str, k: int, branches, warnings, options: Options,
+                  keys) -> PointReport:
+    """The stages that ``keys`` print, for branches already validated."""
+    polygon = dec = oracle = None
+    if {"newton_polygon", "slopes", "irregularity"}.intersection(keys):
+        polygon = polygon_from_branches(branches)
+    if "decomposition" in keys or "oracle" in keys:
+        dec = decompose(branches, truncation=options.truncation)
+    if "oracle" in keys:
         # One series per copy, shared by every factor's replay.
         series = [CopySeries(u) for u in dec.copies]
         oracle = tuple(verify_corollary(series, factor) for factor in dec.factors)
-
     return PointReport(c=c, k=k, warnings=tuple(warnings), polygon=polygon,
                        decomposition=dec, oracle=oracle)
 
 
-def point_report_to_json(rep: PointReport) -> dict:
-    out = {
-        "c": rep.c,
-        "k": rep.k,
-        "warnings": list(rep.warnings),
-        "newton_polygon": serialize.polygon_to_json(rep.polygon),
-        "slopes": [serialize.rational_to_json(s) for s in sorted(slopes(rep.polygon))],
-        "irregularity": serialize.rational_to_json(irregularity(rep.polygon)),
-        "decomposition": serialize.decomposition_to_json(rep.decomposition),
-        "consistent": rep.consistent,
-    }
-    if rep.oracle is not None:
-        out["oracle"] = [serialize.corollary_to_json(r) for r in rep.oracle]
-    return out
+_FIELDS = {
+    "c": lambda rep: rep.c,
+    "k": lambda rep: rep.k,
+    "warnings": lambda rep: list(rep.warnings),
+    "newton_polygon": lambda rep: serialize.polygon_to_json(rep.polygon),
+    "slopes": lambda rep: [serialize.rational_to_json(s)
+                           for s in sorted(slopes(rep.polygon))],
+    "irregularity": lambda rep: serialize.rational_to_json(irregularity(rep.polygon)),
+    "decomposition": lambda rep: serialize.decomposition_to_json(rep.decomposition),
+    "consistent": lambda rep: rep.consistent,
+    "oracle": lambda rep: [serialize.corollary_to_json(r) for r in rep.oracle],
+}
 
 
 def _disagreement(point: PointReport, rep: CorollaryReport) -> str:
@@ -191,9 +201,9 @@ def _disagreement(point: PointReport, rep: CorollaryReport) -> str:
             f"factor alpha = {rep.factor.alpha!r}: " + "; ".join(parts))
 
 
-def run_file(path: str, options: Options):
-    """Process a problem file; returns (point reports sorted by point,
-    exit_code).
+def run_file(path: str, options: Options, keys):
+    """Process a problem file for a view that prints ``keys``; returns
+    (point reports sorted by point, exit_code).
 
     Exit code 3 comes with one stderr line per factor the oracle disputes.
     """
@@ -215,7 +225,7 @@ def run_file(path: str, options: Options):
         raise SchemaError("$.points", "; ".join(failures))
 
     checked.sort(key=lambda t: (t[0], t[1]))
-    reports = [_point_report(c, k, branches, warnings, merged)
+    reports = [_point_report(c, k, branches, warnings, merged, keys)
                for c, k, branches, warnings in checked]
     code = 0 if all(r.consistent for r in reports) else 3
     for point in reports:
@@ -277,18 +287,11 @@ def _cmd_validate(args, options: Options) -> int:
     return 0 if ok else 2
 
 
-# The keys of each report point a subcommand prints (None: every key).  A
-# view that names "oracle" prints [] for a point without branches.
-_VIEWS = {
-    "report": None,
-    "verify": ("c", "k", "oracle", "consistent"),
-    "invariants": ("c", "k", "newton_polygon", "slopes", "irregularity", "warnings"),
-    "decompose": ("c", "k", "decomposition", "warnings"),
-}
-
-
 def _cmd_points(args, options: Options) -> int:
-    reports, code = run_file(args.input, options)
+    keys = _VIEWS[args.command]
+    if getattr(args, "oracle", "on") == "off":
+        keys = tuple(key for key in keys if key != "oracle")
+    reports, code = run_file(args.input, options, keys)
     svgs = {}
     if getattr(args, "svg", None):
         out = Path(args.output).resolve() if args.output else None
@@ -304,13 +307,12 @@ def _cmd_points(args, options: Options) -> int:
                       f"(c={rep.c!r}, k={rep.k}) would share the SVG file {path}",
                       file=sys.stderr)
                 return 2
-    keys = _VIEWS[args.command]
-    points = [point_report_to_json(rep) for rep in reports]
-    if keys is not None:
-        points = [{key: pt.get(key, []) for key in keys} for pt in points]
-    _dump({"points": points}, args.output)
-    for path, rep in svgs.items():
-        _write(polygon_svg(rep.polygon), path)
+    # Every text is built before the first write.
+    drawings = {path: polygon_svg(rep.polygon) for path, rep in svgs.items()}
+    _dump({"points": [{key: _FIELDS[key](rep) for key in keys} for rep in reports]},
+          args.output)
+    for path, text in drawings.items():
+        _write(text, path)
     return code
 
 
@@ -360,16 +362,9 @@ def _cmd_roundtrip(args, options: Options) -> int:
     return 0 if rep.ok else 3
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "invariants": _cmd_points,
-    "decompose": _cmd_points,
-    "resolve": _cmd_resolve,
-    "verify": _cmd_points,
-    "realize": _cmd_realize,
-    "roundtrip": _cmd_roundtrip,
-    "report": _cmd_points,
-}
+_COMMANDS = {"validate": _cmd_validate, "resolve": _cmd_resolve,
+             "realize": _cmd_realize, "roundtrip": _cmd_roundtrip,
+             **dict.fromkeys(_VIEWS, _cmd_points)}
 
 
 def _bounded_int(low: int):
@@ -422,14 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # The oracle runs only for a view that prints it.
-    view = _VIEWS.get(args.command, ())
-    options = Options(
-        truncation=args.truncation,
-        max_order=args.max_order,
-        oracle=getattr(args, "oracle", "on") == "on"
-        and (view is None or "oracle" in view),
-    )
+    options = Options(truncation=args.truncation, max_order=args.max_order)
     try:
         return _COMMANDS[args.command](args, options)
     except (SchemaError, json.JSONDecodeError, UnicodeDecodeError, OSError) as err:
@@ -440,6 +428,13 @@ def main(argv=None) -> int:
         # from an oracle disagreement, not a data problem.
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except ValueError as err:
+        # Python's int/str conversion limit; any other ValueError is a bug.
+        if "integer string conversion" not in str(err):
+            raise
+        print(f"error: an integer exceeds Python's integer string-conversion "
+              f"limit of {sys.get_int_max_str_digits()} digits", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -94,16 +94,12 @@ def exponential_factors(keyed: list[tuple[tuple, UnramifiedBranch]]) -> list[Exp
     for key in sorted(groups):
         members = groups[key]
         members.sort(key=lambda u: (u.label, u.root_index))
-        distinct_labels = []
-        for u in members:
-            if u.label not in distinct_labels:
-                distinct_labels.append(u.label)
         by_label = {u.label: u.m for u in members}
         factors.append(ExponentialFactor(
             alpha=members[0].alpha_sub,
             members=tuple(u.origin for u in members),
             rank_branchwise=sum(u.m for u in members),
-            rank_distinct=sum(by_label[lbl] for lbl in distinct_labels),
+            rank_distinct=sum(by_label.values()),
         ))
     return factors
 

@@ -125,10 +125,11 @@ def _orbit_class_keys(p: int, alphas) -> list[tuple]:
 def realize(spec: FormalModuleSpec) -> list[Branch]:
     """One branch per root-of-unity orbit of summands.
 
-    Each branch carries the canonical orbit representative as polar part, a
-    trivial holomorphic part, the orbit's rank as multiplicity and its
-    monodromy polynomial; decomposing the output regenerates every orbit
-    element.  Orbit members with conflicting rank or monodromy raise
+    Each branch carries as polar part the primitive form (``canonicalize``)
+    of the alpha of its orbit's first summand in ``spec`` order, a trivial
+    holomorphic part, the orbit's rank as multiplicity and its monodromy
+    polynomial; decomposing the output regenerates every orbit element.
+    Orbit members with conflicting rank or monodromy raise
     NormalizationConflictError.  The regular summand produces no branch.
     """
     keys = _orbit_class_keys(spec.p, [s.alpha for s in spec.summands])

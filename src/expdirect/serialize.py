@@ -14,6 +14,7 @@ diagnostics.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -56,6 +57,10 @@ def rational_to_json(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# "num" or "num/den"; int() refuses digits past sys.get_int_max_str_digits().
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def rational_from_json(data, path: str) -> Fraction:
     if isinstance(data, bool):
         raise SchemaError(path, "expected an exact rational, got a boolean")
@@ -65,10 +70,13 @@ def rational_from_json(data, path: str) -> Fraction:
         raise SchemaError(path, "floating-point values are not exact; "
                                 "write rationals as \"num/den\"")
     if isinstance(data, str):
+        match = _RATIONAL.fullmatch(data)
         try:
-            return Fraction(data.strip())
+            if match:
+                return Fraction(int(match[1]), int(match[2] or 1))
         except (ValueError, ZeroDivisionError):
-            raise SchemaError(path, f"not an exact rational: {data!r}") from None
+            pass
+        raise SchemaError(path, f"not an exact rational: {data!r}")
     raise SchemaError(path, f"expected an exact rational, got {type(data).__name__}")
 
 

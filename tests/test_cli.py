@@ -182,6 +182,50 @@ def test_float_coefficient_is_exit_2(tmp_path, capsys):
     assert "not exact" in capsys.readouterr().err
 
 
+def _zeta_past_the_digit_limit():
+    # Two branches share a factor whose charpoly is the product of their
+    # zetas, lambda + 77...7 (3000 digits): its constant has 6000 digits.
+    zeta = ["7" * 3000, "1"]
+    return {"points": [{"c": "0", "k": 0, "branches": [
+        branch_to_json(mk(label, delta=LaurentPoly({0: d}))) | {"zeta": zeta}
+        for label, d in (("a", 1), ("b", 2))]}]}
+
+
+@pytest.mark.parametrize("args, doc", [
+    (["report", "--oracle", "off"], _zeta_past_the_digit_limit()),
+    (["report"], _zeta_past_the_digit_limit()),
+    (["decompose"], _zeta_past_the_digit_limit()),
+    # Two coprime ramification indices of 4300 digits: the order bound the
+    # refusal names has about 8600.
+    (["invariants"], {"points": [{"c": "0", "k": 0, "branches": [
+        branch_to_json(mk(label, p=10**4299 + i)) for label, i in (("a", 1), ("b", 3))]}]}),
+    (["resolve"], {"alpha": {"terms": {"-2": "1/" + "7" * 3000, "-1": "7" * 3000}}}),
+], ids=["charpoly-oracle-off", "charpoly", "charpoly-decompose", "order-bound",
+        "resolve-shift"])
+def test_integer_past_the_conversion_limit_is_exit_2(tmp_path, capsys, args, doc):
+    # Python refuses to write an int of more than sys.get_int_max_str_digits()
+    # digits; the CLI names that limit and writes no output file.
+    path, out = tmp_path / "long.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(*args, "--input", path, "--output", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: an integer exceeds Python's integer "
+                          "string-conversion limit")
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
+def test_rational_in_exponent_notation_is_exit_2(tmp_path, capsys):
+    # Fraction("1e5000") would parse to an int too long to write back.
+    doc = {"points": [{"c": "0", "k": 0, "branches": [
+        branch_to_json(mk("a")) | {"alpha": {"terms": {"-1": "1e5000"}}}]}]}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("report", "--input", path) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: $.points[0].branches[0].alpha.terms.-1: "
+                   "not an exact rational: '1e5000'\n")
+
+
 def test_resolve_text_and_json(tmp_path, capsys):
     path = tmp_path / "alpha.json"
     path.write_text(json.dumps(
@@ -299,27 +343,40 @@ def test_verify_subcommand(problem_file, capsys):
                                 "consistent": True}
 
 
-@pytest.mark.parametrize("command, calls", [
-    ("invariants", 0), ("decompose", 0), ("verify", 3),
+# Stage calls over problem_file's two points, one of them without branches.
+@pytest.mark.parametrize("args, polygons, decompositions, calls", [
+    pytest.param(["invariants"], 2, 0, 0, id="invariants-0"),
+    pytest.param(["decompose"], 0, 2, 0, id="decompose-0"),
+    pytest.param(["verify"], 0, 2, 3, id="verify-3"),
+    pytest.param(["report"], 2, 2, 3, id="report-3"),
+    pytest.param(["report", "--oracle", "off"], 2, 2, 0, id="report-off-0"),
 ])
 def test_oracle_runs_only_for_a_view_that_prints_it(
-        problem_file, monkeypatch, capsys, command, calls):
+        problem_file, monkeypatch, capsys, args, polygons, decompositions, calls):
+    # Each view runs only the stages it prints: the polygon, the
+    # decomposition, and the oracle once per factor.
     import expdirect.cli as cli_mod
 
-    seen = []
-    real = cli_mod.verify_corollary
+    seen = {}
 
-    def spy(series, factor):
-        seen.append(factor)
-        return real(series, factor)
+    def spy(name):
+        real, calls_of = getattr(cli_mod, name), seen.setdefault(name, [])
 
-    monkeypatch.setattr(cli_mod, "verify_corollary", spy)
-    assert run_cli(command, "--input", problem_file) == 0
-    assert len(seen) == calls
+        def wrapper(*a, **kw):
+            calls_of.append(a)
+            return real(*a, **kw)
+        return wrapper
+
+    for name in ("polygon_from_branches", "decompose", "verify_corollary"):
+        monkeypatch.setattr(cli_mod, name, spy(name))
+    assert run_cli(*args, "--input", problem_file) == 0
+    assert [len(calls_of) for calls_of in seen.values()] == \
+        [polygons, decompositions, calls]
     if calls:
         # One call per factor, in the order the report lists them.
         checks = json.loads(capsys.readouterr().out)["points"][0]["oracle"]
-        assert [laurent_to_json(f.alpha) for f in seen] == \
+        assert [laurent_to_json(factor.alpha)
+                for _, factor in seen["verify_corollary"]] == \
             [check["alpha"] for check in checks]
 
 
@@ -605,7 +662,8 @@ _cyclo = _mostly(
         "coeffs": st.dictionaries(
             st.sampled_from(["4", "400000000000", "400000000001",
                              str(_big_order - 1), "-1", "x", "1.5", ""]),
-            st.one_of(_rational, st.sampled_from(["1/0", "x"])), max_size=3)})))
+            st.one_of(_rational, st.sampled_from(["1/0", "x", "1e5000"])),
+            max_size=3)})))
 _p = _mostly(st.sampled_from([1, 2, 3, 6]), st.integers(-3, 10**9))
 
 

@@ -13,7 +13,7 @@ def test_oracle_consistent_on_random_ramified_points():
     for _ in range(15):
         branches = [rand_branch(rng, f"l{i}", max_p=3, max_q=4, cyclo_coeffs=True)
                     for i in range(rng.randint(1, 4))]
-        rep = run_point("0", 0, branches, Options(oracle=True))
+        rep = run_point("0", 0, branches, Options())
         assert rep.consistent
         assert rep.oracle is not None
         assert len(rep.oracle) == len(rep.decomposition.factors)
@@ -25,7 +25,7 @@ def test_oracle_handles_colliding_copies_with_delta():
     # symbolic and the blow-up side.
     b = mk("d", p=2, q=2, alpha=LaurentPoly({-2: 1}),
            delta=LaurentPoly({0: Fraction(1, 3), 1: 2}), m=1)
-    rep = run_point("0", 0, [b], Options(oracle=True))
+    rep = run_point("0", 0, [b], Options())
     assert rep.consistent
     assert not rep.decomposition.star_holds
     (check,) = rep.oracle
@@ -41,7 +41,7 @@ def test_oracle_separates_ramified_copies_by_twisted_delta():
            delta=LaurentPoly({0: 1, 2: 1}), m=1),
         mk("b", p=1, q=1, delta=LaurentPoly({0: 5}), m=2),
     ]
-    rep = run_point("0", 0, branches, Options(oracle=True))
+    rep = run_point("0", 0, branches, Options())
     assert rep.consistent and rep.decomposition.star_holds
 
 
@@ -55,7 +55,7 @@ def test_oracle_on_shared_factor_with_distinct_constants():
            delta=LaurentPoly({0: 2}), m=2,
            zeta=None),
     ]
-    rep = run_point("0", 0, branches, Options(oracle=True))
+    rep = run_point("0", 0, branches, Options())
     assert rep.consistent and rep.decomposition.star_holds
     assert [f.rank_branchwise for f in rep.decomposition.factors] == [3, 3]
     for check in rep.oracle:
@@ -64,12 +64,12 @@ def test_oracle_on_shared_factor_with_distinct_constants():
 
 def test_point_report_warnings_surface():
     b = mk("w", p=2, q=2, alpha=LaurentPoly({-2: 1}), m=1)
-    rep = run_point("0", 0, [b], Options(oracle=False))
+    rep = run_point("0", 0, [b], Options())
     assert any("non-primitive" in w for w in rep.warnings)
 
 
 def test_run_point_matches_worked_example():
-    rep = run_point("0", 0, worked_example_branches(), Options(oracle=True))
+    rep = run_point("0", 0, worked_example_branches(), Options())
     assert rep.consistent
     assert rep.decomposition.p == 2
     assert [f.rank_branchwise for f in rep.decomposition.factors] == [2, 1, 1]

@@ -37,14 +37,18 @@ def test_rational_round_trip():
 
 
 def test_rational_rejects_floats_and_junk():
-    with pytest.raises(SchemaError):
-        rational_from_json(0.5, "$")
-    with pytest.raises(SchemaError):
-        rational_from_json("pi", "$")
-    with pytest.raises(SchemaError):
-        rational_from_json("1/0", "$")
-    with pytest.raises(SchemaError):
-        rational_from_json(True, "$")
+    # Only [+-]digits[/digits] with optional surrounding whitespace: no
+    # exponent, decimal point or underscore, and no more digits than Python
+    # converts (sys.get_int_max_str_digits()).
+    for data in (0.5, "pi", "1/0", True, "1e5000", "1.5", "1/2/3", "1_000",
+                 "1 / 2", "0x10", "½", "3" * 4301):
+        with pytest.raises(SchemaError):
+            rational_from_json(data, "$")
+
+
+def test_rational_accepts_signs_and_whitespace():
+    assert rational_from_json(" -6/4\n", "$") == Fraction(-3, 2)
+    assert rational_from_json("+007", "$") == 7
 
 
 def test_cyclo_round_trip_random():
