@@ -113,12 +113,18 @@ def _parse_problem(data, options: Options):
 
 def _check_order_bound(path: str, orders, cap: int) -> None:
     """Refuse a unit of work whose order bound, the lcm of ``orders``,
-    exceeds ``cap``."""
-    bound = lcm(*orders)
-    if bound > cap:
-        raise SchemaError(path, f"order bound {bound} (the lcm of its "
-                                f"cyclotomic orders and ramification indices) "
-                                f"exceeds the order cap {cap} (--max-order)")
+    exceeds ``cap``.  The lcm is taken one order at a time and refused as
+    soon as it passes the cap, so the number named divides the bound and is
+    at most cap², or a single order that passes the cap by itself."""
+    bound = 1
+    for order in orders:
+        bound = order if order > cap else lcm(bound, order)
+        if bound > cap:
+            raise SchemaError(path, f"order bound {bound} (the lcm of its "
+                                    f"cyclotomic orders and ramification "
+                                    f"indices, or a divisor of it already past "
+                                    f"the cap) exceeds the order cap {cap} "
+                                    f"(--max-order)")
 
 
 def _branch_orders(b) -> list[int]:
@@ -294,6 +300,9 @@ def _cmd_points(args, options: Options) -> int:
     reports, code = run_file(args.input, options, keys)
     svgs = {}
     if getattr(args, "svg", None):
+        if not Path(args.svg).name:
+            print(f"error: --svg {args.svg} names no file", file=sys.stderr)
+            return 2
         out = Path(args.output).resolve() if args.output else None
         for rep in reports:
             path = _svg_path(args.svg, rep.c, rep.k, len(reports) > 1)
@@ -398,9 +407,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="input JSON file")
         p.add_argument("--output", help="output file (default: stdout)")
-        p.add_argument("--truncation", type=_bounded_int(0),
-                       default=DEFAULT_TRUNCATION,
-                       help="declared exactness order of holomorphic parts")
+        if name == "validate" or name in _VIEWS:
+            p.add_argument("--truncation", type=_bounded_int(0),
+                           default=DEFAULT_TRUNCATION,
+                           help="declared exactness order of holomorphic parts")
         p.add_argument("--max-order", type=_bounded_int(1),
                        default=DEFAULT_ORDER_LIMIT,
                        help="cap on cyclotomic orders, checked before any work")
@@ -417,7 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    options = Options(truncation=args.truncation, max_order=args.max_order)
+    options = Options(truncation=getattr(args, "truncation", DEFAULT_TRUNCATION),
+                      max_order=args.max_order)
     try:
         return _COMMANDS[args.command](args, options)
     except (SchemaError, json.JSONDecodeError, UnicodeDecodeError, OSError) as err:

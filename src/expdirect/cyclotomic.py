@@ -95,37 +95,41 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials, constant term first; den monic
-    # up to sign of its leading coefficient.
-    num = list(num)
-    dn = len(den) - 1
+def _divmod(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder of dense polynomials, constant term first,
+    over int, Fraction or CycloNum coefficients; ``den[-1]`` is nonzero.
+    A monic ``den`` scales nothing, so integers stay integers; any other
+    leading coefficient is inverted once, as a Fraction or a CycloNum.
+
+    >>> x6_minus_1, phi123 = [-1, 0, 0, 0, 0, 0, 1], [-1, -1, 0, 1, 1]
+    >>> _divmod(x6_minus_1, phi123)  # Phi_6 = (x^6 - 1) / (Phi_1 Phi_2 Phi_3)
+    ([1, -1, 1], [0, 0, 0, 0])
+    """
+    d = len(den) - 1
     lead = den[-1]
-    quot = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
+    scale = None if lead == 1 else Fraction(1) / lead
+    terms = [(j, c) for j, c in enumerate(den[:d]) if c]
+    rem = list(num)
+    quot = [0] * max(len(num) - d, 0)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if not c:
             continue
-        assert c % lead == 0
-        q = c // lead
-        quot[i - dn] = q
-        for j, dj in enumerate(den):
-            num[i - dn + j] -= q * dj
-    assert all(c == 0 for c in num), "non-exact polynomial division"
-    return quot
+        if scale is not None:
+            c = c * scale
+        quot[i - d] = c
+        for j, cj in terms:
+            rem[i - d + j] -= c * cj
+    return quot, rem[:d]
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic_int_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, constant first."""
-    if n == 1:
-        return (-1, 1)
-    num = [0] * (n + 1)
-    num[0] = -1
-    num[n] = 1
-    for d in _divisors(n):
-        if d < n:
-            num = _int_poly_div_exact(num, list(_cyclotomic_int_coeffs(d)))
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in _divisors(n)[:-1]:
+        num, rem = _divmod(num, _cyclotomic_int_coeffs(d))
+        assert not any(rem), "non-exact polynomial division"
     return tuple(num)
 
 
@@ -385,9 +389,9 @@ class CycloNum:
 
     def inv(self) -> "CycloNum":
         """Multiplicative inverse.  A single term c*zeta^e inverts to
-        (1/c)*zeta^-e; any other value is reduced modulo the cyclotomic
-        polynomial once and inverted by the extended Euclidean algorithm.
-        The conductor is kept."""
+        (1/c)*zeta^-e; any other value is inverted by the extended Euclidean
+        algorithm on its stored coefficients, whose first steps reduce them
+        modulo the cyclotomic polynomial.  The conductor is kept."""
         coeffs = self.coeffs
         if not coeffs:
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
@@ -395,19 +399,10 @@ class CycloNum:
         if len(coeffs) == 1:
             (e, c), = coeffs.items()
             return _reduced(n, _normalised(n, {-e % n: 1 / c}))
-        cyc = _cyclotomic_int_coeffs(n)
-        phi = len(cyc) - 1
         a = [Fraction(0)] * n
         for e, c in coeffs.items():
             a[e] = c
-        # Power-basis coordinates: subtract multiples of the monic modulus.
-        for i in range(n - 1, phi - 1, -1):
-            f = a[i]
-            if f:
-                for j, cj in enumerate(cyc[:phi]):
-                    if cj:
-                        a[i - phi + j] -= f * cj
-        s = _poly_invert_mod(a[:phi], [Fraction(c) for c in cyc])
+        s = _poly_invert_mod(a, [Fraction(c) for c in _cyclotomic_int_coeffs(n)])
         return _reduced(n, _normalised(n, {i: c for i, c in enumerate(s) if c}))
 
     def __truediv__(self, other):
@@ -477,60 +472,31 @@ def _reduced(order: int, coeffs: dict[int, Fraction]) -> CycloNum:
     return num
 
 
+def _trimmed(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
 def _poly_invert_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
-    """Inverse of a modulo a monic polynomial, dense constant-first vectors."""
-
-    def deg(p):
-        d = len(p) - 1
-        while d >= 0 and not p[d]:
-            d -= 1
-        return d
-
-    def pad(p, n):
-        return p + [Fraction(0)] * (n - len(p))
-
-    def polymod(p, q):
-        p = list(p)
-        dq = deg(q)
-        lead = q[dq]
-        for i in range(deg(p), dq - 1, -1):
-            if not p[i]:
-                continue
-            f = p[i] / lead
-            for j in range(dq + 1):
-                p[i - dq + j] -= f * q[j]
-        return p[:dq]
-
+    """Inverse of a modulo a monic polynomial, dense constant-first vectors;
+    ``a`` may be longer than the modulus."""
     # Extended Euclid: maintain r0 = s0*a (mod modulus), r1 = s1*a (mod modulus).
-    r0, r1 = list(modulus), pad(list(a), len(modulus))
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while deg(r1) > 0:
-        d0, d1 = deg(r0), deg(r1)
-        q = [Fraction(0)] * max(d0 - d1 + 1, 1)
-        rem = list(r0)
-        for i in range(d0, d1 - 1, -1):
-            if not rem[i]:
-                continue
-            f = rem[i] / r1[d1]
-            q[i - d1] = f
-            for j in range(d1 + 1):
-                rem[i - d1 + j] -= f * r1[j]
-        # s_next = s0 - q*s1
-        prod = [Fraction(0)] * (len(q) + len(s1))
+    r0, r1 = list(modulus), _trimmed(list(a))
+    s0, s1 = [], [Fraction(1)]
+    while len(r1) > 1:
+        q, rem = _divmod(r0, r1)
+        s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))  # s0 - q*s1
         for i, qi in enumerate(q):
-            if not qi:
-                continue
-            for j, sj in enumerate(s1):
-                prod[i + j] += qi * sj
-        n = max(len(s0), len(prod))
-        s_next = [x - y for x, y in zip(pad(s0, n), pad(prod, n))]
-        r0, r1 = r1, rem
-        s0, s1 = s1, s_next
-    c = r1[0] if r1 else Fraction(0)
-    if not c:
+            if qi:
+                for j, sj in enumerate(s1):
+                    s[i + j] -= qi * sj
+        r0, r1 = r1, _trimmed(rem)
+        s0, s1 = s1, _trimmed(s)
+    if not r1:
         raise ZeroDivisionError("element not invertible (gcd not constant)")
-    inv = [x / c for x in s1]
-    return polymod(pad(inv, 2 * len(modulus)), modulus)
+    c = r1[0]
+    return _divmod([x / c for x in s1], modulus)[1]
 
 
 # -- module-level operations -----------------------------------------
@@ -646,18 +612,8 @@ class CycloPoly:
     def __divmod__(self, other: "CycloPoly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead_inv = other.leading().inv()
-        quot = [CycloNum.zero()] * max(0, len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i].is_zero():
-                continue
-            f = rem[i] * lead_inv
-            quot[i - d] = f
-            for j, oj in enumerate(other.coeffs):
-                rem[i - d + j] = rem[i - d + j] - f * oj
-        return CycloPoly(quot), CycloPoly(rem[:d] if d else [])
+        quot, rem = _divmod(self.coeffs, other.coeffs)
+        return CycloPoly(quot), CycloPoly(rem)
 
     def __eq__(self, other):
         if not isinstance(other, CycloPoly):

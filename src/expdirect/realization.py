@@ -234,8 +234,7 @@ def roundtrip_check(spec: FormalModuleSpec) -> RoundTripReport:
         key, p0, a0, rank, cp = entry
         hit = None
         for i, other in enumerate(remaining):
-            if other[0] == key and other[3] == rank and \
-                    (cp is None or other[4] is None or other[4] == cp):
+            if other[0] == key and other[3] == rank and other[4] == cp:
                 hit = i
                 break
         if hit is None:

@@ -127,6 +127,23 @@ def test_svg_that_names_the_output_file_is_exit_2(tmp_path, monkeypatch, capsys,
         assert list(tmp_path.glob("*.svg")) == []
 
 
+@pytest.mark.parametrize("points", [1, 2], ids=["one-point", "two-points"])
+@pytest.mark.parametrize("svg", [".", "/"], ids=["dot", "root"])
+@pytest.mark.parametrize("command", [["report", "--oracle", "off"], ["invariants"]],
+                         ids=["report-off", "invariants"])
+def test_svg_that_names_no_file_is_exit_2(tmp_path, monkeypatch, capsys,
+                                          command, svg, points):
+    # "." and "/" name a directory, not a file: refused before any write.
+    monkeypatch.chdir(tmp_path)
+    doc = {"points": [{"c": c, "k": 0, "branches": [branch_to_json(mk("l", q=2))]}
+                      for c in ("0", "1")[:points]]}
+    Path("in.json").write_text(json.dumps(doc))
+    assert run_cli(*command, "--input", "in.json", "--output", "out.json",
+                   "--svg", svg) == 2
+    assert capsys.readouterr().err == f"error: --svg {svg} names no file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+
 def test_validate_rejects_inconsistent_zeta(problem_file, tmp_path, capsys):
     doc = json.loads(problem_file.read_text())
     doc["points"][0]["branches"][0]["m"] = 5  # deg(zeta) stays 2
@@ -195,13 +212,8 @@ def _zeta_past_the_digit_limit():
     (["report", "--oracle", "off"], _zeta_past_the_digit_limit()),
     (["report"], _zeta_past_the_digit_limit()),
     (["decompose"], _zeta_past_the_digit_limit()),
-    # Two coprime ramification indices of 4300 digits: the order bound the
-    # refusal names has about 8600.
-    (["invariants"], {"points": [{"c": "0", "k": 0, "branches": [
-        branch_to_json(mk(label, p=10**4299 + i)) for label, i in (("a", 1), ("b", 3))]}]}),
     (["resolve"], {"alpha": {"terms": {"-2": "1/" + "7" * 3000, "-1": "7" * 3000}}}),
-], ids=["charpoly-oracle-off", "charpoly", "charpoly-decompose", "order-bound",
-        "resolve-shift"])
+], ids=["charpoly-oracle-off", "charpoly", "charpoly-decompose", "resolve-shift"])
 def test_integer_past_the_conversion_limit_is_exit_2(tmp_path, capsys, args, doc):
     # Python refuses to write an int of more than sys.get_int_max_str_digits()
     # digits; the CLI names that limit and writes no output file.
@@ -539,6 +551,28 @@ def test_order_cap(tmp_path, capsys):
                    "--max-order", 10403) == 0
 
 
+@pytest.mark.parametrize("ps", [
+    # Two coprime ramification indices of 4300 digits: their lcm has about
+    # 8600, past Python's integer string-conversion limit.
+    (10**4299 + 1, 10**4299 + 3),
+    # A 4300-digit index after an order-7 one: lcm(7, p) = 7p has 4301.
+    (7, 10**4300 - 1),
+], ids=["coprime-indices", "index-past-the-cap"])
+def test_order_bound_past_the_conversion_limit_is_the_order_cap_message(
+        tmp_path, capsys, ps):
+    # The refusal names the first divisor of the bound past the cap, which
+    # Python can write, and writes no output file.
+    path, out = tmp_path / "long.json", tmp_path / "out.json"
+    path.write_text(json.dumps({"points": [{"c": "0", "k": 0, "branches": [
+        branch_to_json(mk(f"b{i}", p=p)) for i, p in enumerate(ps)]}]}))
+    assert run_cli("invariants", "--input", path, "--output", out) == 2
+    err = capsys.readouterr().err
+    named = next(p for p in ps if p > 10_000)
+    assert err.startswith(f"error: $.points[0]: order bound {named} "), err[:80]
+    assert err.endswith(" exceeds the order cap 10000 (--max-order)\n")
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
 def test_a_high_order_value_is_built_and_emitted_in_small_memory():
     # zeta_6000^5999 normalises to a handful of basis terms; no table that
     # grows with the square of the order is built or kept.
@@ -747,6 +781,22 @@ def test_bad_limit_flag_is_exit_2_naming_the_flag(problem_file, capsys, flag, va
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}" in err and "$.options" not in err
+
+
+@pytest.mark.parametrize("command", ["resolve", "realize", "roundtrip"])
+def test_truncation_is_refused_where_nothing_reads_it(problem_file, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--input", problem_file, "--truncation", 3)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --truncation 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "report", "verify", "invariants",
+                                     "decompose"])
+def test_truncation_flag_is_taken_by_the_problem_file_subcommands(problem_file,
+                                                                  command):
+    assert run_cli(command, "--input", problem_file, "--output",
+                   problem_file.with_name("out.json"), "--truncation", 3) == 0
 
 
 def test_verify_has_no_oracle_flag(problem_file, capsys):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd
 
 import mpmath
@@ -524,3 +525,60 @@ def test_single_term_values_never_reach_euclid(monkeypatch):
     assert calls == []
     (root_of_unity(5, 1) + 2).inv()
     assert calls == [5]
+
+
+# -- the one polynomial division ---------------------------------------------
+
+def _poly_mul(f, g) -> list:
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+_COEFFICIENTS = {
+    "int": st.integers(-9, 9),
+    "fraction": st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    "cyclo": cyclo_nums(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_COEFFICIENTS)))
+def test_divmod_quotient_times_divisor_plus_remainder_is_the_dividend(data, kind):
+    coeff = _COEFFICIENTS[kind]
+    num = data.draw(st.lists(coeff, max_size=7))
+    lead = data.draw(st.one_of(st.just(1), coeff.filter(bool)))
+    den = data.draw(st.lists(coeff, max_size=4)) + [lead]
+    quot, rem = cyclotomic._divmod(num, den)
+    assert len(rem) < len(den)
+    back = _poly_mul(quot, den)
+    back += [0] * (len(num) - len(back))
+    for i, r in enumerate(rem):
+        back[i] += r
+    assert all(x == y for x, y in zip_longest(back, num, fillvalue=0))
+    if kind == "int" and lead == 1:
+        assert all(type(c) is int for c in quot + rem)
+
+
+@settings(max_examples=100, deadline=None)
+@given(written())
+def test_euclid_on_the_stored_vector_equals_euclid_on_the_reduced_one(w):
+    # CycloNum.inv hands Euclid its stored coefficients, a vector of length
+    # n; reducing it modulo Phi_n first must not change the inverse.
+    a = CycloNum(*w)
+    if not a:
+        return
+    n = a.order
+    stored = [Fraction(0)] * n
+    for e, c in a.coeffs.items():
+        stored[e] = c
+    reduced = [c.as_rational() for c in
+               divmod(CycloPoly(stored), cyclotomic_polynomial(n))[1].coeffs]
+    modulus = [Fraction(c) for c in cyclotomic._cyclotomic_int_coeffs(n)]
+    got, want = (
+        {i: c for i, c in enumerate(cyclotomic._poly_invert_mod(v, modulus)) if c}
+        for v in (stored, reduced))
+    assert got == want
+    assert a * CycloNum(n, got) == 1
