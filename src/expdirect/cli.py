@@ -306,7 +306,12 @@ def _cmd_points(args, options: Options) -> int:
         out = Path(args.output).resolve() if args.output else None
         for rep in reports:
             path = _svg_path(args.svg, rep.c, rep.k, len(reports) > 1)
-            if Path(path).resolve() == out:
+            target = Path(path)
+            if target.is_dir() or not target.parent.is_dir():
+                why = "is a directory" if target.is_dir() else "has no existing directory"
+                print(f"error: the SVG file {path} {why}", file=sys.stderr)
+                return 2
+            if target.resolve() == out:
                 print(f"error: --output and the SVG of point (c={rep.c!r}, "
                       f"k={rep.k}) would share the file {path}", file=sys.stderr)
                 return 2

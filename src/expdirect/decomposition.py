@@ -5,9 +5,9 @@ polar parts; each group is one exponential factor.  Two rank conventions are
 computed: ``rank_branchwise`` sums multiplicities over every contributing
 (branch, root) pair, ``rank_distinct`` sums them over the distinct branches
 only.  They differ exactly when one branch feeds several root-of-unity copies
-into the same factor, which is flagged.  Monodromy characteristic polynomials
-are assembled only under the separation condition (pairwise distinctness of
-polar part + constant term across all copies).
+into the same factor, which is flagged.  Separation (pairwise distinctness of
+polar part + constant term across all copies) is decided first, and a factor's
+monodromy charpoly is assembled as the factor is built, under separation only.
 
 Each copy is keyed once per ``decompose``: ``keyed_copies`` pairs it with the
 key of its polar part, and both the grouping and the separation test read
@@ -18,6 +18,8 @@ keys as they stand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from .branch import (DEFAULT_TRUNCATION, Branch, UnramifiedBranch,
                      ramification_order, require_valid, unramify)
@@ -81,10 +83,14 @@ def keyed_copies(ub: list[UnramifiedBranch]) -> list[tuple[tuple, UnramifiedBran
     return [(laurent_sort_key(u.alpha_sub), u) for u in ub]
 
 
-def exponential_factors(keyed: list[tuple[tuple, UnramifiedBranch]]) -> list[ExponentialFactor]:
+def exponential_factors(keyed: list[tuple[tuple, UnramifiedBranch]],
+                        separated: bool) -> list[ExponentialFactor]:
     """Partition the keyed copies by exact equality of polar parts.
 
     Factors come back in the canonical order (pole order, then coefficients).
+    ``separated`` is the verdict of ``star_condition`` on the same copies:
+    when it holds, each factor's charpoly is the product of its members'
+    zetas, in member order; otherwise no factor has one.
     """
     groups: dict[tuple, list[UnramifiedBranch]] = {}
     for key, u in keyed:
@@ -95,11 +101,13 @@ def exponential_factors(keyed: list[tuple[tuple, UnramifiedBranch]]) -> list[Exp
         members = groups[key]
         members.sort(key=lambda u: (u.label, u.root_index))
         by_label = {u.label: u.m for u in members}
+        charpoly = reduce(mul, (u.zeta for u in members)) if separated else None
         factors.append(ExponentialFactor(
             alpha=members[0].alpha_sub,
             members=tuple(u.origin for u in members),
             rank_branchwise=sum(u.m for u in members),
             rank_distinct=sum(by_label.values()),
+            charpoly=charpoly,
         ))
     return factors
 
@@ -130,9 +138,9 @@ def decompose(branches: list[Branch],
     Empty input is the purely regular case: trivial ramification, no factors.
     Factor order is deterministic and independent of input order.  The
     unramified copies are returned too, for the blow-up oracle to replay.
-    When the separation condition holds, each factor's charpoly is the
-    product of its members' zetas, in member order; otherwise no factor has
-    one.
+    Separation is decided first, so each factor is built once, with its
+    charpoly assembled as it is built: under separation the product of its
+    members' zetas, in member order; otherwise no factor has one.
     """
     branches = list(branches)
     if not branches:
@@ -141,21 +149,10 @@ def decompose(branches: list[Branch],
     p = ramification_order(branches)
     ub = unramify(branches, truncation)
     keyed = keyed_copies(ub)
-    factors = exponential_factors(keyed)
     holds, witness = star_condition(keyed)
-    if holds:
-        zetas = {u.origin: u.zeta for u in ub}
-        for i, f in enumerate(factors):
-            prod = zetas[f.members[0]]
-            for other in f.members[1:]:
-                prod = prod * zetas[other]
-            factors[i] = ExponentialFactor(f.alpha, f.members, f.rank_branchwise,
-                                           f.rank_distinct, prod)
-    for f in factors:
-        assert f.rank_branchwise >= 1
     return FormalDecomposition(
         p=p,
-        factors=tuple(factors),
+        factors=tuple(exponential_factors(keyed, holds)),
         star_holds=holds,
         star_witness=witness,
         copies=tuple(ub),

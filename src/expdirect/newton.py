@@ -75,34 +75,39 @@ def polygon_from_branches(branches) -> NewtonPolygon:
     return NewtonPolygon.from_edges((b.m * b.p, b.m * b.q) for b in branches)
 
 
-def _fmt(x: Fraction, digits: int = 14) -> str:
+# Pixels per unit, the margin around the polygon in units, and the
+# significant digits of a drawn coordinate.
+_SCALE, _PAD, _DIGITS = 40, Fraction(1), 14
+
+
+def _fmt(x: Fraction) -> str:
     with localcontext() as ctx:
-        ctx.prec = digits + 6
+        ctx.prec = _DIGITS + 6
         d = Decimal(x.numerator) / Decimal(x.denominator)
         return format(d.normalize(), "f")
 
 
-def polygon_svg(poly: NewtonPolygon, *, scale: int = 40, pad: Fraction = Fraction(1)) -> str:
+def polygon_svg(poly: NewtonPolygon) -> str:
     """SVG drawing of the boundary with slope labels.
 
     The exact rational vertices are embedded in a data attribute; drawn
     coordinates carry at least 12 significant digits.
     """
     verts = poly.vertices()
-    w = poly.width() + 2 * pad
-    h = poly.height() + 2 * pad
+    w = poly.width() + 2 * _PAD
+    h = poly.height() + 2 * _PAD
 
     def sx(x: Fraction) -> str:
-        return _fmt((x + pad) * scale)
+        return _fmt((x + _PAD) * _SCALE)
 
     def sy(y: Fraction) -> str:
-        return _fmt((h - (y + pad)) * scale)
+        return _fmt((h - (y + _PAD)) * _SCALE)
 
     exact = ";".join(f"{x.numerator}/{x.denominator},{y.numerator}/{y.denominator}"
                      for x, y in verts)
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(w * scale)}" '
-        f'height="{_fmt(h * scale)}" data-vertices="{exact}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(w * _SCALE)}" '
+        f'height="{_fmt(h * _SCALE)}" data-vertices="{exact}">',
         '  <g fill="none" stroke="black" stroke-width="1.5">',
     ]
     # Horizontal ray into the region's left, vertical ray out of the top.

@@ -8,9 +8,11 @@ branches regenerates the whole orbit of every summand.  The round-trip
 comparison therefore works with ramification-independent canonical classes:
 primitive pair plus orbit closure plus rank plus monodromy polynomial.
 
-Grouping builds each orbit once per call of ``_orbit_class_keys``: a polar
-part whose key is that of a member of an orbit already built reuses that
-orbit's key, and the round trip reads an orbit's size off its key.  A
+Each side of the round trip is put in primitive form once, at its own
+ramification.  Keys are of those primitive pairs, and ``_orbit_class_keys``
+builds each orbit once per call: a pair whose key is that of a member of an
+orbit already built reuses that orbit's key, and the round trip reads an
+orbit's size off its key.  A
 ``FormalModuleSpec`` checks its invariants when it is built, so every spec
 that reaches ``realize`` or ``roundtrip_check`` is well formed.
 """
@@ -70,10 +72,8 @@ class FormalModuleSpec:
             if s.charpoly.is_zero() or not s.charpoly.is_monic() \
                     or s.charpoly.degree != s.rank:
                 raise ValueError("summand charpoly must be monic of degree rank")
-        for i in range(len(self.summands)):
-            for j in range(i + 1, len(self.summands)):
-                if self.summands[i].alpha == self.summands[j].alpha:
-                    raise ValueError("summand polar parts must be pairwise distinct")
+        if len({laurent_sort_key(s.alpha) for s in self.summands}) < len(self.summands):
+            raise ValueError("summand polar parts must be pairwise distinct")
 
 
 def canonicalize(p: int, alpha: LaurentPoly) -> tuple[int, LaurentPoly]:
@@ -81,7 +81,11 @@ def canonicalize(p: int, alpha: LaurentPoly) -> tuple[int, LaurentPoly]:
 
     Divides the ramification order and every exponent by their common gcd,
     so the result satisfies gcd(p', exponents) = 1 and names the same formal
-    object at the smallest ramification.
+    object at the smallest ramification, whatever common factor scales p
+    and the exponents:
+
+    >>> canonicalize(2, LaurentPoly({-3: 1})) == canonicalize(4, LaurentPoly({-6: 1}))
+    True
     """
     if alpha.is_zero() or not alpha.polar_part() == alpha:
         raise ValueError("alpha must be nonzero and purely polar")
@@ -101,18 +105,18 @@ def orbit_closure(p: int, alpha: LaurentPoly) -> list[LaurentPoly]:
     return [seen[k] for k in sorted(seen)]
 
 
-def _orbit_class_keys(p: int, alphas) -> list[tuple]:
-    """Orbit-class keys for several polar parts at once.
+def _orbit_class_keys(pairs) -> list[tuple]:
+    """Orbit-class keys for several primitive pairs ``(p0, a0)`` at once,
+    as ``canonicalize`` returns them.
 
     The key of an orbit is its primitive ramification ``p0`` with the sorted
-    keys of its members.  Each root-of-unity orbit is closed once: a polar
-    part whose key is that of a member of an orbit already built at the
-    same ``p0`` takes that orbit's key.
+    keys of its members.  Each root-of-unity orbit is closed once: a pair
+    whose polar part has the key of a member of an orbit already built at
+    the same ``p0`` takes that orbit's key.
     """
     orbit_of: dict[tuple, tuple] = {}
     keys = []
-    for alpha in alphas:
-        p0, a0 = canonicalize(p, alpha)
+    for p0, a0 in pairs:
         key = orbit_of.get((p0, laurent_sort_key(a0)))
         if key is None:
             key = (p0, tuple(laurent_sort_key(f) for f in orbit_closure(p0, a0)))
@@ -132,26 +136,25 @@ def realize(spec: FormalModuleSpec) -> list[Branch]:
     Orbit members with conflicting rank or monodromy raise
     NormalizationConflictError.  The regular summand produces no branch.
     """
-    keys = _orbit_class_keys(spec.p, [s.alpha for s in spec.summands])
-    groups: dict[tuple, list[FormalSummand]] = {}
-    for key, s in zip(keys, spec.summands):
-        groups.setdefault(key, []).append(s)
+    pairs = [canonicalize(spec.p, s.alpha) for s in spec.summands]
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(_orbit_class_keys(pairs)):
+        groups.setdefault(key, []).append(i)
 
     branches = []
     for idx, key in enumerate(sorted(groups), start=1):
-        members = groups[key]
+        members = [spec.summands[i] for i in groups[key]]
         ranks = {s.rank for s in members}
         if len(ranks) > 1:
             raise NormalizationConflictError(
                 f"orbit of {members[0].alpha!r} carries ranks {sorted(ranks)}"
             )
-        for s in members[1:]:
-            if not (s.charpoly == members[0].charpoly):
-                raise NormalizationConflictError(
-                    f"orbit of {members[0].alpha!r} carries distinct "
-                    "monodromy polynomials"
-                )
-        p0, rep = canonicalize(spec.p, members[0].alpha)
+        if any(s.charpoly != members[0].charpoly for s in members[1:]):
+            raise NormalizationConflictError(
+                f"orbit of {members[0].alpha!r} carries distinct "
+                "monodromy polynomials"
+            )
+        p0, rep = pairs[groups[key][0]]
         branches.append(Branch(
             label=f"s{idx}",
             p=p0,
@@ -200,43 +203,30 @@ def roundtrip_check(spec: FormalModuleSpec) -> RoundTripReport:
 
     dec = decompose(branches)
 
-    # Key the spec side and the computed side together, so each orbit is
-    # closed once.  The computed ramification divides the declared one;
-    # rescale exponents to compare both sides at the declared order.
-    spec_alphas = [s.alpha for s in spec.summands]
-    scale = spec.p // dec.p
-    got_alphas = [LaurentPoly({e * scale: c for e, c in f.alpha.terms.items()})
-                  for f in dec.factors]
-    all_keys = _orbit_class_keys(spec.p, spec_alphas + got_alphas)
-    spec_keys = all_keys[:len(spec_alphas)]
-    got_keys = all_keys[len(spec_alphas):]
+    # Each side in primitive form once, at its own ramification: the
+    # computed one divides the declared one, and the primitive form does not
+    # depend on the scale.  Key both sides together, so each orbit is closed
+    # once.
+    spec_pairs = [canonicalize(spec.p, s.alpha) for s in spec.summands]
+    got_pairs = [canonicalize(dec.p, f.alpha) for f in dec.factors]
+    all_keys = _orbit_class_keys(spec_pairs + got_pairs)
+    spec_keys = all_keys[:len(spec_pairs)]
+    got_keys = all_keys[len(spec_pairs):]
 
     # The orbit closure of the spec is a union: summands sharing an orbit
     # contribute that orbit once (realize already checked consistency), as
     # many entries as its key has elements.
-    spec_entries = []
-    seen_classes = set()
-    for key, s in zip(spec_keys, spec.summands):
-        if key in seen_classes:
-            continue
-        seen_classes.add(key)
-        p0, a0 = canonicalize(spec.p, s.alpha)
-        spec_entries.extend([(key, p0, a0, s.rank, s.charpoly)] * len(key[1]))
-
-    got_entries = []
-    for key, f in zip(got_keys, dec.factors):
-        p0, a0 = canonicalize(dec.p, f.alpha)
-        got_entries.append((key, p0, a0, f.rank_branchwise, f.charpoly))
+    first: dict[tuple, tuple] = {}
+    for key, (p0, a0), s in zip(spec_keys, spec_pairs, spec.summands):
+        first.setdefault(key, (key, p0, a0, s.rank, s.charpoly))
+    spec_entries = [entry for key, entry in first.items() for _ in key[1]]
 
     matched, missing = [], []
-    remaining = list(got_entries)
-    for entry in spec_entries:
-        key, p0, a0, rank, cp = entry
-        hit = None
-        for i, other in enumerate(remaining):
-            if other[0] == key and other[3] == rank and other[4] == cp:
-                hit = i
-                break
+    remaining = [(key, p0, a0, f.rank_branchwise, f.charpoly)
+                 for key, (p0, a0), f in zip(got_keys, got_pairs, dec.factors)]
+    for key, p0, a0, rank, cp in spec_entries:
+        hit = next((i for i, other in enumerate(remaining)
+                    if other[0] == key and other[3] == rank and other[4] == cp), None)
         if hit is None:
             missing.append((p0, a0, rank))
         else:

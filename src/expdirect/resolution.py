@@ -158,9 +158,10 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
     components: list[ComponentRecord] = []
     axis_points: list[AxisPointRecord] = []
     zero = shift = CycloNum.zero()
-    # The slope num1 repeats along the chain (it is -lead(alpha)): invert it
-    # only when it changes.
-    slope = slope_inv = None
+    # On every new component the numerator's trace num0 + num1*v has slope
+    # num1 = -lead(alpha): it is inverted once here and checked at each step.
+    slope = -alpha.terms[-q]
+    slope_inv = slope.inv()
     index = 0
 
     while True:
@@ -191,6 +192,8 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
         num1 = g.num[1].get(0)
         _structural(num1 is not None,
                     "numerator trace on the new component not affine")
+        _structural(num1 == slope,
+                    "numerator trace on the new component not of slope -lead(alpha)")
         components.append(ComponentRecord(index=index, pole_order=cu, pi1_order=1))
         steps.append(BlowUpStep(index=index, shift=shift, chart=CHART_FIRST,
                                 crossing=crossing))
@@ -210,8 +213,6 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
             )
 
         # Next center: the unique root of the numerator on the new component.
-        if slope is None or num1 != slope:
-            slope, slope_inv = num1, num1.inv()
         shift = -num0 * slope_inv
         if cv >= 1 and not shift.is_zero():
             # The axis crossing at the origin survives; classify and keep it.

@@ -144,6 +144,29 @@ def test_svg_that_names_no_file_is_exit_2(tmp_path, monkeypatch, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
 
 
+@pytest.mark.parametrize("svg, points, path, why", [
+    ("d", 1, "d", "is a directory"),
+    ("..", 1, "..", "is a directory"),
+    ("nodir/poly.svg", 1, "nodir/poly.svg", "has no existing directory"),
+    ("nodir/poly.svg", 2, "nodir/poly-0-k0.svg", "has no existing directory"),
+], ids=["directory", "parent", "no-directory", "no-directory-two-points"])
+@pytest.mark.parametrize("command", ["invariants", "report"])
+def test_svg_that_cannot_be_written_is_exit_2(tmp_path, monkeypatch, capsys,
+                                              command, svg, points, path, why):
+    # An SVG path that is a directory, or lies in a directory that does not
+    # exist, is refused before the report or any SVG is written.
+    monkeypatch.chdir(tmp_path)
+    Path("d").mkdir()
+    doc = {"points": [{"c": c, "k": 0, "branches": [branch_to_json(mk("l", q=2))]}
+                      for c in ("0", "1")[:points]]}
+    Path("in.json").write_text(json.dumps(doc))
+    assert run_cli(command, "--input", "in.json", "--output", "out.json",
+                   "--svg", svg) == 2
+    assert capsys.readouterr().err == f"error: the SVG file {path} {why}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "in.json"]
+    assert list(Path("d").iterdir()) == []
+
+
 def test_validate_rejects_inconsistent_zeta(problem_file, tmp_path, capsys):
     doc = json.loads(problem_file.read_text())
     doc["points"][0]["branches"][0]["m"] = 5  # deg(zeta) stays 2

@@ -181,9 +181,10 @@ def test_grouping_agrees_with_numeric_clustering():
     for branches in _corpus(rng, 40):
         ub = unramify(branches)
         keyed = keyed_copies(ub)
+        holds, _ = star_condition(keyed)
 
         # Factor grouping keys off the rewritten polar part alone.
-        factors = exponential_factors(keyed)
+        factors = exponential_factors(keyed, holds)
         symbolic = {frozenset(f.members) for f in factors}
         numeric = _numeric_partition([(u.origin, u.alpha_sub) for u in ub],
                                      sample_ts)
@@ -192,7 +193,6 @@ def test_grouping_agrees_with_numeric_clustering():
         # The separation data refines by the constant term as well.
         shifted = [(u.origin, u.alpha_sub + LaurentPoly({0: u.delta0}))
                    for u in ub]
-        holds, _ = star_condition(keyed)
         refined = _numeric_partition(shifted, sample_ts)
         assert holds == all(len(cl) == 1 for cl in refined)
 

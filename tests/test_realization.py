@@ -134,6 +134,9 @@ INVALID_SPECS = [
      "summand charpoly must be monic of degree rank"),
     ("repeated_alpha", 2, [({-3: 1}, 1, [1, 1]), ({-3: 1}, 1, [1, 1])], 0,
      "summand polar parts must be pairwise distinct"),
+    ("repeated_alpha_at_two_orders", 1,
+     [({-1: 1}, 1, [-1, 1]), ({-1: CycloNum(4, {0: 1})}, 1, [-1, 1])], 0,
+     "summand polar parts must be pairwise distinct"),
 ]
 
 
@@ -200,6 +203,37 @@ def test_roundtrip_random_single_representatives():
         assert r.ok, (spec, r)
 
 
+def test_each_polar_part_is_put_in_primitive_form_once(monkeypatch):
+    # realize: once per summand.  roundtrip_check: realize's, once more per
+    # summand at the declared ramification, once per computed factor at the
+    # computed one.
+    import expdirect.realization as realization
+
+    calls = []
+    real = realization.canonicalize
+
+    def spy(p, alpha):
+        calls.append(p)
+        return real(p, alpha)
+
+    monkeypatch.setattr(realization, "canonicalize", spy)
+    rng = random.Random(780)
+    nonempty = 0
+    for _ in range(30):
+        spec = rand_spec(rng)
+        n = len(spec.summands)
+        nonempty += n > 0
+        calls.clear()
+        realize(spec)
+        assert calls == [spec.p] * n
+        calls.clear()
+        r = roundtrip_check(spec)
+        assert r.ok
+        assert calls == [spec.p] * (2 * n) + \
+            [r.computed_ramification] * len(r.decomposition.factors)
+    assert nonempty > 15
+
+
 def _reference_orbit_class_keys(p: int, alphas) -> list[tuple]:
     """Test-only reference: one orbit closure per polar part."""
     keys = []
@@ -256,7 +290,7 @@ def test_orbit_class_keys_match_one_closure_per_polar_part():
         rng.shuffle(rewritten)
         after_mate += sum(any(j == i for j, _ in listed) for i, _ in rewritten)
         alphas = [a for _, a in listed + rewritten]
-        assert _orbit_class_keys(p, alphas) == \
+        assert _orbit_class_keys([canonicalize(p, a) for a in alphas]) == \
             _reference_orbit_class_keys(p, alphas), (p, alphas)
     assert after_mate > 50 and twisted_rational > 50, (after_mate, twisted_rational)
 

@@ -467,6 +467,18 @@ def count_arithmetic(monkeypatch):
     return calls
 
 
+def test_chain_inverts_its_slope_once(monkeypatch):
+    # Every trace on a new component has slope -lead(alpha): one inversion
+    # per chain, whatever the pole order and the coefficients.
+    rng = random.Random(62)
+    calls = count_arithmetic(monkeypatch)
+    for _ in range(200):
+        alpha = rand_polar(rng, rng.randint(1, 8), cyclo_coeffs=True)
+        calls.clear()
+        build_resolution(alpha)
+        assert calls["inv"] == 1, alpha
+
+
 def test_non_member_of_other_pole_order_reads_one_coefficient(monkeypatch):
     z = root_of_unity(5, 1)
     tree = build_resolution(LaurentPoly({-2: z, -1: 3}))
