@@ -7,6 +7,8 @@ output file is written; 3 when the independent blow-up oracle disagrees
 with the symbolic computation (one line per disagreeing factor goes to
 stderr) or a blow-up chain breaks its expected normal form
 (ClassificationError, with an ``error:`` line).  Exit 3 flags a bug.
+``roundtrip`` writes its report first, then exits 2 on an orbit conflict
+or 3 on a failed comparison, with one ``error:`` line.
 
 The order cap (``--max-order``, or a file's ``options.max_order``) is
 checked before any work, as exit 2 naming a JSON path: parsing refuses a
@@ -372,8 +374,14 @@ def _cmd_roundtrip(args, options: Options) -> int:
     rep = roundtrip_check(_load_spec(args.input, options))
     _dump(serialize.roundtrip_to_json(rep), args.output)
     if rep.conflicts:
+        # The message realize prints for the same spec.
+        print(f"error: $.summands: {rep.conflicts[0]}", file=sys.stderr)
         return 2
-    return 0 if rep.ok else 3
+    if not rep.ok:
+        print(f"error: round trip mismatch: {len(rep.missing)} missing and "
+              f"{len(rep.extra)} extra classes", file=sys.stderr)
+        return 3
+    return 0
 
 
 _COMMANDS = {"validate": _cmd_validate, "resolve": _cmd_resolve,

@@ -8,13 +8,13 @@ branches regenerates the whole orbit of every summand.  The round-trip
 comparison therefore works with ramification-independent canonical classes:
 primitive pair plus orbit closure plus rank plus monodromy polynomial.
 
-Each side of the round trip is put in primitive form once, at its own
-ramification.  Keys are of those primitive pairs, and ``_orbit_class_keys``
-builds each orbit once per call: a pair whose key is that of a member of an
-orbit already built reuses that orbit's key, and the round trip reads an
-orbit's size off its key.  A
-``FormalModuleSpec`` checks its invariants when it is built, so every spec
-that reaches ``realize`` or ``roundtrip_check`` is well formed.
+One orbit table per spec: ``_spec_orbits`` puts each summand in primitive
+form once and keys it, closing each spec orbit once; ``realize`` and the
+round trip both read that table.  The round trip keys each computed factor
+in the same table, so a factor in a spec orbit closes nothing, and it reads
+an orbit's size off its key.  A ``FormalModuleSpec`` checks its invariants
+when it is built, so every spec that reaches ``realize`` or
+``roundtrip_check`` is well formed.
 """
 
 from __future__ import annotations
@@ -105,45 +105,36 @@ def orbit_closure(p: int, alpha: LaurentPoly) -> list[LaurentPoly]:
     return [seen[k] for k in sorted(seen)]
 
 
-def _orbit_class_keys(pairs) -> list[tuple]:
-    """Orbit-class keys for several primitive pairs ``(p0, a0)`` at once,
-    as ``canonicalize`` returns them.
+def _orbit_key(orbit_of: dict, p0: int, a0: LaurentPoly) -> tuple:
+    """Orbit-class key of a primitive pair ``(p0, a0)``: ``p0`` with the
+    sorted keys of the orbit's members.  ``orbit_of`` maps ``(p0, member
+    key)`` to the key of each orbit already built; a pair not found there
+    closes its orbit once and records it."""
+    key = orbit_of.get((p0, laurent_sort_key(a0)))
+    if key is None:
+        key = (p0, tuple(laurent_sort_key(f) for f in orbit_closure(p0, a0)))
+        for member in key[1]:
+            orbit_of[(p0, member)] = key
+    return key
 
-    The key of an orbit is its primitive ramification ``p0`` with the sorted
-    keys of its members.  Each root-of-unity orbit is closed once: a pair
-    whose polar part has the key of a member of an orbit already built at
-    the same ``p0`` takes that orbit's key.
-    """
+
+def _spec_orbits(spec: FormalModuleSpec):
+    """The orbit table of a spec: each orbit key, in order of first
+    appearance, with the primitive pair of its first summand and its
+    summands in spec order; and the ``orbit_of`` table that keyed them."""
     orbit_of: dict[tuple, tuple] = {}
-    keys = []
-    for p0, a0 in pairs:
-        key = orbit_of.get((p0, laurent_sort_key(a0)))
-        if key is None:
-            key = (p0, tuple(laurent_sort_key(f) for f in orbit_closure(p0, a0)))
-            for member in key[1]:
-                orbit_of[(p0, member)] = key
-        keys.append(key)
-    return keys
+    orbits: dict[tuple, tuple[int, LaurentPoly, list[FormalSummand]]] = {}
+    for s in spec.summands:
+        p0, a0 = canonicalize(spec.p, s.alpha)
+        orbits.setdefault(_orbit_key(orbit_of, p0, a0), (p0, a0, []))[2].append(s)
+    return orbits, orbit_of
 
 
-def realize(spec: FormalModuleSpec) -> list[Branch]:
-    """One branch per root-of-unity orbit of summands.
-
-    Each branch carries as polar part the primitive form (``canonicalize``)
-    of the alpha of its orbit's first summand in ``spec`` order, a trivial
-    holomorphic part, the orbit's rank as multiplicity and its monodromy
-    polynomial; decomposing the output regenerates every orbit element.
-    Orbit members with conflicting rank or monodromy raise
-    NormalizationConflictError.  The regular summand produces no branch.
-    """
-    pairs = [canonicalize(spec.p, s.alpha) for s in spec.summands]
-    groups: dict[tuple, list[int]] = {}
-    for i, key in enumerate(_orbit_class_keys(pairs)):
-        groups.setdefault(key, []).append(i)
-
+def _branches(orbits) -> list[Branch]:
+    """One branch per orbit of the table, in key order; see ``realize``."""
     branches = []
-    for idx, key in enumerate(sorted(groups), start=1):
-        members = [spec.summands[i] for i in groups[key]]
+    for idx, key in enumerate(sorted(orbits), start=1):
+        p0, rep, members = orbits[key]
         ranks = {s.rank for s in members}
         if len(ranks) > 1:
             raise NormalizationConflictError(
@@ -154,7 +145,6 @@ def realize(spec: FormalModuleSpec) -> list[Branch]:
                 f"orbit of {members[0].alpha!r} carries distinct "
                 "monodromy polynomials"
             )
-        p0, rep = pairs[groups[key][0]]
         branches.append(Branch(
             label=f"s{idx}",
             p=p0,
@@ -165,6 +155,19 @@ def realize(spec: FormalModuleSpec) -> list[Branch]:
             zeta=members[0].charpoly,
         ))
     return branches
+
+
+def realize(spec: FormalModuleSpec) -> list[Branch]:
+    """One branch per root-of-unity orbit of summands, in key order.
+
+    Each branch carries as polar part the primitive form (``canonicalize``)
+    of the alpha of its orbit's first summand in ``spec`` order, a trivial
+    holomorphic part, the orbit's rank as multiplicity and its monodromy
+    polynomial; decomposing the output regenerates every orbit element.
+    Orbit members with conflicting rank or monodromy raise
+    NormalizationConflictError.  The regular summand produces no branch.
+    """
+    return _branches(_spec_orbits(spec)[0])
 
 
 @dataclass(frozen=True)
@@ -188,13 +191,15 @@ class RoundTripReport:
 def roundtrip_check(spec: FormalModuleSpec) -> RoundTripReport:
     """Compare decompose(realize(spec)) with the orbit closure of the spec.
 
-    Both sides are mapped to canonical classes (primitive pair, orbit, rank,
-    charpoly) counted with multiplicity; mismatches are reported, never
-    raised.  A spec whose summands cannot be consistently orbit-closed is
-    reported as a conflict.
+    One orbit table is built for the spec: the branches come from it, and
+    each computed factor is keyed in it.  Both sides are mapped to canonical
+    classes (primitive pair, orbit, rank, charpoly) counted with
+    multiplicity; mismatches are reported, never raised.  A spec whose
+    summands cannot be consistently orbit-closed is reported as a conflict.
     """
+    orbits, orbit_of = _spec_orbits(spec)
     try:
-        branches = realize(spec)
+        branches = _branches(orbits)
     except NormalizationConflictError as err:
         return RoundTripReport(
             ok=False, spec_ramification=spec.p, computed_ramification=0,
@@ -203,27 +208,20 @@ def roundtrip_check(spec: FormalModuleSpec) -> RoundTripReport:
 
     dec = decompose(branches)
 
-    # Each side in primitive form once, at its own ramification: the
-    # computed one divides the declared one, and the primitive form does not
-    # depend on the scale.  Key both sides together, so each orbit is closed
-    # once.
-    spec_pairs = [canonicalize(spec.p, s.alpha) for s in spec.summands]
-    got_pairs = [canonicalize(dec.p, f.alpha) for f in dec.factors]
-    all_keys = _orbit_class_keys(spec_pairs + got_pairs)
-    spec_keys = all_keys[:len(spec_pairs)]
-    got_keys = all_keys[len(spec_pairs):]
-
     # The orbit closure of the spec is a union: summands sharing an orbit
-    # contribute that orbit once (realize already checked consistency), as
-    # many entries as its key has elements.
-    first: dict[tuple, tuple] = {}
-    for key, (p0, a0), s in zip(spec_keys, spec_pairs, spec.summands):
-        first.setdefault(key, (key, p0, a0, s.rank, s.charpoly))
-    spec_entries = [entry for key, entry in first.items() for _ in key[1]]
+    # contribute that orbit once (their rank and charpoly agree), as many
+    # entries as its key has elements.  The computed side is put in
+    # primitive form at its own ramification, which divides the declared
+    # one; the primitive form does not depend on the scale.
+    spec_entries = [(key, p0, a0, members[0].rank, members[0].charpoly)
+                    for key, (p0, a0, members) in orbits.items() for _ in key[1]]
+    remaining = []
+    for f in dec.factors:
+        p0, a0 = canonicalize(dec.p, f.alpha)
+        remaining.append((_orbit_key(orbit_of, p0, a0), p0, a0,
+                          f.rank_branchwise, f.charpoly))
 
     matched, missing = [], []
-    remaining = [(key, p0, a0, f.rank_branchwise, f.charpoly)
-                 for key, (p0, a0), f in zip(got_keys, got_pairs, dec.factors)]
     for key, p0, a0, rank, cp in spec_entries:
         hit = next((i for i, other in enumerate(remaining)
                     if other[0] == key and other[3] == rank and other[4] == cp), None)

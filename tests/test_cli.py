@@ -316,30 +316,35 @@ def test_invalid_spec_is_exit_2_at_the_root(tmp_path, capsys, command, case):
     assert captured.err == f"error: $: {message}\n"
 
 
-def test_roundtrip_runs_the_public_realization_path(monkeypatch, tmp_path):
-    # expdirect roundtrip calls realization.roundtrip_check, which calls
-    # realization.realize: the names a caller (or a tracer) sees.
+def test_roundtrip_runs_roundtrip_check_on_one_orbit_table(monkeypatch, tmp_path):
+    # expdirect roundtrip calls realization.roundtrip_check, which builds the
+    # spec's orbit table once and makes the branches from it: it does not go
+    # through the public realize, and it closes each spec orbit once.
     import expdirect.cli as cli_mod
     import expdirect.realization as realization
 
     calls = []
-    check, realize = realization.roundtrip_check, realization.realize
+    check, closure = realization.roundtrip_check, realization.orbit_closure
 
     def spy_check(spec):
         calls.append("roundtrip_check")
         return check(spec)
 
     def spy_realize(spec):
-        calls.append("realize")
-        return realize(spec)
+        raise AssertionError("roundtrip_check called realize")
+
+    def spy_closure(p, alpha):
+        calls.append(("orbit_closure", p))
+        return closure(p, alpha)
 
     monkeypatch.setattr(cli_mod, "roundtrip_check", spy_check)
-    monkeypatch.setattr(realization, "roundtrip_check", spy_check)
     monkeypatch.setattr(realization, "realize", spy_realize)
+    monkeypatch.setattr(realization, "orbit_closure", spy_closure)
     case = Path(__file__).parent / "golden" / "roundtrip" / "01_p2_single.in.json"
     assert run_cli("roundtrip", "--input", case,
                    "--output", tmp_path / "out.json") == 0
-    assert calls == ["roundtrip_check", "realize"]
+    # One spec orbit, at p = 2.
+    assert calls == ["roundtrip_check", ("orbit_closure", 2)]
 
 
 def test_roundtrip_conflict_is_exit_2(tmp_path, capsys):
@@ -361,8 +366,36 @@ def test_roundtrip_conflict_is_exit_2(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert run_cli("roundtrip", "--input", path) == 2
-    doc = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
     assert doc["ok"] is False and doc["conflicts"]
+    # One line, the one realize prints for the same spec.
+    assert captured.err == f"error: $.summands: {doc['conflicts'][0]}\n"
+    assert "carries ranks [1, 2]" in captured.err
+    assert run_cli("realize", "--input", path) == 2
+    assert capsys.readouterr().err == captured.err
+
+
+def test_roundtrip_exit_3_on_mismatch(monkeypatch, tmp_path, capsys):
+    # Force a mismatch through the plumbing: the decomposition loses its
+    # last factor, so one spec class is missing.  The report is written as
+    # it stands, and one stderr line counts the missing and extra classes.
+    import expdirect.realization as realization
+
+    real = realization.decompose
+
+    def broken(branches):
+        dec = real(branches)
+        return dataclasses.replace(dec, factors=dec.factors[:-1])
+
+    monkeypatch.setattr(realization, "decompose", broken)
+    case = Path(__file__).parent / "golden" / "roundtrip" / "03_p4_orbit_listed.in.json"
+    out = tmp_path / "out.json"
+    assert run_cli("roundtrip", "--input", case, "--output", out) == 3
+    doc = json.loads(out.read_text())
+    assert doc["ok"] is False and len(doc["missing"]) == 1 and not doc["extra"]
+    assert capsys.readouterr().err == \
+        "error: round trip mismatch: 1 missing and 0 extra classes\n"
 
 
 def test_verify_subcommand(problem_file, capsys):
@@ -898,9 +931,9 @@ def test_report_oracle_inverts_at_most_once_per_copy_and_factor(monkeypatch, tmp
     assert calls["inv"] <= copies + len(factors)
 
 
-def test_roundtrip_closes_each_orbit_at_most_twice(monkeypatch, tmp_path):
-    # realize keys the spec once, and the round trip keys the spec and the
-    # computed factors together once: each keying closes an orbit once,
+def test_roundtrip_closes_each_orbit_once(monkeypatch, tmp_path):
+    # The round trip keys the spec once, into one orbit table, and keys the
+    # computed factors in the same table: each spec orbit is closed once,
     # however many of its members the spec lists or the decomposition
     # returns.
     import expdirect.realization as realization
@@ -926,4 +959,4 @@ def test_roundtrip_closes_each_orbit_at_most_twice(monkeypatch, tmp_path):
         calls.clear()
         assert run_cli("roundtrip", "--input", path,
                        "--output", tmp_path / "out.json") == 0, path
-        assert 0 < len(calls) <= 2 * orbits, (path, calls)
+        assert len(calls) == orbits, (path, calls)

@@ -1,9 +1,11 @@
-"""The docstring examples of every expdirect module run and pass, and every
-name a module exports resolves."""
+"""The docstring examples of every expdirect module and the Python blocks of
+README.md run and pass, and every name a module exports resolves."""
 
 import doctest
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import expdirect
 
@@ -29,3 +31,11 @@ def test_every_exported_name_resolves():
     for module in exported:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def test_readme_python_blocks_run():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})

@@ -15,7 +15,7 @@ from expdirect.realization import (
     FormalModuleSpec,
     FormalSummand,
     NormalizationConflictError,
-    _orbit_class_keys,
+    _orbit_key,
     canonicalize,
     orbit_closure,
     realize,
@@ -204,9 +204,9 @@ def test_roundtrip_random_single_representatives():
 
 
 def test_each_polar_part_is_put_in_primitive_form_once(monkeypatch):
-    # realize: once per summand.  roundtrip_check: realize's, once more per
-    # summand at the declared ramification, once per computed factor at the
-    # computed one.
+    # realize: once per summand.  roundtrip_check: once per summand at the
+    # declared ramification, into the orbit table it makes the branches
+    # from, then once per computed factor at the computed one.
     import expdirect.realization as realization
 
     calls = []
@@ -229,7 +229,7 @@ def test_each_polar_part_is_put_in_primitive_form_once(monkeypatch):
         calls.clear()
         r = roundtrip_check(spec)
         assert r.ok
-        assert calls == [spec.p] * (2 * n) + \
+        assert calls == [spec.p] * n + \
             [r.computed_ramification] * len(r.decomposition.factors)
     assert nonempty > 15
 
@@ -250,7 +250,8 @@ def test_orbit_class_keys_match_one_closure_per_polar_part():
     # other roots; rational coefficients of some members are written at an
     # order not dividing p, which stores them at order 1 as any rational,
     # and those members are listed last, so most of them follow an
-    # orbit-mate whose orbit was already built.
+    # orbit-mate whose orbit was already built.  The pairs of a case are
+    # keyed one at a time over one shared table.
     rng = random.Random(4711)
     after_mate = twisted_rational = 0
     for _ in range(300):
@@ -290,7 +291,8 @@ def test_orbit_class_keys_match_one_closure_per_polar_part():
         rng.shuffle(rewritten)
         after_mate += sum(any(j == i for j, _ in listed) for i, _ in rewritten)
         alphas = [a for _, a in listed + rewritten]
-        assert _orbit_class_keys([canonicalize(p, a) for a in alphas]) == \
+        orbit_of = {}
+        assert [_orbit_key(orbit_of, *canonicalize(p, a)) for a in alphas] == \
             _reference_orbit_class_keys(p, alphas), (p, alphas)
     assert after_mate > 50 and twisted_rational > 50, (after_mate, twisted_rational)
 
