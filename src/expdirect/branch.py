@@ -7,11 +7,10 @@ characteristic polynomial of the attached monodromy.  ``unramify`` passes to
 the common ramification order p, splitting each branch into p_l copies indexed
 by p_l-th roots of unity.  It is the one place where a branch is rewritten in
 the ramified variable: both the formal decomposition and the blow-up oracle
-read the copies it returns.  Each copy carries its polar part twisted by its
-root, and its own known prefix: a holomorphic part exact to order T in t
-becomes exact to order (p/p_l)*(T+1) - 1 in the ramified variable.  The
-holomorphic part is twisted on read: a copy keeps its branch's untwisted
-part, and only the blow-up oracle reads the twisted one.
+read the copies it returns.  A copy carries its polar part twisted by its
+root and the constant term of its holomorphic part, which the twist leaves
+as it is.  Nothing reads more of the holomorphic part: the oracle's series
+depends on these two alone as far as it is read (``resolution.CopySeries``).
 """
 
 from __future__ import annotations
@@ -30,10 +29,7 @@ __all__ = [
     "validate",
     "ramification_order",
     "unramify",
-    "DEFAULT_TRUNCATION",
 ]
-
-DEFAULT_TRUNCATION = 8
 
 
 class ValidationError(ValueError):
@@ -60,34 +56,21 @@ class UnramifiedBranch:
     """One root-of-unity copy of a branch after the common ramification.
 
     ``alpha_sub`` is the polar part rewritten in the ramified variable, by
-    t -> zeta_{p_l}^i t^k with i the root index.  ``delta`` is the branch's
-    holomorphic part as given; ``delta_sub``, the same substitution applied
-    to it, is computed on each read.  It is exact up to and including
-    exponent ``truncation``, and unknown beyond it.  ``delta0`` is the
-    constant term, which the substitution leaves as it is.
+    t -> zeta_{p_l}^i t^(p/p_l) with i the root index.  ``delta0`` is the
+    constant term of the holomorphic part, which the substitution leaves as
+    it is.
     """
 
     label: str
     root_index: int
     alpha_sub: LaurentPoly
-    delta: LaurentPoly
-    p_l: int
-    k: int
-    truncation: int
+    delta0: CycloNum
     m: int
     zeta: CycloPoly
 
     @property
     def origin(self) -> tuple[str, int]:
         return (self.label, self.root_index)
-
-    @property
-    def delta_sub(self) -> LaurentPoly:
-        return subst_root_power(self.delta, self.p_l, self.root_index, self.k)
-
-    @property
-    def delta0(self) -> CycloNum:
-        return self.delta.const_term()
 
 
 @dataclass(frozen=True)
@@ -99,8 +82,11 @@ class ValidationReport:
     support_divisor: int = 1
 
 
-def validate(b: Branch, truncation: int = DEFAULT_TRUNCATION) -> ValidationReport:
+def validate(b: Branch, truncation: int | None = None) -> ValidationReport:
     """Check all Branch invariants; warnings do not invalidate.
+
+    ``truncation`` is the declared exactness order of the holomorphic part,
+    which bounds its support; None declares none, and skips that bound.
 
     The support divisor d = gcd(p, exponents of alpha and delta) is reported,
     with a warning when d > 1: the parametrization is then either
@@ -123,7 +109,7 @@ def validate(b: Branch, truncation: int = DEFAULT_TRUNCATION) -> ValidationRepor
             errors.append(f"alpha support must lie in [{-b.q}, -1]")
     if any(e < 0 for e in b.delta.terms):
         errors.append("delta must have no negative exponents")
-    if any(e > truncation for e in b.delta.terms):
+    if truncation is not None and any(e > truncation for e in b.delta.terms):
         errors.append(f"delta support exceeds the declared truncation {truncation}")
 
     if b.zeta.is_zero() or not b.zeta.is_monic():
@@ -147,7 +133,7 @@ def validate(b: Branch, truncation: int = DEFAULT_TRUNCATION) -> ValidationRepor
     )
 
 
-def validate_all(branches, truncation: int = DEFAULT_TRUNCATION) -> list[ValidationReport]:
+def validate_all(branches, truncation: int | None = None) -> list[ValidationReport]:
     reports = [validate(b, truncation) for b in branches]
     labels = [b.label for b in branches]
     if len(set(labels)) != len(labels):
@@ -159,10 +145,13 @@ def validate_all(branches, truncation: int = DEFAULT_TRUNCATION) -> list[Validat
     return reports
 
 
-def require_valid(branches, truncation: int = DEFAULT_TRUNCATION) -> None:
-    for report in validate_all(branches, truncation):
+def require_valid(branches, truncation: int | None = None) -> list[ValidationReport]:
+    """The branches' reports; ValidationError on the first invalid one."""
+    reports = validate_all(branches, truncation)
+    for report in reports:
         if not report.valid:
             raise ValidationError(report)
+    return reports
 
 
 def ramification_order(branches) -> int:
@@ -173,14 +162,14 @@ def ramification_order(branches) -> int:
     return lcm(*(b.p for b in branches))
 
 
-def unramify(branches, truncation: int = DEFAULT_TRUNCATION) -> list[UnramifiedBranch]:
+def unramify(branches) -> list[UnramifiedBranch]:
     """Split each branch into its root-of-unity copies at the lcm ramification.
 
     Branch l yields p_l copies; copy i substitutes t -> zeta_{p_l}^i t^(p/p_l)
-    in alpha and delta.  A delta exact to order ``truncation`` stays exact to
-    order (p/p_l)*(truncation+1) - 1 after the substitution, which is
-    applied to delta when a copy's ``delta_sub`` is read.  Multiplicity and
-    monodromy polynomial transport unchanged.
+    in alpha.  Every copy keeps the constant term delta0 of delta, taken once
+    per branch; the rest of delta is not carried, since the oracle reads a
+    copy's series only as far as alpha and delta0 decide it.  Multiplicity
+    and monodromy polynomial transport unchanged.
     """
     branches = list(branches)
     if not branches:
@@ -189,15 +178,13 @@ def unramify(branches, truncation: int = DEFAULT_TRUNCATION) -> list[UnramifiedB
     out: list[UnramifiedBranch] = []
     for b in branches:
         k = p // b.p
+        delta0 = b.delta.const_term()
         for i in range(1, b.p + 1):
             out.append(UnramifiedBranch(
                 label=b.label,
                 root_index=i,
                 alpha_sub=subst_root_power(b.alpha, b.p, i, k),
-                delta=b.delta,
-                p_l=b.p,
-                k=k,
-                truncation=k * (truncation + 1) - 1,
+                delta0=delta0,
                 m=b.m,
                 zeta=b.zeta,
             ))

@@ -34,7 +34,7 @@ from functools import cache
 from math import lcm
 from pathlib import Path
 
-from .branch import DEFAULT_TRUNCATION, validate_all
+from .branch import require_valid, validate_all
 from .decomposition import FormalDecomposition, decompose
 from .laurent import ClassificationError
 from .newton import (
@@ -55,6 +55,8 @@ __all__ = ["main", "run_point", "run_file", "PointReport", "Options",
 
 # Default cap on cyclotomic orders, against phi(N) blow-up.
 DEFAULT_ORDER_LIMIT = 10_000
+# Default declared exactness order of holomorphic parts.
+DEFAULT_TRUNCATION = 8
 
 
 @dataclass(frozen=True)
@@ -149,20 +151,19 @@ _VIEWS = {
 
 
 def run_point(c: str, k: int, branches, options: Options) -> PointReport:
-    """Invariants, decomposition and oracle checks for one germ."""
-    reports = validate_all(branches, options.truncation)
-    return _point_report(c, k, branches, _warnings(reports), options,
-                         _VIEWS["report"])
+    """Invariants, decomposition and oracle checks for one germ; invalid
+    branches, under the declared truncation too, raise ValidationError."""
+    reports = require_valid(branches, options.truncation)
+    return _point_report(c, k, branches, _warnings(reports), _VIEWS["report"])
 
 
-def _point_report(c: str, k: int, branches, warnings, options: Options,
-                  keys) -> PointReport:
+def _point_report(c: str, k: int, branches, warnings, keys) -> PointReport:
     """The stages that ``keys`` print, for branches already validated."""
     polygon = dec = oracle = None
     if {"newton_polygon", "slopes", "irregularity"}.intersection(keys):
         polygon = polygon_from_branches(branches)
     if "decomposition" in keys or "oracle" in keys:
-        dec = decompose(branches, truncation=options.truncation)
+        dec = decompose(branches)
     if "oracle" in keys:
         # One series per copy, shared by every factor's replay.
         series = [CopySeries(u) for u in dec.copies]
@@ -233,7 +234,7 @@ def run_file(path: str, options: Options, keys):
         raise SchemaError("$.points", "; ".join(failures))
 
     checked.sort(key=lambda t: (t[0], t[1]))
-    reports = [_point_report(c, k, branches, warnings, merged, keys)
+    reports = [_point_report(c, k, branches, warnings, keys)
                for c, k, branches, warnings in checked]
     code = 0 if all(r.consistent for r in reports) else 3
     for point in reports:
@@ -395,6 +396,8 @@ def _bounded_int(low: int):
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
+    # argparse names the type by this name: "invalid int value: 'abc'".
+    parse.__name__ = "int"
     return parse
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 
-from .branch import (DEFAULT_TRUNCATION, Branch, UnramifiedBranch,
-                     ramification_order, require_valid, unramify)
+from .branch import (Branch, UnramifiedBranch, ramification_order,
+                     require_valid, unramify)
 from .cyclotomic import CycloPoly
 from .laurent import LaurentPoly
 
@@ -131,9 +131,11 @@ def star_condition(keyed: list[tuple[tuple, UnramifiedBranch]]):
     return True, None
 
 
-def decompose(branches: list[Branch],
-              truncation: int = DEFAULT_TRUNCATION) -> FormalDecomposition:
-    """Full decomposition driver over validated branch data.
+def decompose(branches: list[Branch]) -> FormalDecomposition:
+    """The decomposition of the branches; invalid data raises ValidationError.
+
+    No truncation is declared here, so no bound applies to the support of a
+    holomorphic part.
 
     Empty input is the purely regular case: trivial ramification, no factors.
     Factor order is deterministic and independent of input order.  The
@@ -145,9 +147,9 @@ def decompose(branches: list[Branch],
     branches = list(branches)
     if not branches:
         return FormalDecomposition(p=1, factors=(), star_holds=True)
-    require_valid(branches, truncation)
+    require_valid(branches)
     p = ramification_order(branches)
-    ub = unramify(branches, truncation)
+    ub = unramify(branches)
     keyed = keyed_copies(ub)
     holds, witness = star_condition(keyed)
     return FormalDecomposition(

@@ -24,10 +24,10 @@ Each copy's series is built once per point and read by every factor's
 replay; its coefficients are computed on demand and kept, so none is
 computed twice and the copy's leading coefficient is inverted at most once.
 A copy leaves at the first step whose center it misses, so a copy of another
-pole order never needs more than the series' leading term.  Each copy
-carries its own known prefix, (p/p_l)*(truncation+1) - 1 for a branch of
-ramification p_l, so a coefficient beyond what that branch declared is an
-error, never a silent wrong value.
+pole order never needs more than the series' leading term.  No replay reads
+past y[2q], q the copy's own pole order, and up to there the series depends
+only on the copy's polar part and the constant term of its holomorphic part;
+a read beyond raises IndexError, never a silent wrong value.
 
 ``verify_corollary`` checks one factor of the decomposition against the
 chain: its members and their separation, and the rank and monodromy it
@@ -57,22 +57,10 @@ __all__ = [
     "ResolutionTree",
     "StrictTransformResult",
     "CorollaryReport",
-    "TruncationError",
     "build_resolution",
     "strict_transform",
     "verify_corollary",
 ]
-
-
-class TruncationError(ValueError):
-    """A decision needed series coefficients beyond the declared truncation."""
-
-    def __init__(self, required_truncation: int, message: str = ""):
-        self.required_truncation = required_truncation
-        super().__init__(
-            message or
-            f"holomorphic part must be known to order {required_truncation}"
-        )
 
 
 @dataclass(frozen=True)
@@ -237,33 +225,36 @@ class StrictTransformResult:
 
 
 class CopySeries:
-    """y(t) = t^q / (B(t) + t^q delta(t)) of one copy, extended on demand.
+    """y(t) = t^q / (B(t) + delta0 t^q) of one copy, extended on demand.
 
-    B is the polynomial t^q * alpha(t) and q the copy's own pole order;
-    ``copy`` is the unramified copy itself.  ``self[j]`` is the coefficient
-    of t^j.  The reciprocal coefficients inv[0] = 1/B(0) and
+    B is the polynomial t^q * alpha_sub(t), of degree below q, with q the
+    copy's own pole order, and delta0 the constant term of its holomorphic
+    part; ``copy`` is the unramified copy itself.  ``self[j]`` is the
+    coefficient of t^j.  For the full holomorphic part delta, y would be
+    t^q / (B + t^q delta); a term delta_e t^e with e >= 1 first changes
+    y[2q + e], so through y[2q] this series is exact whatever truncation
+    was declared.  Reading further raises IndexError.  No replay does so: a
+    copy leaves the chain of a factor of pole order q_f by step
+    min(q, q_f), and only a copy with q = q_f reads on, to y[2q].
+
+    The reciprocal coefficients inv[0] = 1/B(0) and
     inv[k] = -inv[0] * sum_i d_i inv[k-i] are computed only up to the
     largest k read, summing over the nonzero denominator terms d_i in
     ascending i, and are kept for later reads: one series serves every
-    factor's replay of its copy.  Delta is exact to the copy's truncation T,
-    so y is exact below exponent 2q + T + 1; reading further raises
-    TruncationError naming the truncation that read would have needed.
+    factor's replay of its copy.
     """
 
-    __slots__ = ("copy", "q", "truncation", "c0", "denom", "inv", "zero")
+    __slots__ = ("copy", "q", "c0", "denom", "inv", "zero")
 
     def __init__(self, u: UnramifiedBranch):
         q = u.alpha_sub.pole_order()
-        denom: dict[int, CycloNum] = {e + q: c for e, c in u.alpha_sub.terms.items()}
-        for e, c in u.delta_sub.terms.items():
-            k = e + q
-            denom[k] = denom[k] + c if k in denom else c
+        f = u.alpha_sub + LaurentPoly({0: u.delta0})
+        denom: dict[int, CycloNum] = {e + q: c for e, c in f.terms.items()}
         c0 = denom.pop(0, None)
-        if c0 is None or c0.is_zero():
+        if c0 is None:
             raise ValueError(f"branch {u.label}: alpha has no pole of order q")
         self.copy = u
         self.q = q
-        self.truncation = u.truncation
         self.c0 = c0
         self.denom = sorted(denom.items())
         # inv[k] is None where the coefficient vanishes.
@@ -271,8 +262,9 @@ class CopySeries:
         self.zero = CycloNum.zero()
 
     def __getitem__(self, j: int) -> CycloNum:
-        if j > 2 * self.q + self.truncation:
-            raise TruncationError(j - 2 * self.q)
+        if j > 2 * self.q:
+            raise IndexError(f"branch {self.copy.label}: y[{j}] is past "
+                             f"y[{2 * self.q}], the last coefficient known")
         k = j - self.q
         if k < 0:
             return self.zero

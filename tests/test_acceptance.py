@@ -138,7 +138,7 @@ def test_criterion_4_strict_transform_oracle():
     checked = 0
     for _ in range(100):
         branches, alpha = _unramified_instance(rng)
-        dec = decompose(branches, truncation=8)
+        dec = decompose(branches)
         series = [CopySeries(u) for u in dec.copies]
         for factor in dec.factors:
             rep = verify_corollary(series, factor)
@@ -162,7 +162,7 @@ def test_criterion_5_stratified_totals_telescope():
     chi_checked = zeta_checked = 0
     while chi_checked < 100 or zeta_checked < 100:
         branches, _ = _unramified_instance(rng)
-        dec = decompose(branches, truncation=8)
+        dec = decompose(branches)
         series = [CopySeries(u) for u in dec.copies]
         for factor in dec.factors:
             rep = verify_corollary(series, factor)

@@ -510,8 +510,8 @@ def test_report_exit_3_on_mutant_factor(problem_file, monkeypatch, capsys,
 
     real = cli_mod.decompose
 
-    def mutant(branches, truncation):
-        dec = real(branches, truncation=truncation)
+    def mutant(branches):
+        dec = real(branches)
         if not dec.factors:
             return dec
         return dataclasses.replace(dec, factors=tuple(mutate(dec.factors)))
@@ -521,6 +521,59 @@ def test_report_exit_3_on_mutant_factor(problem_file, monkeypatch, capsys,
     (line,) = capsys.readouterr().err.splitlines()
     assert line == ("error: oracle disagreement at point (c='0', k=0), "
                     "factor alpha = LaurentPoly((CycloNum(1, 1))*t^-2): " + want)
+
+
+_nonzero = st.builds(lambda n, i, r: root_of_unity(n, i % n) * r,
+                     st.sampled_from([1, 2, 3, 4]), st.integers(0, 3),
+                     st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
+                                      Fraction(-1, 2)]))
+
+
+@st.composite
+def _twin_problems(draw):
+    """Two problem documents whose branches differ only in the values of
+    delta past its constant term: same support, nonzero values.  Branches
+    share polar parts and constant terms, so factors have several members
+    and separation fails in some."""
+    pool = []
+    for q in (1, 2):
+        terms = {-q: draw(_nonzero)}
+        if q > 1 and draw(st.booleans()):
+            terms[-1] = draw(_nonzero)
+        pool.append(LaurentPoly(terms))
+    twins = ([], [])
+    for i in range(draw(st.integers(1, 3))):
+        alpha = draw(st.sampled_from(pool))
+        head = {0: draw(st.sampled_from([0, 1]))}
+        support = draw(st.sets(st.integers(1, 4), min_size=1, max_size=3))
+        m = draw(st.integers(1, 2))
+        p = draw(st.integers(1, 3))
+        for branches in twins:
+            delta = LaurentPoly({**head, **{e: draw(_nonzero) for e in support}})
+            branches.append(mk(f"b{i}", p=p, q=alpha.pole_order(), alpha=alpha,
+                               delta=delta, m=m))
+    return tuple({"points": [{"c": "0", "k": 0, "branches": [
+        branch_to_json(b) for b in branches]}]} for branches in twins)
+
+
+def _report_bytes(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "in.json", Path(tmp) / "out.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("report", "--input", path, "--output", out)
+        return code, out.read_bytes() if out.exists() else None, err.getvalue()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_twin_problems())
+def test_report_reads_delta_only_through_its_constant_term(twins):
+    # The oracle reads a copy's series through y[2q], which the polar part
+    # and the constant term of delta decide: the other terms of delta change
+    # no byte of the report, of stderr or of the exit code.
+    first, second = twins
+    assert _report_bytes(first) == _report_bytes(second)
 
 
 def test_max_order_flag(problem_file, tmp_path, capsys):
@@ -830,13 +883,49 @@ def test_boolean_file_option_is_exit_2_naming_the_path(tmp_path, capsys, option)
 
 
 @pytest.mark.parametrize("flag, value", [("--max-order", 0), ("--max-order", -2),
-                                         ("--truncation", -3)])
+                                         ("--truncation", -3),
+                                         ("--max-order", "abc"),
+                                         ("--truncation", "abc")])
 def test_bad_limit_flag_is_exit_2_naming_the_flag(problem_file, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         run_cli("report", "--input", problem_file, flag, value)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}" in err and "$.options" not in err
+    if value == "abc":
+        assert f"argument {flag}: invalid int value: 'abc'" in err
+
+
+def _long_delta_problem(path, options=None):
+    """A problem whose branch a has delta at exponent 5."""
+    doc = {"points": [{"c": "0", "k": 0, "branches": [
+        branch_to_json(mk("a", delta=LaurentPoly({0: 1, 5: 2})))]}]}
+    if options is not None:
+        doc["options"] = options
+    path.write_text(json.dumps(doc))
+    return path
+
+
+_PAST_TRUNCATION = "delta support exceeds the declared truncation 3"
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_delta_past_the_declared_truncation_is_exit_2(tmp_path, capsys, where):
+    if where == "flag":
+        args = [_long_delta_problem(tmp_path / "in.json"), "--truncation", 3]
+    else:
+        args = [_long_delta_problem(tmp_path / "in.json", {"truncation": 3})]
+    assert run_cli("report", "--input", *args) == 2
+    assert capsys.readouterr().err == (
+        "error: $.points: point (c='0', k=0): branch a: " + _PAST_TRUNCATION + "\n")
+
+    out = tmp_path / "valid.json"
+    assert run_cli("validate", "--input", *args, "--output", out) == 2
+    (branch,) = json.loads(out.read_text())["points"][0]["branches"]
+    assert branch["valid"] is False and branch["errors"] == [_PAST_TRUNCATION]
+    # Under the default truncation 8 the same branch is valid.
+    assert run_cli("report", "--input", _long_delta_problem(tmp_path / "8.json"),
+                   "--output", out) == 0
 
 
 @pytest.mark.parametrize("command", ["resolve", "realize", "roundtrip"])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from expdirect.branch import ramification_order, unramify
+from expdirect.branch import ValidationError, ramification_order, unramify
 from expdirect.cyclotomic import CycloNum, CycloPoly
 from expdirect.decomposition import (
     decompose,
@@ -42,6 +42,22 @@ def test_single_branch_and_empty():
     assert dec.factors[0].rank_branchwise == 1
     empty = decompose([])
     assert empty.p == 1 and empty.factors == () and empty.star_holds
+
+
+@pytest.mark.parametrize("branches, message", [
+    ([mk("a", zeta=CycloPoly([0, 2]))], "zeta must be monic"),
+    ([mk("a"), mk("a", q=2)], "duplicate branch labels: ['a']"),
+], ids=["non-monic-zeta", "duplicate-labels"])
+def test_decompose_refuses_invalid_branches(branches, message):
+    with pytest.raises(ValidationError) as exc:
+        decompose(branches)
+    assert str(exc.value) == message
+
+
+def test_decompose_declares_no_truncation():
+    # No truncation is declared, so a holomorphic part of any length is read.
+    dec = decompose([mk("a", delta=LaurentPoly({0: 1, 12: 5}))])
+    assert len(dec.factors) == 1 and dec.copies[0].delta0 == 1
 
 
 def test_rank_convention_divergence():

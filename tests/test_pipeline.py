@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from expdirect.branch import ValidationError
 from expdirect.cli import Options, run_point
 from expdirect.laurent import LaurentPoly
 from tests.helpers import mk, rand_branch, worked_example_branches
@@ -73,3 +76,11 @@ def test_run_point_matches_worked_example():
     assert rep.consistent
     assert rep.decomposition.p == 2
     assert [f.rank_branchwise for f in rep.decomposition.factors] == [2, 1, 1]
+
+
+def test_run_point_refuses_delta_past_its_declared_truncation():
+    b = mk("a", delta=LaurentPoly({0: 1, 9: 2}))
+    with pytest.raises(ValidationError) as exc:
+        run_point("0", 0, [b], Options())
+    assert str(exc.value) == "delta support exceeds the declared truncation 8"
+    assert run_point("0", 0, [b], Options(truncation=9)).consistent

@@ -10,12 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from expdirect.branch import Branch, unramify
+from expdirect.branch import Branch, ramification_order, unramify
 from expdirect.cyclotomic import CycloNum, CycloPoly, root_of_unity
 from expdirect.decomposition import decompose
-from expdirect.laurent import LaurentPoly, NormalFormKind
+from expdirect.laurent import LaurentPoly, NormalFormKind, subst_root_power
 from expdirect.resolution import (
-    TruncationError,
     build_resolution,
     strict_transform,
     verify_corollary,
@@ -35,15 +34,15 @@ def flat_branch(label, alpha, delta0=None, m=1, zeta=None, delta=None):
 
 
 def flat(*args, **kwargs):
-    """The copy of ``flat_branch(...)``, known to the default truncation."""
+    """The copy of ``flat_branch(...)``."""
     (copy,) = unramify([flat_branch(*args, **kwargs)])
     return copy
 
 
-def oracle(branches, truncation=8):
+def oracle(branches):
     """``verify_corollary`` on every factor of the branches' decomposition,
     keyed by the factor's polar part."""
-    dec = decompose(branches, truncation=truncation)
+    dec = decompose(branches)
     series = [CopySeries(u) for u in dec.copies]
     return {repr(f.alpha): verify_corollary(series, f) for f in dec.factors}
 
@@ -317,7 +316,7 @@ def test_factor_oracle_equals_the_per_copy_reference(seed):
                 f"b{i}", rng.randint(1, 3), alpha.pole_order(), alpha,
                 LaurentPoly({0: rng.randint(0, 1), 2: rng.randint(-2, 2)}),
                 m, rand_monic(rng, m)))
-        dec = decompose(branches, truncation=3)
+        dec = decompose(branches)
         series = [CopySeries(u) for u in dec.copies]
         for factor in dec.factors:
             rep = verify_corollary(series, factor)
@@ -344,49 +343,35 @@ def test_mutant_factor_is_inconsistent():
     assert rep.charpoly_by_blowup == first.charpoly
 
 
-def test_series_truncation_error_names_required_depth():
-    # alpha = t^-1, delta = 0 and truncation 4: y = t, exact below 2 + 4 + 1.
-    (u,) = unramify([mk("a", q=1)], 4)
-    y = CopySeries(u)
-    assert y[1] == 1
-    assert y[6] == 0
-    with pytest.raises(TruncationError) as exc:
-        y[7]
-    assert exc.value.required_truncation == 5
-
-
-def test_each_copy_knows_only_its_own_prefix():
-    # p = lcm(1, 2, 3, 6) = 6.  A holomorphic part exact to order T in t is
-    # exact to order (p/p_l)*(T+1) - 1 in the ramified variable, so the
-    # least ramified branch knows the longest prefix.
-    T = 2
+def test_series_is_known_through_y_2q_and_no_further():
+    # p = lcm(1, 2, 3, 6) = 6.  Whatever the branch's ramification, its
+    # copies' series read y[2q] and refuse y[2q + 1]: from there on a term
+    # of the holomorphic part past its constant term would count.
     branches = [mk(f"b{pl}", p=pl, q=1, alpha=LaurentPoly({-1: 1}),
-                   delta=LaurentPoly({0: 1, T: 3})) for pl in (1, 2, 3, 6)]
-    copies = unramify(branches, T)
+                   delta=LaurentPoly({0: 1, 2: 3})) for pl in (1, 2, 3, 6)]
+    copies = unramify(branches)
     assert len(copies) == 12
     for u in copies:
-        pl = int(u.label[1:])
-        assert u.truncation == (6 // pl) * (T + 1) - 1
-
-        # y = t^q / (t^q alpha + t^q delta) is exact through exponent
-        # 2q + truncation; the next coefficient is unknown, not zero.
         q = u.alpha_sub.pole_order()
+        assert q == 6 // int(u.label[1:])
         y = CopySeries(u)
-        y[2 * q + u.truncation]
-        with pytest.raises(TruncationError) as exc:
-            y[2 * q + u.truncation + 1]
-        assert exc.value.required_truncation == u.truncation + 1
+        # y = t^q / (c + t^q), with c the twisted coefficient of alpha.
+        assert y[2 * q] == -y[q] * y[q] != 0
+        with pytest.raises(IndexError):
+            y[2 * q + 1]
 
 
-def eager_y_coefficients(u):
-    """Reference: every known coefficient of y(t) = t^q / (B + t^q delta),
-    by the eager O(n^2) recurrence over all exponents."""
+def eager_y_coefficients(b, u, p, n):
+    """Reference: y[0], ..., y[n-1] of y(t) = t^q / (B + t^q delta) for the
+    copy ``u`` of branch ``b`` at ramification ``p``, with the full twisted
+    holomorphic part, by the eager O(n^2) recurrence over all exponents."""
+    delta_sub = subst_root_power(b.delta, b.p, u.root_index, p // b.p)
     qb = u.alpha_sub.pole_order()
     denom = {e + qb: c for e, c in u.alpha_sub.terms.items()}
-    for e, c in u.delta_sub.terms.items():
+    for e, c in delta_sub.terms.items():
         denom[e + qb] = denom.get(e + qb, CycloNum.zero()) + c
     inv = {0: denom[0].inv()}
-    for k in range(1, qb + u.truncation + 1):
+    for k in range(1, n - qb):
         acc = CycloNum.zero()
         for i in range(1, k + 1):
             di = denom.get(i)
@@ -394,12 +379,13 @@ def eager_y_coefficients(u):
                 acc = acc + di * inv[k - i]
         if not acc.is_zero():
             inv[k] = -acc * inv[0]
-    return [inv.get(j - qb, CycloNum.zero())
-            for j in range(2 * qb + u.truncation + 1)]
+    return [inv.get(j - qb, CycloNum.zero()) for j in range(n)]
 
 
 @pytest.mark.parametrize("cyclo", [False, True])
 def test_lazy_series_equals_the_eager_reference(cyclo):
+    # Through y[2q] the series of alpha and delta0 alone is the series of
+    # the full holomorphic part.
     rng = random.Random(41 if cyclo else 40)
     for _ in range(4):
         branches = [
@@ -408,15 +394,16 @@ def test_lazy_series_equals_the_eager_reference(cyclo):
                 p=pl)
             for pl in (1, 2, 3, 6)
         ]
-        for u in unramify(branches, 3):
+        p = ramification_order(branches)
+        by_label = {b.label: b for b in branches}
+        for u in unramify(branches):
             y = CopySeries(u)
-            want = eager_y_coefficients(u)
+            n = 2 * u.alpha_sub.pole_order() + 1
+            want = eager_y_coefficients(by_label[u.label], u, p, n)
             # Same element at the same order: the report bytes depend on it.
-            got = [y[j] for j in range(len(want))]
+            got = [y[j] for j in range(n)]
             assert [(c.order, c.coeffs) for c in got] == \
                 [(c.order, c.coeffs) for c in want]
-            with pytest.raises(TruncationError):
-                y[len(want)]
 
 
 def _result_key(res):
@@ -441,7 +428,7 @@ def test_shared_series_equal_fresh_series_per_pair(seed):
         twin = rng.choice(branches)
         branches.append(dataclasses.replace(
             twin, label="twin", delta=LaurentPoly({0: rng.randint(2, 9)})))
-        dec = decompose(branches, truncation=3)
+        dec = decompose(branches)
         shared = [CopySeries(u) for u in dec.copies]
         for factor in dec.factors:
             tree = build_resolution(factor.alpha)
@@ -495,14 +482,18 @@ def test_non_member_of_other_pole_order_reads_one_coefficient(monkeypatch):
 
 
 def test_member_work_does_not_grow_with_truncation(monkeypatch):
+    # Two branches that differ only past the constant term of their
+    # holomorphic parts, one of them known to a far higher order, cost the
+    # same arithmetic and meet the distinguished component at one point.
     z = root_of_unity(7, 2)
     alpha = LaurentPoly({-3: z, -2: 1, -1: z * 3})
     tree = build_resolution(alpha)
-    branch = mk("m", q=3, alpha=alpha, delta=LaurentPoly({0: 2, 1: -1, 5: 3}))
+    deltas = (LaurentPoly({0: 2, 1: -1, 5: 3}),
+              LaurentPoly({0: 2, 1: z, 5: -7, 200: 1}))
     calls = count_arithmetic(monkeypatch)
     muls, points = [], []
-    for truncation in (8, 200):
-        (u,) = unramify([branch], truncation)
+    for delta in deltas:
+        (u,) = unramify([mk("m", q=3, alpha=alpha, delta=delta)])
         calls.clear()
         res = strict_transform(CopySeries(u), tree)
         assert res.meets_ed and res.steps_matched == 6
