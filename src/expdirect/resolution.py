@@ -264,7 +264,9 @@ class CopySeries:
     def __getitem__(self, j: int) -> CycloNum:
         if j > 2 * self.q:
             raise IndexError(f"branch {self.copy.label}: y[{j}] is past "
-                             f"y[{2 * self.q}], the last coefficient known")
+                             f"y[{2 * self.q}], the last coefficient known; "
+                             f"it needs the holomorphic part through "
+                             f"t^{j - 2 * self.q}")
         k = j - self.q
         if k < 0:
             return self.zero

@@ -343,10 +343,22 @@ def test_mutant_factor_is_inconsistent():
     assert rep.charpoly_by_blowup == first.charpoly
 
 
-def test_series_is_known_through_y_2q_and_no_further():
-    # p = lcm(1, 2, 3, 6) = 6.  Whatever the branch's ramification, its
-    # copies' series read y[2q] and refuse y[2q + 1]: from there on a term
-    # of the holomorphic part past its constant term would count.
+def test_series_truncation_error_names_required_depth():
+    # alpha = t^-1, delta = 0: y = t, known through y[2].  y[7] would need
+    # the holomorphic part through t^5, and the error says so.
+    (u,) = unramify([mk("a", q=1)])
+    y = CopySeries(u)
+    assert y[1] == 1
+    assert y[2] == 0
+    with pytest.raises(IndexError, match=r"y\[7\] is past y\[2\].* t\^5$"):
+        y[7]
+
+
+def test_each_copy_knows_only_its_own_prefix():
+    # p = lcm(1, 2, 3, 6) = 6.  Whatever the branch's ramification, each
+    # copy's series reads y[2q], q its own pole order, and refuses
+    # y[2q + 1]: from there on a term of the holomorphic part past its
+    # constant term would count.
     branches = [mk(f"b{pl}", p=pl, q=1, alpha=LaurentPoly({-1: 1}),
                    delta=LaurentPoly({0: 1, 2: 3})) for pl in (1, 2, 3, 6)]
     copies = unramify(branches)
@@ -357,7 +369,7 @@ def test_series_is_known_through_y_2q_and_no_further():
         y = CopySeries(u)
         # y = t^q / (c + t^q), with c the twisted coefficient of alpha.
         assert y[2 * q] == -y[q] * y[q] != 0
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r" t\^1$"):
             y[2 * q + 1]
 
 
