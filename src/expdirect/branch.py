@@ -26,6 +26,7 @@ __all__ = [
     "UnramifiedBranch",
     "ValidationReport",
     "ValidationError",
+    "ValidBranches",
     "validate",
     "ramification_order",
     "unramify",
@@ -143,6 +144,10 @@ def validate_all(branches, truncation: int | None = None) -> list[ValidationRepo
             errors=(f"duplicate branch labels: {dupes}",),
         ))
     return reports
+
+
+class ValidBranches(tuple):
+    """Branches ``validate_all`` passed: ``decompose`` does not check them again."""
 
 
 def require_valid(branches, truncation: int | None = None) -> list[ValidationReport]:

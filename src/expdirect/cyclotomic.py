@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 __all__ = [
     "CycloNum",
@@ -472,6 +472,21 @@ def _reduced(order: int, coeffs: dict[int, Fraction]) -> CycloNum:
     return num
 
 
+def _monomial(order: int, e: int, c: Fraction) -> CycloNum:
+    """``CycloNum(order, {e: c})``: zeta_order^e is a primitive n-th root,
+    n = order/gcd(e, order), and at n = 2m, m odd, -zeta_m^(e*(m+1)/2).  So,
+    as in ``inv``, the one term put on the basis at n is canonical."""
+    _check_order(order)
+    if not c:
+        return _reduced(1, {})
+    g = gcd(e, order)
+    n, e = order // g, e // g % (order // g)
+    if n % 4 == 2:
+        n //= 2
+        e, c = e * (n + 1) // 2 % n, -c
+    return _reduced(1, {0: c}) if n == 1 else _reduced(n, _normalised(n, {e: c}))
+
+
 def _trimmed(p: list) -> list:
     while p and not p[-1]:
         p.pop()
@@ -514,9 +529,8 @@ def cyclotomic_polynomial(n: int) -> "CycloPoly":
 
 
 def root_of_unity(n: int, k: int) -> CycloNum:
-    """zeta_n^(k mod n) in canonical form at order n."""
-    _check_order(n)
-    return CycloNum(n, {k % n: Fraction(1)})
+    """zeta_n^k in canonical form."""
+    return _monomial(n, k, Fraction(1))
 
 
 class CycloPoly:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 
-from .branch import (Branch, UnramifiedBranch, ramification_order,
-                     require_valid, unramify)
+from .branch import (Branch, UnramifiedBranch, ValidBranches,
+                     ramification_order, require_valid, unramify)
 from .cyclotomic import CycloPoly
 from .laurent import LaurentPoly
 
@@ -135,7 +135,7 @@ def decompose(branches: list[Branch]) -> FormalDecomposition:
     """The decomposition of the branches; invalid data raises ValidationError.
 
     No truncation is declared here, so no bound applies to the support of a
-    holomorphic part.
+    holomorphic part.  ``ValidBranches`` are taken as already checked.
 
     Empty input is the purely regular case: trivial ramification, no factors.
     Factor order is deterministic and independent of input order.  The
@@ -144,10 +144,11 @@ def decompose(branches: list[Branch]) -> FormalDecomposition:
     charpoly assembled as it is built: under separation the product of its
     members' zetas, in member order; otherwise no factor has one.
     """
-    branches = list(branches)
+    if not isinstance(branches, ValidBranches):
+        branches = list(branches)
+        require_valid(branches)
     if not branches:
         return FormalDecomposition(p=1, factors=(), star_holds=True)
-    require_valid(branches)
     p = ramification_order(branches)
     ub = unramify(branches)
     keyed = keyed_copies(ub)

@@ -9,7 +9,7 @@ coefficient domain is the union of the cyclotomic fields; floats or symbolic
 strings are errors, not approximands), and every parser that reads a
 cyclotomic number takes the order cap ``max_order`` and refuses a larger
 declared order.  Parse errors carry a JSON-path location for the CLI's
-diagnostics.
+diagnostics.  Report encodings keep value leaves, which ``dumps`` writes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .branch import Branch
-from .cyclotomic import CycloNum, CycloPoly
+from .cyclotomic import CycloNum, CycloPoly, _monomial
 from .decomposition import ExponentialFactor, FormalDecomposition
 from .laurent import LaurentPoly
 from .newton import NewtonPolygon
@@ -70,8 +70,11 @@ def rational_from_json(data, path: str) -> Fraction:
         raise SchemaError(path, "floating-point values are not exact; "
                                 "write rationals as \"num/den\"")
     if isinstance(data, str):
-        match = _RATIONAL.fullmatch(data)
         try:
+            # Integers skip the pattern; str.isdigit alone takes "²", "١".
+            if data.lstrip("-").isdigit() and data.isascii():
+                return Fraction(int(data))
+            match = _RATIONAL.fullmatch(data)
             if match:
                 return Fraction(int(match[1]), int(match[2] or 1))
         except (ValueError, ZeroDivisionError):
@@ -114,7 +117,7 @@ def cyclo_to_json(a: CycloNum) -> dict:
 
 def cyclo_from_json(data, path: str = "$", *, max_order: int) -> CycloNum:
     """A cyclotomic number; an ``order`` above ``max_order`` is refused
-    before any value is built."""
+    before any value is built, and a single term skips the constructor."""
     if isinstance(data, (int, str)):
         # Bare rationals are accepted as order-1 values.
         return CycloNum.from_rational(rational_from_json(data, path))
@@ -126,9 +129,13 @@ def cyclo_from_json(data, path: str = "$", *, max_order: int) -> CycloNum:
     coeffs = _expect_dict(obj.get("coeffs", {}), f"{path}.coeffs")
     terms = {}
     for key, val in coeffs.items():
-        e = _int_key(key, f"{path}.coeffs.{key}")
-        terms[e] = rational_from_json(val, f"{path}.coeffs.{key}")
+        where = f"{path}.coeffs.{key}"
+        e = _int_key(key, where)
+        terms[e] = rational_from_json(val, where)
     try:
+        if len(terms) == 1:
+            (e, c), = terms.items()
+            return _monomial(order, e, c)
         return CycloNum(order, terms)
     except ValueError as err:
         raise SchemaError(path, str(err)) from None
@@ -196,7 +203,7 @@ def polygon_to_json(poly: NewtonPolygon) -> dict:
 
 def factor_to_json(f: ExponentialFactor) -> dict:
     out = {
-        "alpha": laurent_to_json(f.alpha),
+        "alpha": f.alpha,
         "members": [[label, i] for label, i in f.members],
         "rank_branchwise": f.rank_branchwise,
         "rank_distinct": f.rank_distinct,
@@ -204,7 +211,7 @@ def factor_to_json(f: ExponentialFactor) -> dict:
         "pole_order": f.pole_order,
     }
     if f.charpoly is not None:
-        out["charpoly"] = cyclopoly_to_json(f.charpoly)
+        out["charpoly"] = f.charpoly
     return out
 
 
@@ -255,8 +262,8 @@ def spec_from_json(data, path: str = "$", *, max_order: int) -> FormalModuleSpec
 
 def roundtrip_to_json(rep: RoundTripReport) -> dict:
     def classes(entries):
-        return [{"ramification": p0, "alpha": laurent_to_json(alpha),
-                 "rank": rank} for p0, alpha, rank in entries]
+        return [{"ramification": p0, "alpha": alpha, "rank": rank}
+                for p0, alpha, rank in entries]
 
     out = {
         "ok": rep.ok,
@@ -278,14 +285,14 @@ def _tag_to_json(tag) -> dict:
 
 def tree_to_json(tree: ResolutionTree) -> dict:
     return {
-        "alpha": laurent_to_json(tree.alpha),
+        "alpha": tree.alpha,
         "pole_order": tree.q,
         "blow_ups": len(tree.steps),
         "steps": [
             {
                 "index": s.index,
                 "chart": s.chart,
-                "shift": cyclo_to_json(s.shift),
+                "shift": s.shift,
                 "crossing": {
                     "components": [s.crossing.left, s.crossing.right],
                     "tag": _tag_to_json(s.crossing.tag),
@@ -310,9 +317,9 @@ def tree_to_json(tree: ResolutionTree) -> dict:
             for ap in tree.axis_points
         ],
         "value_chart": {
-            "num0": cyclo_to_json(tree.ed_chart.num0),
-            "numlin": cyclo_to_json(tree.ed_chart.numlin),
-            "den0": cyclo_to_json(tree.ed_chart.den0),
+            "num0": tree.ed_chart.num0,
+            "numlin": tree.ed_chart.numlin,
+            "den0": tree.ed_chart.den0,
         },
     }
 
@@ -336,7 +343,7 @@ def tree_to_text(tree: ResolutionTree) -> str:
 
 def corollary_to_json(rep: CorollaryReport) -> dict:
     return {
-        "alpha": laurent_to_json(rep.factor.alpha),
+        "alpha": rep.factor.alpha,
         "consistent": rep.consistent,
         "membership_agrees": rep.membership_agrees,
         "star_agrees": rep.star_agrees,
@@ -345,8 +352,7 @@ def corollary_to_json(rep: CorollaryReport) -> dict:
         "star_by_blowup": rep.star_by_blowup,
         "star_by_polar": rep.star_by_polar,
         "points": [
-            {"label": label, "point": cyclo_to_json(point)}
-            for label, point in rep.points
+            {"label": label, "point": point} for label, point in rep.points
         ],
     }
 
@@ -354,7 +360,8 @@ def corollary_to_json(rep: CorollaryReport) -> dict:
 def dumps(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, for the
     shapes a document holds: dicts with str keys, lists, str, int, bool and
-    None.  Anything else (floats included) raises TypeError.
+    None, and CycloNum, LaurentPoly and CycloPoly leaves, written as their
+    ``*_to_json`` data is.  Anything else (floats, Fractions) raises TypeError.
 
     With ``indent`` set the stdlib falls back to its pure-Python encoder;
     this emitter builds the same text with one join per container.
@@ -368,15 +375,28 @@ def dumps(doc) -> str:
       ],
       "c": {}
     }
+    >>> print(dumps(CycloNum(4, {3: Fraction(-1, 2)})))
+    {
+      "coeffs": {
+        "1": "1/2"
+      },
+      "order": 4
+    }
     """
     return _emit(doc, "")
 
 
 def _emit(o, pad: str) -> str:
-    # Dispatch on the exact type first; bool, None and subclasses of the
-    # four container and scalar types take the slower path below.
+    # Dispatch on the exact type first; bool, None, value leaves and
+    # subclasses of the four fast types take the slower path below.
     t = type(o)
     if t is not str and t is not dict and t is not list and t is not int:
+        if t is CycloNum:
+            return _cyclo_text(o, pad)
+        if t is LaurentPoly:
+            return _laurent_text(o, pad)
+        if t is CycloPoly:
+            return _emit(list(o.coeffs), pad)
         if o is None:
             return "null"
         if o is True:
@@ -402,3 +422,22 @@ def _emit(o, pad: str) -> str:
                 + "\n" + pad + "}")
     return ("[\n" + inner + (",\n" + inner).join([_emit(v, inner) for v in o])
             + "\n" + pad + "]")
+
+
+# Leaf keys need no escape and sort above a quote: sorting entries sorts keys.
+def _laurent_text(f: LaurentPoly, pad: str) -> str:
+    deep = pad + "    "
+    terms = sorted([f'"{e}": {_cyclo_text(c, deep)}' for e, c in f.terms.items()])
+    terms = f"{{\n{deep}" + f",\n{deep}".join(terms) + f"\n{pad}  }}" if terms else "{}"
+    return f'{{\n{pad}  "terms": {terms}\n{pad}}}'
+
+
+def _cyclo_text(a: CycloNum, pad: str) -> str:
+    if len(a.coeffs) == 1:  # most values: no sort, one f-string
+        (e, c), = a.coeffs.items()
+        coeffs = f'{{\n{pad}    "{e}": "{c!s}"\n{pad}  }}'
+    else:
+        coeffs = f",\n{pad}    ".join(sorted(
+            [f'"{e}": "{c!s}"' for e, c in a.coeffs.items()]))
+        coeffs = f"{{\n{pad}    {coeffs}\n{pad}  }}" if coeffs else "{}"
+    return f'{{\n{pad}  "coeffs": {coeffs},\n{pad}  "order": {a.order}\n{pad}}}'

@@ -261,6 +261,52 @@ def test_rational_in_exponent_notation_is_exit_2(tmp_path, capsys):
                    "not an exact rational: '1e5000'\n")
 
 
+@pytest.mark.parametrize("value, where, message", [
+    ({"order": 0, "coeffs": {"1": 1}}, "", "order must be a positive integer, got 0"),
+    ({"order": -4, "coeffs": {"1": 1}}, "",
+     "order must be a positive integer, got -4"),
+    ({"order": 20000, "coeffs": {"1": 1}}, ".order",
+     "order 20000 exceeds the order cap 10000 (--max-order)"),
+    ({"order": 4, "coeffs": {"1.5": 1}}, ".coeffs.1.5",
+     "expected an integer key, got '1.5'"),
+    ({"order": -4, "coeffs": {"x": 1}}, ".coeffs.x",
+     "expected an integer key, got 'x'"),
+], ids=["order-0", "order-negative", "order-past-the-cap", "key", "key-first"])
+def test_single_term_refusals_are_exit_2_with_their_message(tmp_path, capsys,
+                                                             value, where, message):
+    # A single term is parsed by a shortcut past the constructor: it refuses
+    # what the constructor refuses, at the same path and with the same
+    # message, and never divides by a bad order.
+    doc = {"points": [{"c": "0", "k": 0, "branches": [
+        branch_to_json(mk("a")) | {"alpha": {"terms": {"-1": value}}}]}]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("report", "--oracle", "off", "--input", path) == 2
+    assert capsys.readouterr().err == (
+        f"error: $.points[0].branches[0].alpha.terms.-1{where}: {message}\n")
+
+
+@pytest.mark.parametrize("args", [["report", "--oracle", "off"], ["report"],
+                                  ["decompose"]])
+def test_each_point_is_validated_once(problem_file, monkeypatch, args):
+    # The command line validates every point's branches at the declared
+    # truncation, and decompose does not check them again.
+    import expdirect.branch as branch_mod
+    import expdirect.cli as cli_mod
+
+    calls = []
+    real = branch_mod.validate_all
+
+    def spy(branches, truncation=None):
+        calls.append(truncation)
+        return real(branches, truncation)
+
+    monkeypatch.setattr(branch_mod, "validate_all", spy)
+    monkeypatch.setattr(cli_mod, "validate_all", spy)
+    assert run_cli(*args, "--input", problem_file) == 0
+    assert calls == [8, 8]
+
+
 def test_resolve_text_and_json(tmp_path, capsys):
     path = tmp_path / "alpha.json"
     path.write_text(json.dumps(

@@ -19,6 +19,7 @@ from expdirect.serialize import (
     branch_to_json,
     cyclo_from_json,
     cyclo_to_json,
+    cyclopoly_to_json,
     dumps,
     laurent_from_json,
     laurent_to_json,
@@ -38,10 +39,12 @@ def test_rational_round_trip():
 
 def test_rational_rejects_floats_and_junk():
     # Only [+-]digits[/digits] with optional surrounding whitespace: no
-    # exponent, decimal point or underscore, and no more digits than Python
+    # exponent, decimal point or underscore, no digit outside ASCII (which
+    # str.isdigit and int() accept), and no more digits than Python
     # converts (sys.get_int_max_str_digits()).
     for data in (0.5, "pi", "1/0", True, "1e5000", "1.5", "1/2/3", "1_000",
-                 "1 / 2", "0x10", "½", "3" * 4301):
+                 "1 / 2", "0x10", "½", "3" * 4301, "-" + "3" * 4301,
+                 "١", "²", "７", "٣/٤", "-١", "--1", "-"):
         with pytest.raises(SchemaError):
             rational_from_json(data, "$")
 
@@ -57,6 +60,20 @@ def test_cyclo_round_trip_random():
         a = rand_cyclo(rng)
         back = cyclo_from_json(cyclo_to_json(a), "$", max_order=CAP)
         assert back.order == a.order and back == a
+
+
+def test_single_terms_parse_to_what_the_constructor_builds():
+    # A single term is built straight into canonical form; at every order up
+    # to 72 (2, 6, 10, 18, 30, 42 and 66 among them, which are 2 mod 4 and so
+    # never a conductor) it must agree with the constructor.
+    for n in range(1, 73):
+        for e in range(-n, 2 * n + 1):
+            for c in (0, 1, "-2", "3/4"):
+                got = cyclo_from_json({"order": n, "coeffs": {str(e): c}}, "$",
+                                      max_order=CAP)
+                want = CycloNum(n, {e: Fraction(c)})
+                assert (got.order, got.coeffs) == (want.order, want.coeffs), (n, e, c)
+                assert all(type(v) is Fraction for v in got.coeffs.values())
 
 
 def test_cyclo_accepts_bare_rationals():
@@ -160,16 +177,61 @@ def test_dumps_rejects_what_reports_never_hold(doc):
         dumps(doc)
 
 
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+_cyclos = st.one_of(
+    st.just(CycloNum.zero()),
+    st.builds(CycloNum, st.sampled_from([1, 3, 4, 5, 12, 15, 21, 24, 60]),
+              st.dictionaries(st.integers(-80, 80), _fractions, max_size=4)))
+_laurents = st.one_of(
+    st.just(LaurentPoly()),
+    st.builds(LaurentPoly, st.dictionaries(st.integers(-30, 12), _cyclos,
+                                           max_size=4)))
+_cyclopolys = st.one_of(st.just(CycloPoly()),
+                        st.builds(CycloPoly, st.lists(_cyclos, max_size=4)))
+_docs_with_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(), _cyclos,
+              _laurents, _cyclopolys),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+def _as_data(doc):
+    """The document with each value leaf replaced by its *_to_json data."""
+    if isinstance(doc, CycloNum):
+        return cyclo_to_json(doc)
+    if isinstance(doc, LaurentPoly):
+        return laurent_to_json(doc)
+    if isinstance(doc, CycloPoly):
+        return cyclopoly_to_json(doc)
+    if isinstance(doc, dict):
+        return {k: _as_data(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_as_data(v) for v in doc]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(_docs_with_values)
+def test_dumps_writes_value_leaves_as_their_data(doc):
+    # Keys sort as strings ("-10" < "-2", "10" < "2"), as sort_keys sorts them.
+    assert dumps(doc) == json.dumps(_as_data(doc), sort_keys=True, indent=2)
+
+
 def test_dumps_leaves_no_reference_cycle():
     # With the collector paused, whatever dumps leaves in a cycle piles up
     # until the next collection.
     doc = {"a": [1, {"b": "c", "d": []}, None, True, False], "e": {}}
+    values = {"x": [CycloNum(15, {11: Fraction(1, 2)}), CycloPoly([1, 2])],
+              "y": {"z": LaurentPoly({-12: root_of_unity(24, 5), -1: 3})}}
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(100):
             dumps(doc)
+            dumps(values)
         assert gc.collect() == 0
     finally:
         if was_enabled:
