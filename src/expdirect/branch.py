@@ -26,7 +26,6 @@ __all__ = [
     "UnramifiedBranch",
     "ValidationReport",
     "ValidationError",
-    "ValidBranches",
     "validate",
     "ramification_order",
     "unramify",
@@ -146,8 +145,9 @@ def validate_all(branches, truncation: int | None = None) -> list[ValidationRepo
     return reports
 
 
-class ValidBranches(tuple):
-    """Branches ``validate_all`` passed: ``decompose`` does not check them again."""
+class _ValidBranches(tuple):
+    """Branches ``validate_all`` found no error in, as the CLI wraps them once
+    it has checked them: ``decompose`` does not check them again."""
 
 
 def require_valid(branches, truncation: int | None = None) -> list[ValidationReport]:

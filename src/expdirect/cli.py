@@ -34,7 +34,7 @@ from functools import cache
 from math import lcm
 from pathlib import Path
 
-from .branch import ValidBranches, require_valid, validate_all
+from .branch import _ValidBranches, require_valid, validate_all
 from .decomposition import FormalDecomposition, decompose
 from .laurent import ClassificationError
 from .newton import (
@@ -154,11 +154,12 @@ def run_point(c: str, k: int, branches, options: Options) -> PointReport:
     """Invariants, decomposition and oracle checks for one germ; invalid
     branches, under the declared truncation too, raise ValidationError."""
     reports = require_valid(branches, options.truncation)
-    return _point_report(c, k, ValidBranches(branches), _warnings(reports), _VIEWS["report"])
+    return _point_report(c, k, _ValidBranches(branches), _warnings(reports),
+                         _VIEWS["report"])
 
 
 def _point_report(c: str, k: int, branches, warnings, keys) -> PointReport:
-    """The stages that ``keys`` print, for ``ValidBranches``."""
+    """The stages that ``keys`` print, for ``_ValidBranches``."""
     polygon = dec = oracle = None
     if {"newton_polygon", "slopes", "irregularity"}.intersection(keys):
         polygon = polygon_from_branches(branches)
@@ -229,12 +230,12 @@ def run_file(path: str, options: Options, keys):
         reports = validate_all(branches, merged.truncation)
         failures.extend(f"point (c={c!r}, k={k}): branch {r.label}: {e}"
                         for r in reports for e in r.errors)
-        checked.append((c, k, ValidBranches(branches), _warnings(reports)))
+        checked.append((c, k, branches, _warnings(reports)))
     if failures:
         raise SchemaError("$.points", "; ".join(failures))
 
     checked.sort(key=lambda t: (t[0], t[1]))
-    reports = [_point_report(c, k, branches, warnings, keys)
+    reports = [_point_report(c, k, _ValidBranches(branches), warnings, keys)
                for c, k, branches, warnings in checked]
     code = 0 if all(r.consistent for r in reports) else 3
     for point in reports:

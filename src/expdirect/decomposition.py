@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 
-from .branch import (Branch, UnramifiedBranch, ValidBranches,
+from .branch import (Branch, UnramifiedBranch, _ValidBranches,
                      ramification_order, require_valid, unramify)
 from .cyclotomic import CycloPoly
 from .laurent import LaurentPoly
@@ -135,7 +135,8 @@ def decompose(branches: list[Branch]) -> FormalDecomposition:
     """The decomposition of the branches; invalid data raises ValidationError.
 
     No truncation is declared here, so no bound applies to the support of a
-    holomorphic part.  ``ValidBranches`` are taken as already checked.
+    holomorphic part.  The CLI's ``_ValidBranches`` are taken as already
+    checked.
 
     Empty input is the purely regular case: trivial ramification, no factors.
     Factor order is deterministic and independent of input order.  The
@@ -144,7 +145,7 @@ def decompose(branches: list[Branch]) -> FormalDecomposition:
     charpoly assembled as it is built: under separation the product of its
     members' zetas, in member order; otherwise no factor has one.
     """
-    if not isinstance(branches, ValidBranches):
+    if not isinstance(branches, _ValidBranches):
         branches = list(branches)
         require_valid(branches)
     if not branches:

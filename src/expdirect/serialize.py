@@ -70,11 +70,8 @@ def rational_from_json(data, path: str) -> Fraction:
         raise SchemaError(path, "floating-point values are not exact; "
                                 "write rationals as \"num/den\"")
     if isinstance(data, str):
+        match = _RATIONAL.fullmatch(data)
         try:
-            # Integers skip the pattern; str.isdigit alone takes "²", "١".
-            if data.lstrip("-").isdigit() and data.isascii():
-                return Fraction(int(data))
-            match = _RATIONAL.fullmatch(data)
             if match:
                 return Fraction(int(match[1]), int(match[2] or 1))
         except (ValueError, ZeroDivisionError):
@@ -433,11 +430,7 @@ def _laurent_text(f: LaurentPoly, pad: str) -> str:
 
 
 def _cyclo_text(a: CycloNum, pad: str) -> str:
-    if len(a.coeffs) == 1:  # most values: no sort, one f-string
-        (e, c), = a.coeffs.items()
-        coeffs = f'{{\n{pad}    "{e}": "{c!s}"\n{pad}  }}'
-    else:
-        coeffs = f",\n{pad}    ".join(sorted(
-            [f'"{e}": "{c!s}"' for e, c in a.coeffs.items()]))
-        coeffs = f"{{\n{pad}    {coeffs}\n{pad}  }}" if coeffs else "{}"
+    coeffs = f",\n{pad}    ".join(sorted(
+        [f'"{e}": "{c!s}"' for e, c in a.coeffs.items()]))
+    coeffs = f"{{\n{pad}    {coeffs}\n{pad}  }}" if coeffs else "{}"
     return f'{{\n{pad}  "coeffs": {coeffs},\n{pad}  "order": {a.order}\n{pad}}}'
