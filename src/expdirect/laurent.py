@@ -8,8 +8,8 @@ all live here.  BiRational carries the forms (a0 + a1*v)/(d0 + d1*v), each
 column a polynomial in u, through the blow-up chain: every form there has
 degree at most 1 in v, and recentering v and the chart x = u, y = u*v keep
 it so.  ``classify_at_point`` tags the local shape at the origin of the form
-or of its pull-back to the other chart: one of the two monomial-pole normal
-forms, or a ClassificationError.
+or, with ``second=True``, of its pull-back to the other chart x = u*v,
+y = v: one of the two monomial-pole normal forms, or a ClassificationError.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ __all__ = [
     "ClassificationError",
     "subst_root_power",
     "support_gcd",
-    "CHART_FIRST",
-    "CHART_SECOND",
 ]
 
 
@@ -196,11 +194,6 @@ class BiPoly:
         return BiPoly(out)
 
 
-# Chart names for point blow-ups centered at the origin.
-CHART_FIRST = "x=u, y=u*v"
-CHART_SECOND = "x=u*v, y=v"
-
-
 class NormalFormKind(Enum):
     POLE_ONE_VAR = "monomial-pole-one-var"
     POLE_TWO_VAR = "monomial-pole-two-var"
@@ -303,9 +296,10 @@ class BiRational:
         return BiRational((a0, {i + 1: c for i, c in a1.items()}),
                           (d0, {i + 1: c for i, c in d1.items()}))
 
-    def classify_at_point(self, chart: str | None = None) -> NormalFormTag:
+    def classify_at_point(self, *, second: bool = False) -> NormalFormTag:
         """Monomial-pole normal form at the origin of the function or, with
-        ``chart=CHART_SECOND``, of its pull-back under u -> u*v.
+        ``second=True``, of its pull-back under u -> u*v: the origin of the
+        blow-up's second chart x = u*v, y = v.
 
         The function must be a unit times u^-pole_u * v^-pole_v there, with
         at least one order positive: the residual numerator and denominator
@@ -323,7 +317,7 @@ class BiRational:
         >>> tag = g.classify_at_point()
         >>> tag.kind.name, tag.pole_u, tag.pole_v
         ('POLE_TWO_VAR', 3, 1)
-        >>> tag = g.classify_at_point(CHART_SECOND)
+        >>> tag = g.classify_at_point(second=True)
         >>> tag.kind.name, tag.pole_u, tag.pole_v
         ('POLE_TWO_VAR', 3, 4)
         >>> BiRational(({0: 2 * one}, {0: one}), ({0: one}, {})).classify_at_point()
@@ -331,9 +325,6 @@ class BiRational:
         ...
         expdirect.laurent.ClassificationError: no pole at the origin
         """
-        if chart not in (None, CHART_SECOND):
-            raise ValueError(f"chart must be None or CHART_SECOND, got {chart!r}")
-        second = chart == CHART_SECOND
         (na, nb), num_unit = _corner(self.num, second)
         (da, db), den_unit = _corner(self.den, second)
         if not den_unit:

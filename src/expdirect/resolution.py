@@ -16,6 +16,7 @@ most 1 in v (a ``BiRational``).  Each crossing, read in the complementary
 chart, and each surviving axis point is tagged by
 ``BiRational.classify_at_point``, whose tags are the two monomial-pole
 kinds, and checked against the expected kind where the chain makes it.
+Each step records only its shift, crossing tag and pole order.
 
 Strict transforms of the unramified branch copies (``branch.unramify``) are
 replayed through the same chart script: step j reads coefficient j of the
@@ -44,8 +45,6 @@ from .cyclotomic import CycloNum, CycloPoly
 from .decomposition import ExponentialFactor
 from .laurent import (
     BiRational,
-    CHART_FIRST,
-    CHART_SECOND,
     ClassificationError,
     LaurentPoly,
     NormalFormKind,
@@ -63,31 +62,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CrossingRecord:
-    """Intersection of the newest exceptional component with the previous
-    part of the total transform (component index 0 is the strict transform of
-    the first coordinate axis)."""
-
-    left: int
-    right: int
-    tag: NormalFormTag
-    pi1_orders: tuple[int, int]
+# The chain's only chart: every blow-up is read in x = u, y = u*v.
+CHART = "x=u, y=u*v"
 
 
 @dataclass(frozen=True)
 class BlowUpStep:
-    index: int
+    """Blow-up j of the chain, j counting from 1: the new exceptional
+    component E_j.
+
+    ``shift`` recenters v before the blow-up; ``crossing`` tags the point
+    where E_j meets E_(j-1), read in the second chart (E_0 is the strict
+    transform of the first coordinate axis); ``pole_order`` is the pole
+    order of g along E_j.  Every step uses ``CHART``, so the first
+    projection pulls back to u^1 on every component and at every crossing:
+    its orders are all 1.
+    """
+
     shift: CycloNum
-    chart: str
-    crossing: CrossingRecord
-
-
-@dataclass(frozen=True)
-class ComponentRecord:
-    index: int
+    crossing: NormalFormTag
     pole_order: int
-    pi1_order: int
 
 
 @dataclass(frozen=True)
@@ -111,12 +105,19 @@ class EdChart:
 
 @dataclass(frozen=True)
 class ResolutionTree:
+    """The chain for ``alpha``: one step per blow-up, in order; the last
+    step's component is the distinguished one.
+
+    The writers in ``serialize`` derive the rest of the ``resolve`` report
+    from these fields: ``pole_order`` from alpha, ``blow_ups`` and
+    ``distinguished`` from the number of steps, each step's ``index``,
+    ``chart``, crossing ``components`` and ``projection_orders``, the
+    ``components`` list, and the ``meeting_point``, which is the last
+    step's crossing.
+    """
+
     alpha: LaurentPoly
-    q: int
     steps: tuple[BlowUpStep, ...]
-    components: tuple[ComponentRecord, ...]
-    distinguished: int
-    p_point: CrossingRecord
     axis_points: tuple[AxisPointRecord, ...]
     ed_chart: EdChart
 
@@ -143,28 +144,20 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
                    ({}, {q: one}))
 
     steps: list[BlowUpStep] = []
-    components: list[ComponentRecord] = []
     axis_points: list[AxisPointRecord] = []
     zero = shift = CycloNum.zero()
     # On every new component the numerator's trace num0 + num1*v has slope
     # num1 = -lead(alpha): it is inverted once here and checked at each step.
     slope = -alpha.terms[-q]
     slope_inv = slope.inv()
-    index = 0
 
     while True:
-        index += 1
-        _structural(index <= 2 * q, f"chain exceeded {2 * q} blow-ups")
+        _structural(len(steps) < 2 * q, f"chain exceeded {2 * q} blow-ups")
 
         g = g.translate(shift)
         # Crossing of the new component with the previous total transform,
         # seen in the complementary chart.
-        tag2 = g.classify_at_point(CHART_SECOND)
-        # Every step uses the chart x = u, so the first projection pulls back
-        # to u^1 on every component and at every crossing.
-        crossing = CrossingRecord(left=index - 1, right=index, tag=tag2,
-                                  pi1_orders=(1, 1))
-
+        crossing = g.classify_at_point(second=True)
         g = g.compose_monomial_map()
 
         cu, cv = g.den_content
@@ -182,23 +175,18 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
                     "numerator trace on the new component not affine")
         _structural(num1 == slope,
                     "numerator trace on the new component not of slope -lead(alpha)")
-        components.append(ComponentRecord(index=index, pole_order=cu, pi1_order=1))
-        steps.append(BlowUpStep(index=index, shift=shift, chart=CHART_FIRST,
-                                crossing=crossing))
+        steps.append(BlowUpStep(shift, crossing, cu))
+        index = len(steps)
 
         if cu == 0:
             # Distinguished component: g extends with an affine value map.
             _structural(cv == 0, "distinguished component still meets an axis")
             _structural(index == 2 * q, f"chain closed after {index} != {2 * q} steps")
-            _structural((tag2.pole_u, tag2.pole_v) == (1, 0),
+            _structural((crossing.pole_u, crossing.pole_v) == (1, 0),
                         "meeting point of the distinguished component not a "
                         "first-order one-variable pole")
-            ed = EdChart(num0=num0, numlin=num1, den0=den0)
-            return ResolutionTree(
-                alpha=alpha, q=q, steps=tuple(steps),
-                components=tuple(components), distinguished=index,
-                p_point=crossing, axis_points=tuple(axis_points), ed_chart=ed,
-            )
+            return ResolutionTree(alpha, tuple(steps), tuple(axis_points),
+                                  EdChart(num0=num0, numlin=num1, den0=den0))
 
         # Next center: the unique root of the numerator on the new component.
         shift = -num0 * slope_inv
@@ -218,7 +206,6 @@ class StrictTransformResult:
     tracked before it left the chain: 2q for a member, fewer otherwise.
     """
 
-    label: str
     meets_ed: bool
     point_on_ed: CycloNum | None
     steps_matched: int
@@ -298,12 +285,11 @@ def strict_transform(y: CopySeries,
     it misses; a copy that tracks all 2q centers meets the distinguished
     component at y[2q].  Only coefficients not read before are computed.
     """
-    label = y.copy.label
     for j, step in enumerate(tree.steps):
         if y[j] != step.shift:
-            return StrictTransformResult(label, False, None, j)
+            return StrictTransformResult(False, None, j)
     n = len(tree.steps)
-    return StrictTransformResult(label, True, y[n], n)
+    return StrictTransformResult(True, y[n], n)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .decomposition import ExponentialFactor, FormalDecomposition
 from .laurent import LaurentPoly
 from .newton import NewtonPolygon
 from .realization import FormalModuleSpec, FormalSummand, RoundTripReport
-from .resolution import CorollaryReport, ResolutionTree
+from .resolution import CHART, CorollaryReport, ResolutionTree
 
 __all__ = [
     "SchemaError",
@@ -281,34 +281,26 @@ def _tag_to_json(tag) -> dict:
 
 
 def tree_to_json(tree: ResolutionTree) -> dict:
+    n = len(tree.steps)
     return {
         "alpha": tree.alpha,
-        "pole_order": tree.q,
-        "blow_ups": len(tree.steps),
+        "pole_order": tree.alpha.pole_order(),
+        "blow_ups": n,
         "steps": [
-            {
-                "index": s.index,
-                "chart": s.chart,
-                "shift": s.shift,
-                "crossing": {
-                    "components": [s.crossing.left, s.crossing.right],
-                    "tag": _tag_to_json(s.crossing.tag),
-                    "projection_orders": list(s.crossing.pi1_orders),
-                },
-            }
-            for s in tree.steps
+            {"index": j, "chart": CHART, "shift": s.shift,
+             "crossing": {"components": [j - 1, j],
+                          "tag": _tag_to_json(s.crossing),
+                          "projection_orders": [1, 1]}}
+            for j, s in enumerate(tree.steps, 1)
         ],
         "components": [
-            {"index": c.index, "pole_order": c.pole_order,
-             "projection_order": c.pi1_order,
-             "distinguished": c.index == tree.distinguished}
-            for c in tree.components
+            {"index": j, "pole_order": s.pole_order, "projection_order": 1,
+             "distinguished": j == n}
+            for j, s in enumerate(tree.steps, 1)
         ],
-        "distinguished": tree.distinguished,
-        "meeting_point": {
-            "components": [tree.p_point.left, tree.p_point.right],
-            "tag": _tag_to_json(tree.p_point.tag),
-        },
+        "distinguished": n,
+        "meeting_point": {"components": [n - 1, n],
+                          "tag": _tag_to_json(tree.steps[-1].crossing)},
         "axis_points": [
             {"component": ap.component, "tag": _tag_to_json(ap.tag)}
             for ap in tree.axis_points
@@ -322,17 +314,18 @@ def tree_to_json(tree: ResolutionTree) -> dict:
 
 
 def tree_to_text(tree: ResolutionTree) -> str:
-    lines = [f"resolution of pole order {tree.q}: {len(tree.steps)} point blow-ups"]
-    for s in tree.steps:
-        tag = s.crossing.tag
+    n = len(tree.steps)
+    lines = [f"resolution of pole order {tree.alpha.pole_order()}: {n} point blow-ups"]
+    for j, s in enumerate(tree.steps, 1):
+        tag = s.crossing
         lines.append(
-            f"  step {s.index}: chart {s.chart}, recenter v by {s.shift!r}; "
-            f"crossing E{s.crossing.left}/E{s.crossing.right}: "
+            f"  step {j}: chart {CHART}, recenter v by {s.shift!r}; "
+            f"crossing E{j - 1}/E{j}: "
             f"{tag.kind.value} (u^{tag.pole_u} v^{tag.pole_v})"
         )
-    for c in tree.components:
-        mark = " [distinguished]" if c.index == tree.distinguished else ""
-        lines.append(f"  component E{c.index}: pole order {c.pole_order}{mark}")
+    for j, s in enumerate(tree.steps, 1):
+        mark = " [distinguished]" if j == n else ""
+        lines.append(f"  component E{j}: pole order {s.pole_order}{mark}")
     for ap in tree.axis_points:
         lines.append(f"  axis crossing on E{ap.component}: {ap.tag.kind.value}")
     return "\n".join(lines) + "\n"

@@ -190,17 +190,20 @@ def test_criterion_6_resolution_structure():
             alpha = rand_polar(rng, q, cyclo_coeffs=True)
             tree = build_resolution(alpha)
             assert len(tree.steps) == 2 * q
-            poles = [c.pole_order for c in tree.components]
-            assert poles.count(0) == 1 and tree.distinguished == 2 * q
+            # The last component, E_2q, is the only one without a pole.
+            poles = [s.pole_order for s in tree.steps]
+            assert poles.count(0) == 1 and poles[-1] == 0
             # Every point the chain classified is a monomial pole; the
-            # meeting point of the distinguished component is u^-1.
-            tags = [s.crossing.tag for s in tree.steps]
+            # meeting point of the distinguished component, the last
+            # step's crossing, is u^-1.
+            tags = [s.crossing for s in tree.steps]
             tags += [ap.tag for ap in tree.axis_points]
             for tag in tags:
                 assert tag.kind in (NormalFormKind.POLE_ONE_VAR,
                                     NormalFormKind.POLE_TWO_VAR)
-            assert tree.steps[-1].crossing is tree.p_point
-            assert (tree.p_point.tag.pole_u, tree.p_point.tag.pole_v) == (1, 0)
+            meeting = tree.steps[-1].crossing
+            assert (meeting.pole_u, meeting.pole_v) == (1, 0)
+            assert all(ap.component < 2 * q for ap in tree.axis_points)
             checked += 1
     assert checked == 20
     _report(6, "2q blow-ups and full normal-form classification, q in 1..5")

@@ -12,7 +12,6 @@ from expdirect.cyclotomic import CycloNum, root_of_unity
 from expdirect.laurent import (
     BiPoly,
     BiRational,
-    CHART_SECOND,
     ClassificationError,
     LaurentPoly,
     NormalFormKind,
@@ -267,10 +266,10 @@ def test_origin_reads_equal_general_evaluation():
     seen = Counter()
     for _ in range(1000):
         g = _rand_form(rng, size=3)
-        for chart in (None, CHART_SECOND):
-            got = _outcome(lambda: g.classify_at_point(chart))
-            want = _outcome(lambda: _reference_classify(*_terms(g, chart == CHART_SECOND)))
-            assert got == want, (g, chart)
+        for second in (False, True):
+            got = _outcome(lambda: g.classify_at_point(second=second))
+            want = _outcome(lambda: _reference_classify(*_terms(g, second)))
+            assert got == want, (g, second)
             seen[got if isinstance(got, str) else got.kind] += 1
     assert set(seen) == {
         "denominator is not monomial-times-unit at the origin",
@@ -288,6 +287,10 @@ def test_classify_pole_one_var_at_exceptional():
     tag = g.classify_at_point()
     assert tag.kind is NormalFormKind.POLE_ONE_VAR
     assert (tag.pole_u, tag.pole_v) == (0, 1)
+    # The second chart is a keyword flag: a chart name passed by position
+    # is refused, not read as true.
+    with pytest.raises(TypeError):
+        g.classify_at_point("x=u*v, y=v")
 
 
 def test_classify_holomorphic_coordinate():

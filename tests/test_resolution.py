@@ -4,13 +4,17 @@ over the distinguished component."""
 
 import dataclasses
 import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
 from expdirect.branch import Branch, ramification_order, unramify
+from expdirect.cli import main
 from expdirect.cyclotomic import CycloNum, CycloPoly, root_of_unity
 from expdirect.decomposition import decompose
 from expdirect.laurent import LaurentPoly, NormalFormKind, subst_root_power
@@ -20,7 +24,7 @@ from expdirect.resolution import (
     verify_corollary,
     CopySeries,
 )
-from expdirect.serialize import dumps, tree_to_json
+from expdirect.serialize import dumps, tree_to_json, tree_to_text
 from tests.helpers import (mk, rand_branch, rand_monic, rand_polar,
                            worked_example_branches)
 
@@ -51,15 +55,14 @@ def test_chain_length_and_shape():
     for q in range(1, 6):
         tree = build_resolution(LaurentPoly({-q: 1}))
         assert len(tree.steps) == 2 * q
-        assert tree.distinguished == 2 * q
-        poles = [c.pole_order for c in tree.components]
+        poles = [s.pole_order for s in tree.steps]
         assert poles == [q] * q + list(range(q - 1, -1, -1))
-        assert all(c.pi1_order == 1 for c in tree.components)
-        # Exactly one distinguished component, meeting the rest at one point.
-        assert poles.count(0) == 1
-        assert tree.p_point.tag.kind is NormalFormKind.POLE_ONE_VAR
-        assert (tree.p_point.tag.pole_u, tree.p_point.tag.pole_v) == (1, 0)
-        assert tree.p_point.pi1_orders == (1, 1)
+        # Exactly one distinguished component, the last, meeting the rest at
+        # one point: the last step's crossing, a first-order pole in u.
+        assert poles.count(0) == 1 and poles[-1] == 0
+        meeting = tree.steps[-1].crossing
+        assert meeting.kind is NormalFormKind.POLE_ONE_VAR
+        assert (meeting.pole_u, meeting.pole_v) == (1, 0)
 
 
 def test_chain_with_general_coefficients():
@@ -71,23 +74,25 @@ def test_chain_with_general_coefficients():
             assert len(tree.steps) == 2 * q
             # The tags the chain classified: every crossing before the last
             # is a monomial pole, the last is the meeting point, and every
-            # surviving axis crossing is a two-variable pole.
-            assert tree.steps[-1].crossing is tree.p_point
-            assert tree.p_point.tag.kind is NormalFormKind.POLE_ONE_VAR
+            # surviving axis crossing is a two-variable pole off E_2q.
+            poles = [s.pole_order for s in tree.steps]
+            assert poles.count(0) == 1 and poles[-1] == 0
+            meeting = tree.steps[-1].crossing
+            assert meeting.kind is NormalFormKind.POLE_ONE_VAR
+            assert (meeting.pole_u, meeting.pole_v) == (1, 0)
             for step in tree.steps[:-1]:
-                assert step.crossing.tag.kind in (NormalFormKind.POLE_TWO_VAR,
-                                                  NormalFormKind.POLE_ONE_VAR)
+                assert step.crossing.kind in (NormalFormKind.POLE_TWO_VAR,
+                                              NormalFormKind.POLE_ONE_VAR)
             for ap in tree.axis_points:
                 assert ap.tag.kind is NormalFormKind.POLE_TWO_VAR
-                assert ap.component != tree.distinguished
+                assert 1 <= ap.component < 2 * q
 
 
 def test_tree_shape_depends_only_on_pole_order():
     t1 = build_resolution(LaurentPoly({-2: 1}))
     t2 = build_resolution(LaurentPoly({-2: Fraction(5, 3)}))
-    assert len(t1.steps) == len(t2.steps)
-    assert [c.pole_order for c in t1.components] == \
-        [c.pole_order for c in t2.components]
+    assert [s.pole_order for s in t1.steps] == \
+        [s.pole_order for s in t2.steps]
 
 
 def test_build_rejects_bad_alpha():
@@ -126,6 +131,80 @@ def test_chain_bytes_equal_the_recorded_digest():
     for alpha in chain_alphas(random.Random(16), 500):
         digest.update(dumps(tree_to_json(build_resolution(alpha))).encode())
     assert digest.hexdigest() == CHAIN_DIGEST
+
+
+# sha256 of the same 500 trees as ``resolve --text`` writes them, recorded
+# at commit 2b60842, before the chain's records lost their derived fields.
+CHAIN_TEXT_DIGEST = "d84b797d9a4cf891cf4434a62611cf601218c4621c65255ae7927cd7d27fb3a3"
+
+
+def test_chain_text_equals_the_recorded_digest():
+    digest = hashlib.sha256()
+    for alpha in chain_alphas(random.Random(16), 500):
+        digest.update(tree_to_text(build_resolution(alpha)).encode())
+    assert digest.hexdigest() == CHAIN_TEXT_DIGEST
+
+
+def _map_values(doc, leaf):
+    """The JSON document with each cyclotomic value ``{"order", "coeffs"}``
+    replaced by ``leaf(order, {exponent: coefficient})``."""
+    if isinstance(doc, dict):
+        if set(doc) == {"order", "coeffs"}:
+            return leaf(doc["order"], {int(e): c for e, c in doc["coeffs"].items()})
+        return {key: _map_values(v, leaf) for key, v in doc.items()}
+    if isinstance(doc, list):
+        return [_map_values(v, leaf) for v in doc]
+    return doc
+
+
+def _conjugated_values(doc, k):
+    """The document with sigma_k: zeta_N -> zeta_N^k applied to each value,
+    read through the public constructor."""
+    return _map_values(doc, lambda n, coeffs: CycloNum(
+        n, {k * e: Fraction(c) for e, c in coeffs.items()}))
+
+
+def _galois_ks(n):
+    """Every k below 2n coprime to n: sigma_k and sigma_(k+n) agree on
+    Q(zeta_n), so the second lap checks that exponents past n reduce."""
+    return [k for k in range(1, 2 * n) if gcd(k, n) == 1]
+
+
+RESOLVE_GOLDENS = sorted((Path(__file__).parent / "golden" / "resolve").glob("*.in.json"))
+
+
+@pytest.mark.parametrize("case", RESOLVE_GOLDENS,
+                         ids=[c.name[:-len(".in.json")] for c in RESOLVE_GOLDENS])
+def test_resolve_commutes_with_galois_conjugation(case, tmp_path):
+    # The chain is defined over Q, so resolving sigma_k(alpha), written by
+    # multiplying every exponent of the input by k, gives sigma_k of the
+    # golden tree.
+    problem = json.loads(case.read_text())
+    golden = json.loads(case.with_name(case.name.replace(".in.json", ".out.json"))
+                        .read_text())
+    orders = [1]
+    _map_values(problem, lambda n, coeffs: orders.append(n))
+    for k in _galois_ks(lcm(*orders)):
+        src, out = tmp_path / f"sigma{k}.in.json", tmp_path / f"sigma{k}.out.json"
+        src.write_text(json.dumps(_map_values(problem, lambda n, coeffs: {
+            "order": n, "coeffs": {str(k * e): c for e, c in coeffs.items()}})))
+        assert main(["resolve", "--input", str(src), "--output", str(out)]) == 0
+        assert _conjugated_values(json.loads(out.read_text()), 1) == \
+            _conjugated_values(golden, k)
+
+
+def test_chain_commutes_with_galois_conjugation():
+    pairs = 0
+    for alpha in chain_alphas(random.Random(17), 30):
+        tree = json.loads(dumps(tree_to_json(build_resolution(alpha))))
+        for k in _galois_ks(lcm(*(c.order for c in alpha.terms.values()))):
+            conjugate = LaurentPoly({
+                e: CycloNum(c.order, {k * i: v for i, v in c.coeffs.items()})
+                for e, c in alpha.terms.items()})
+            got = json.loads(dumps(tree_to_json(build_resolution(conjugate))))
+            assert _conjugated_values(got, 1) == _conjugated_values(tree, k)
+            pairs += 1
+    assert pairs > 100
 
 
 def test_strict_transform_membership():
@@ -420,7 +499,7 @@ def test_lazy_series_equals_the_eager_reference(cyclo):
 
 def _result_key(res):
     point = res.point_on_ed
-    return (res.label, res.meets_ed, res.steps_matched,
+    return (res.meets_ed, res.steps_matched,
             None if point is None else (point.order, point.coeffs))
 
 
