@@ -33,7 +33,6 @@ from .realization import (
 from .resolution import (
     CopySeries,
     ResolutionTree,
-    StrictTransformResult,
     build_resolution,
     strict_transform,
     verify_corollary,
@@ -50,6 +49,6 @@ __all__ = [
     "NewtonPolygon", "irregularity", "polygon_from_branches", "slopes",
     "FormalModuleSpec", "FormalSummand", "canonicalize", "realize",
     "roundtrip_check",
-    "CopySeries", "ResolutionTree", "StrictTransformResult", "build_resolution",
-    "strict_transform", "verify_corollary",
+    "CopySeries", "ResolutionTree", "build_resolution", "strict_transform",
+    "verify_corollary",
 ]

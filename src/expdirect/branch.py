@@ -146,17 +146,9 @@ def validate_all(branches, truncation: int | None = None) -> list[ValidationRepo
 
 
 class _ValidBranches(tuple):
-    """Branches ``validate_all`` found no error in, as the CLI wraps them once
-    it has checked them: ``decompose`` does not check them again."""
-
-
-def require_valid(branches, truncation: int | None = None) -> list[ValidationReport]:
-    """The branches' reports; ValidationError on the first invalid one."""
-    reports = validate_all(branches, truncation)
-    for report in reports:
-        if not report.valid:
-            raise ValidationError(report)
-    return reports
+    """Branches ``validate_all`` found no error in, at the declared
+    truncation, as the CLI wraps them once it has checked them: ``decompose``,
+    which validates any other input itself, does not check them again."""
 
 
 def ramification_order(branches) -> int:
@@ -183,7 +175,7 @@ def unramify(branches) -> list[UnramifiedBranch]:
     out: list[UnramifiedBranch] = []
     for b in branches:
         k = p // b.p
-        delta0 = b.delta.const_term()
+        delta0 = b.delta.coeff(0)
         for i in range(1, b.p + 1):
             out.append(UnramifiedBranch(
                 label=b.label,

@@ -34,7 +34,7 @@ from functools import cache
 from math import lcm
 from pathlib import Path
 
-from .branch import _ValidBranches, require_valid, validate_all
+from .branch import _ValidBranches, validate_all
 from .decomposition import FormalDecomposition, decompose
 from .laurent import ClassificationError
 from .newton import (
@@ -50,8 +50,7 @@ from .resolution import (CopySeries, CorollaryReport, build_resolution,
 from . import serialize
 from .serialize import SchemaError
 
-__all__ = ["main", "run_point", "run_file", "PointReport", "Options",
-           "DEFAULT_ORDER_LIMIT"]
+__all__ = ["main", "run_file", "PointReport", "Options", "DEFAULT_ORDER_LIMIT"]
 
 # Default cap on cyclotomic orders, against phi(N) blow-up.
 DEFAULT_ORDER_LIMIT = 10_000
@@ -148,14 +147,6 @@ _VIEWS = {
     "invariants": ("c", "k", "newton_polygon", "slopes", "irregularity", "warnings"),
     "decompose": ("c", "k", "decomposition", "warnings"),
 }
-
-
-def run_point(c: str, k: int, branches, options: Options) -> PointReport:
-    """Invariants, decomposition and oracle checks for one germ; invalid
-    branches, under the declared truncation too, raise ValidationError."""
-    reports = require_valid(branches, options.truncation)
-    return _point_report(c, k, _ValidBranches(branches), _warnings(reports),
-                         _VIEWS["report"])
 
 
 def _point_report(c: str, k: int, branches, warnings, keys) -> PointReport:

@@ -632,9 +632,7 @@ class CycloPoly:
     def __eq__(self, other):
         if not isinstance(other, CycloPoly):
             return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.coeffs == other.coeffs
 
     __hash__ = None
 

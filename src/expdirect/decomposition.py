@@ -9,10 +9,12 @@ into the same factor, which is flagged.  Separation (pairwise distinctness of
 polar part + constant term across all copies) is decided first, and a factor's
 monodromy charpoly is assembled as the factor is built, under separation only.
 
-Each copy is keyed once per ``decompose``: ``keyed_copies`` pairs it with the
-key of its polar part, and both the grouping and the separation test read
-that key.  Cyclotomic values are canonical, so equal polar parts have equal
-keys as they stand.
+``decompose`` checks its branches with ``branch.validate_all`` first,
+unless the CLI hands them over already checked.  Each copy is keyed once
+per ``decompose``: ``keyed_copies`` pairs it with the key of its polar
+part, and both the grouping and the separation test read that key.
+Cyclotomic values are canonical, so equal polar parts have equal keys as
+they stand.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 
-from .branch import (Branch, UnramifiedBranch, _ValidBranches,
-                     ramification_order, require_valid, unramify)
+from .branch import (Branch, UnramifiedBranch, ValidationError, _ValidBranches,
+                     ramification_order, unramify, validate_all)
 from .cyclotomic import CycloPoly
 from .laurent import LaurentPoly
 
@@ -132,11 +134,12 @@ def star_condition(keyed: list[tuple[tuple, UnramifiedBranch]]):
 
 
 def decompose(branches: list[Branch]) -> FormalDecomposition:
-    """The decomposition of the branches; invalid data raises ValidationError.
+    """The decomposition of the branches.
 
-    No truncation is declared here, so no bound applies to the support of a
-    holomorphic part.  The CLI's ``_ValidBranches`` are taken as already
-    checked.
+    The branches are checked by ``validate_all``, which declares no
+    truncation, so no bound applies to the support of a holomorphic part;
+    the first invalid report is raised as ValidationError.  The CLI's
+    ``_ValidBranches`` are taken as already checked.
 
     Empty input is the purely regular case: trivial ramification, no factors.
     Factor order is deterministic and independent of input order.  The
@@ -147,7 +150,9 @@ def decompose(branches: list[Branch]) -> FormalDecomposition:
     """
     if not isinstance(branches, _ValidBranches):
         branches = list(branches)
-        require_valid(branches)
+        for report in validate_all(branches):
+            if not report.valid:
+                raise ValidationError(report)
     if not branches:
         return FormalDecomposition(p=1, factors=(), star_holds=True)
     p = ramification_order(branches)

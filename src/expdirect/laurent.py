@@ -117,16 +117,10 @@ class LaurentPoly:
     def polar_part(self) -> "LaurentPoly":
         return LaurentPoly({e: c for e, c in self.terms.items() if e < 0})
 
-    def const_term(self) -> CycloNum:
-        c = self.terms.get(0)
-        return CycloNum.zero() if c is None else c
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(c == other.terms[e] for e, c in self.terms.items())
+        return self.terms == other.terms
 
     __hash__ = None
 

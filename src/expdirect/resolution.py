@@ -21,6 +21,8 @@ Each step records only its shift, crossing tag and pole order.
 Strict transforms of the unramified branch copies (``branch.unramify``) are
 replayed through the same chart script: step j reads coefficient j of the
 copy's series y(t) (``CopySeries``) and compares it with that step's center.
+A replay yields one integer, the number of centers the copy tracked; a
+copy that tracks all 2q meets the distinguished component, at y[2q].
 Each copy's series is built once per point and read by every factor's
 replay; its coefficients are computed on demand and kept, so none is
 computed twice and the copy's leading coefficient is inverted at most once.
@@ -54,7 +56,6 @@ from .laurent import (
 __all__ = [
     "CopySeries",
     "ResolutionTree",
-    "StrictTransformResult",
     "CorollaryReport",
     "build_resolution",
     "strict_transform",
@@ -198,19 +199,6 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
             axis_points.append(AxisPointRecord(component=index, tag=tag))
 
 
-@dataclass(frozen=True)
-class StrictTransformResult:
-    """Outcome of replaying one copy through the chain.
-
-    ``steps_matched`` is the number of blow-up centers the copy's limit point
-    tracked before it left the chain: 2q for a member, fewer otherwise.
-    """
-
-    meets_ed: bool
-    point_on_ed: CycloNum | None
-    steps_matched: int
-
-
 class CopySeries:
     """y(t) = t^q / (B(t) + delta0 t^q) of one copy, extended on demand.
 
@@ -274,10 +262,10 @@ class CopySeries:
         return self.zero if c is None else c
 
 
-def strict_transform(y: CopySeries,
-                     tree: ResolutionTree) -> StrictTransformResult:
-    """Replay an unramified branch copy, given by its series, through the
-    blow-up chain.
+def strict_transform(y: CopySeries, tree: ResolutionTree) -> int:
+    """The number of blow-up centers an unramified branch copy, given by its
+    series, tracks through the chain: ``len(tree.steps)``, which is 2q, for
+    a copy whose strict transform meets the distinguished component.
 
     Step j of the chart script recenters by the step's shift and divides by
     the variable, so the copy's limit point tracks it exactly when the
@@ -287,9 +275,8 @@ def strict_transform(y: CopySeries,
     """
     for j, step in enumerate(tree.steps):
         if y[j] != step.shift:
-            return StrictTransformResult(False, None, j)
-    n = len(tree.steps)
-    return StrictTransformResult(True, y[n], n)
+            return j
+    return len(tree.steps)
 
 
 @dataclass(frozen=True)
@@ -332,11 +319,12 @@ def verify_corollary(series: Sequence[CopySeries],
 
     The polar side is the factor as decomposed: its members, separated when
     their constant terms are pairwise distinct.  The blow-up side is the
-    copies whose strict transforms meet the distinguished component E,
-    separated when their meeting points are pairwise distinct.  From those
-    copies it assembles the factor's rank, -chi of the nearby cycles over
-    E, and its monodromy, 1/zeta.  With r the generic rank and k clusters
-    of coinciding points, chi is the stratified sum
+    copies whose strict transforms track all 2q centers and so meet the
+    distinguished component E at y[2q], separated when those meeting points
+    are pairwise distinct.  From those copies it assembles the factor's
+    rank, -chi of the nearby cycles over E, and its monodromy, 1/zeta.  With
+    r the generic rank and k clusters of coinciding points, chi is the
+    stratified sum
 
         -r + sum over clusters of (r - sum of the cluster's m) + (1 - k)*r
 
@@ -354,20 +342,21 @@ def verify_corollary(series: Sequence[CopySeries],
     pairs each name with the number of blow-up centers its copy tracked.
     """
     tree = build_resolution(factor.alpha)
+    n = len(tree.steps)
     members = set(factor.members)
     by_blowup, by_polar, points, steps, meeting = [], [], [], [], []
     constants = set()
     for y in series:
         u = y.copy
         name = f"{u.label}#{u.root_index}"
-        res = strict_transform(y, tree)
-        steps.append((name, res.steps_matched))
+        matched = strict_transform(y, tree)
+        steps.append((name, matched))
         if u.origin in members:
             by_polar.append(name)
             constants.add(u.delta0)
-        if res.meets_ed:
+        if matched == n:
             by_blowup.append(name)
-            points.append((name, res.point_on_ed))
+            points.append((name, y[n]))
             meeting.append(u)
     star_blowup = len({pt for _, pt in points}) == len(points)
     star_polar = len(constants) == len(by_polar)

@@ -14,6 +14,7 @@ diagnostics.  Report encodings keep value leaves, which ``dumps`` writes.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -319,7 +320,8 @@ def tree_to_text(tree: ResolutionTree) -> str:
     for j, s in enumerate(tree.steps, 1):
         tag = s.crossing
         lines.append(
-            f"  step {j}: chart {CHART}, recenter v by {s.shift!r}; "
+            f"  step {j}: chart {CHART}, recenter v by "
+            f"{json.dumps(cyclo_to_json(s.shift), sort_keys=True)}; "
             f"crossing E{j - 1}/E{j}: "
             f"{tag.kind.value} (u^{tag.pole_u} v^{tag.pole_v})"
         )

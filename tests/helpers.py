@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 
@@ -117,3 +118,42 @@ def worked_example_branches():
         Branch("l2", 2, 3, LaurentPoly({-3: 1}), LaurentPoly.zero(), 1,
                CycloPoly([1, 1])),
     ]
+
+
+def map_values(doc, leaf):
+    """The JSON document with each cyclotomic value ``{"order", "coeffs"}``
+    replaced by ``leaf(order, {exponent: coefficient})``."""
+    if isinstance(doc, dict):
+        if set(doc) == {"order", "coeffs"}:
+            return leaf(doc["order"], {int(e): c for e, c in doc["coeffs"].items()})
+        return {key: map_values(v, leaf) for key, v in doc.items()}
+    if isinstance(doc, list):
+        return [map_values(v, leaf) for v in doc]
+    return doc
+
+
+def value_orders(doc) -> list[int]:
+    """The order of each cyclotomic value in the JSON document."""
+    orders = []
+    map_values(doc, lambda n, coeffs: orders.append(n))
+    return orders
+
+
+def conjugated_input(doc, k):
+    """The input document with sigma_k applied by multiplying every exponent
+    by k, which the parsers accept at any order."""
+    return map_values(doc, lambda n, coeffs: {
+        "order": n, "coeffs": {str(k * e): c for e, c in coeffs.items()}})
+
+
+def conjugated_values(doc, k):
+    """The document with sigma_k: zeta_N -> zeta_N^k applied to each value,
+    read through the public constructor."""
+    return map_values(doc, lambda n, coeffs: CycloNum(
+        n, {k * e: Fraction(c) for e, c in coeffs.items()}))
+
+
+def galois_ks(n):
+    """Every k below 2n coprime to n: sigma_k and sigma_(k+n) agree on
+    Q(zeta_n), so the second lap checks that exponents past n reduce."""
+    return [k for k in range(1, 2 * n) if gcd(k, n) == 1]

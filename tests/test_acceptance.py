@@ -148,7 +148,8 @@ def test_criterion_4_strict_transform_oracle():
         # component exactly when it has the target's polar part.
         tree = build_resolution(alpha)
         for y in series:
-            assert strict_transform(y, tree).meets_ed == (y.copy.alpha_sub == alpha)
+            assert (strict_transform(y, tree) == 2 * alpha.pole_order()) == \
+                (y.copy.alpha_sub == alpha)
         checked += 1
     assert checked == 100
     _report(4, "blow-up membership and separation oracle on 100 instances")

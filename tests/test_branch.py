@@ -136,7 +136,7 @@ def test_delta0_is_the_constant_term_of_the_eager_twist():
         by_label = {b.label: b for b in branches}
         for u in unramify(branches):
             b = by_label[u.label]
-            c0 = subst_root_power(b.delta, b.p, u.root_index, p // b.p).const_term()
+            c0 = subst_root_power(b.delta, b.p, u.root_index, p // b.p).coeff(0)
             assert (u.delta0.order, u.delta0.coeffs) == (c0.order, c0.coeffs)
             seen_zero |= c0.is_zero()
             seen_cyclo |= not c0.is_rational()

@@ -293,6 +293,7 @@ def test_each_point_is_validated_once(problem_file, monkeypatch, args):
     # truncation, and decompose does not check them again.
     import expdirect.branch as branch_mod
     import expdirect.cli as cli_mod
+    import expdirect.decomposition as decomposition_mod
 
     calls = []
     real = branch_mod.validate_all
@@ -303,6 +304,7 @@ def test_each_point_is_validated_once(problem_file, monkeypatch, args):
 
     monkeypatch.setattr(branch_mod, "validate_all", spy)
     monkeypatch.setattr(cli_mod, "validate_all", spy)
+    monkeypatch.setattr(decomposition_mod, "validate_all", spy)
     assert run_cli(*args, "--input", problem_file) == 0
     assert calls == [8, 8]
 

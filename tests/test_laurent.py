@@ -117,11 +117,11 @@ def test_subst_identity():
 def test_polar_const_split_examples():
     f = L({-2: 1, 0: 3, 1: 1})
     assert f.polar_part() == L({-2: 1})
-    assert f.const_term() == 3
+    assert f.coeff(0) == 3
     z = LaurentPoly.zero()
-    assert z.polar_part().is_zero() and z.const_term().is_zero()
+    assert z.polar_part().is_zero() and z.coeff(0).is_zero()
     g = L({-1: 2})
-    assert g.polar_part() == g and g.const_term().is_zero()
+    assert g.polar_part() == g and g.coeff(0).is_zero()
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,7 +129,7 @@ def test_polar_const_split_examples():
 def test_split_is_exact(seed):
     rng = random.Random(seed)
     f = rand_laurent(rng)
-    const = LaurentPoly({0: f.const_term()}) if not f.const_term().is_zero() \
+    const = LaurentPoly({0: f.coeff(0)}) if not f.coeff(0).is_zero() \
         else LaurentPoly.zero()
     polar = f.polar_part()
     assert all(e < 0 for e in polar.terms)

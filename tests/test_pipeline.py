@@ -1,14 +1,32 @@
-"""run_point with the oracle on, over ramified branches with holomorphic parts."""
+"""The stages ``report`` runs on one point, called one by one with the oracle
+on, over ramified branches with holomorphic parts: ``validate_all`` for the
+warnings, ``decompose``, and ``verify_corollary`` of each factor over one
+``CopySeries`` per copy."""
 
 import random
 from fractions import Fraction
 
-import pytest
-
-from expdirect.branch import ValidationError
-from expdirect.cli import Options, run_point
+from expdirect.branch import validate_all
+from expdirect.cli import DEFAULT_TRUNCATION
+from expdirect.decomposition import decompose
 from expdirect.laurent import LaurentPoly
+from expdirect.resolution import CopySeries, verify_corollary
 from tests.helpers import mk, rand_branch, worked_example_branches
+
+
+def stages(branches):
+    """(warnings, decomposition, oracle reports) of one point at the default
+    truncation; the branches must be valid."""
+    reports = validate_all(branches, DEFAULT_TRUNCATION)
+    assert all(r.valid for r in reports), reports
+    dec = decompose(branches)
+    series = [CopySeries(u) for u in dec.copies]
+    oracle = [verify_corollary(series, factor) for factor in dec.factors]
+    return [w for r in reports for w in r.warnings], dec, oracle
+
+
+def consistent(oracle) -> bool:
+    return all(rep.consistent for rep in oracle)
 
 
 def test_oracle_consistent_on_random_ramified_points():
@@ -16,10 +34,9 @@ def test_oracle_consistent_on_random_ramified_points():
     for _ in range(15):
         branches = [rand_branch(rng, f"l{i}", max_p=3, max_q=4, cyclo_coeffs=True)
                     for i in range(rng.randint(1, 4))]
-        rep = run_point("0", 0, branches, Options())
-        assert rep.consistent
-        assert rep.oracle is not None
-        assert len(rep.oracle) == len(rep.decomposition.factors)
+        _, dec, oracle = stages(branches)
+        assert consistent(oracle)
+        assert len(oracle) == len(dec.factors)
 
 
 def test_oracle_handles_colliding_copies_with_delta():
@@ -28,10 +45,10 @@ def test_oracle_handles_colliding_copies_with_delta():
     # symbolic and the blow-up side.
     b = mk("d", p=2, q=2, alpha=LaurentPoly({-2: 1}),
            delta=LaurentPoly({0: Fraction(1, 3), 1: 2}), m=1)
-    rep = run_point("0", 0, [b], Options())
-    assert rep.consistent
-    assert not rep.decomposition.star_holds
-    (check,) = rep.oracle
+    _, dec, oracle = stages([b])
+    assert consistent(oracle)
+    assert not dec.star_holds
+    (check,) = oracle
     assert not check.star_by_blowup and not check.star_by_polar
 
 
@@ -44,8 +61,8 @@ def test_oracle_separates_ramified_copies_by_twisted_delta():
            delta=LaurentPoly({0: 1, 2: 1}), m=1),
         mk("b", p=1, q=1, delta=LaurentPoly({0: 5}), m=2),
     ]
-    rep = run_point("0", 0, branches, Options())
-    assert rep.consistent and rep.decomposition.star_holds
+    _, dec, oracle = stages(branches)
+    assert consistent(oracle) and dec.star_holds
 
 
 def test_oracle_on_shared_factor_with_distinct_constants():
@@ -58,29 +75,21 @@ def test_oracle_on_shared_factor_with_distinct_constants():
            delta=LaurentPoly({0: 2}), m=2,
            zeta=None),
     ]
-    rep = run_point("0", 0, branches, Options())
-    assert rep.consistent and rep.decomposition.star_holds
-    assert [f.rank_branchwise for f in rep.decomposition.factors] == [3, 3]
-    for check in rep.oracle:
+    _, dec, oracle = stages(branches)
+    assert consistent(oracle) and dec.star_holds
+    assert [f.rank_branchwise for f in dec.factors] == [3, 3]
+    for check in oracle:
         assert len(check.members_by_blowup) == 2 and check.star_by_blowup
 
 
 def test_point_report_warnings_surface():
     b = mk("w", p=2, q=2, alpha=LaurentPoly({-2: 1}), m=1)
-    rep = run_point("0", 0, [b], Options())
-    assert any("non-primitive" in w for w in rep.warnings)
+    warnings, _, _ = stages([b])
+    assert any("non-primitive" in w for w in warnings)
 
 
-def test_run_point_matches_worked_example():
-    rep = run_point("0", 0, worked_example_branches(), Options())
-    assert rep.consistent
-    assert rep.decomposition.p == 2
-    assert [f.rank_branchwise for f in rep.decomposition.factors] == [2, 1, 1]
-
-
-def test_run_point_refuses_delta_past_its_declared_truncation():
-    b = mk("a", delta=LaurentPoly({0: 1, 9: 2}))
-    with pytest.raises(ValidationError) as exc:
-        run_point("0", 0, [b], Options())
-    assert str(exc.value) == "delta support exceeds the declared truncation 8"
-    assert run_point("0", 0, [b], Options(truncation=9)).consistent
+def test_pipeline_matches_worked_example():
+    _, dec, oracle = stages(worked_example_branches())
+    assert consistent(oracle)
+    assert dec.p == 2
+    assert [f.rank_branchwise for f in dec.factors] == [2, 1, 1]

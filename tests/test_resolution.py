@@ -8,13 +8,13 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from pathlib import Path
 
 import pytest
 
 from expdirect.branch import Branch, ramification_order, unramify
-from expdirect.cli import main
+from expdirect.cli import DEFAULT_ORDER_LIMIT, main
 from expdirect.cyclotomic import CycloNum, CycloPoly, root_of_unity
 from expdirect.decomposition import decompose
 from expdirect.laurent import LaurentPoly, NormalFormKind, subst_root_power
@@ -24,8 +24,10 @@ from expdirect.resolution import (
     verify_corollary,
     CopySeries,
 )
-from expdirect.serialize import dumps, tree_to_json, tree_to_text
-from tests.helpers import (mk, rand_branch, rand_monic, rand_polar,
+from expdirect.serialize import (cyclo_from_json, dumps, laurent_from_json,
+                                 tree_to_json, tree_to_text)
+from tests.helpers import (conjugated_input, conjugated_values, galois_ks, mk,
+                           rand_branch, rand_monic, rand_polar, value_orders,
                            worked_example_branches)
 
 
@@ -133,9 +135,9 @@ def test_chain_bytes_equal_the_recorded_digest():
     assert digest.hexdigest() == CHAIN_DIGEST
 
 
-# sha256 of the same 500 trees as ``resolve --text`` writes them, recorded
-# at commit 2b60842, before the chain's records lost their derived fields.
-CHAIN_TEXT_DIGEST = "d84b797d9a4cf891cf4434a62611cf601218c4621c65255ae7927cd7d27fb3a3"
+# sha256 of the same 500 trees as ``resolve --text`` writes them, each shift
+# as its one-line JSON value.
+CHAIN_TEXT_DIGEST = "843121601a8e71e2671efee9527b93c22bf5787394cf30e2d9cda506f09c8492"
 
 
 def test_chain_text_equals_the_recorded_digest():
@@ -145,32 +147,29 @@ def test_chain_text_equals_the_recorded_digest():
     assert digest.hexdigest() == CHAIN_TEXT_DIGEST
 
 
-def _map_values(doc, leaf):
-    """The JSON document with each cyclotomic value ``{"order", "coeffs"}``
-    replaced by ``leaf(order, {exponent: coefficient})``."""
-    if isinstance(doc, dict):
-        if set(doc) == {"order", "coeffs"}:
-            return leaf(doc["order"], {int(e): c for e, c in doc["coeffs"].items()})
-        return {key: _map_values(v, leaf) for key, v in doc.items()}
-    if isinstance(doc, list):
-        return [_map_values(v, leaf) for v in doc]
-    return doc
-
-
-def _conjugated_values(doc, k):
-    """The document with sigma_k: zeta_N -> zeta_N^k applied to each value,
-    read through the public constructor."""
-    return _map_values(doc, lambda n, coeffs: CycloNum(
-        n, {k * e: Fraction(c) for e, c in coeffs.items()}))
-
-
-def _galois_ks(n):
-    """Every k below 2n coprime to n: sigma_k and sigma_(k+n) agree on
-    Q(zeta_n), so the second lap checks that exponents past n reduce."""
-    return [k for k in range(1, 2 * n) if gcd(k, n) == 1]
-
-
 RESOLVE_GOLDENS = sorted((Path(__file__).parent / "golden" / "resolve").glob("*.in.json"))
+
+
+def _text_shifts(text: str) -> list[CycloNum]:
+    """The shifts a ``resolve --text`` report writes, one JSON value per
+    step line, read back."""
+    return [cyclo_from_json(json.loads(line.split(" by ", 1)[1].split("; ", 1)[0]),
+                            max_order=DEFAULT_ORDER_LIMIT)
+            for line in text.splitlines() if "recenter v by " in line]
+
+
+def test_text_shifts_read_back_as_the_chain_shifts(tmp_path):
+    for case in RESOLVE_GOLDENS:
+        alpha = laurent_from_json(json.loads(case.read_text())["alpha"],
+                                  max_order=DEFAULT_ORDER_LIMIT)
+        out = tmp_path / "tree.txt"
+        assert main(["resolve", "--text", "--input", str(case),
+                     "--output", str(out)]) == 0
+        assert _text_shifts(out.read_text()) == \
+            [s.shift for s in build_resolution(alpha).steps]
+    for alpha in chain_alphas(random.Random(16), 500):
+        tree = build_resolution(alpha)
+        assert _text_shifts(tree_to_text(tree)) == [s.shift for s in tree.steps]
 
 
 @pytest.mark.parametrize("case", RESOLVE_GOLDENS,
@@ -182,27 +181,24 @@ def test_resolve_commutes_with_galois_conjugation(case, tmp_path):
     problem = json.loads(case.read_text())
     golden = json.loads(case.with_name(case.name.replace(".in.json", ".out.json"))
                         .read_text())
-    orders = [1]
-    _map_values(problem, lambda n, coeffs: orders.append(n))
-    for k in _galois_ks(lcm(*orders)):
+    for k in galois_ks(lcm(1, *value_orders(problem))):
         src, out = tmp_path / f"sigma{k}.in.json", tmp_path / f"sigma{k}.out.json"
-        src.write_text(json.dumps(_map_values(problem, lambda n, coeffs: {
-            "order": n, "coeffs": {str(k * e): c for e, c in coeffs.items()}})))
+        src.write_text(json.dumps(conjugated_input(problem, k)))
         assert main(["resolve", "--input", str(src), "--output", str(out)]) == 0
-        assert _conjugated_values(json.loads(out.read_text()), 1) == \
-            _conjugated_values(golden, k)
+        assert conjugated_values(json.loads(out.read_text()), 1) == \
+            conjugated_values(golden, k)
 
 
 def test_chain_commutes_with_galois_conjugation():
     pairs = 0
     for alpha in chain_alphas(random.Random(17), 30):
         tree = json.loads(dumps(tree_to_json(build_resolution(alpha))))
-        for k in _galois_ks(lcm(*(c.order for c in alpha.terms.values()))):
+        for k in galois_ks(lcm(*(c.order for c in alpha.terms.values()))):
             conjugate = LaurentPoly({
                 e: CycloNum(c.order, {k * i: v for i, v in c.coeffs.items()})
                 for e, c in alpha.terms.items()})
             got = json.loads(dumps(tree_to_json(build_resolution(conjugate))))
-            assert _conjugated_values(got, 1) == _conjugated_values(tree, k)
+            assert conjugated_values(got, 1) == conjugated_values(tree, k)
             pairs += 1
     assert pairs > 100
 
@@ -210,16 +206,16 @@ def test_chain_commutes_with_galois_conjugation():
 def test_strict_transform_membership():
     alpha = LaurentPoly({-2: 1, -1: 3})
     tree = build_resolution(alpha)
-    inside = strict_transform(CopySeries(flat("in", alpha)), tree)
-    assert inside.meets_ed and inside.point_on_ed is not None
+    # A member tracks all 2q = 4 centers; the others leave before the last.
+    assert strict_transform(CopySeries(flat("in", alpha)), tree) == 4
 
     other_order = strict_transform(
         CopySeries(flat("qq", LaurentPoly({-3: 1}))), tree)
-    assert not other_order.meets_ed and other_order.point_on_ed is None
+    assert other_order < 4
 
     other_coeff = strict_transform(
         CopySeries(flat("cc", LaurentPoly({-2: 1, -1: 4}))), tree)
-    assert not other_coeff.meets_ed
+    assert other_coeff < 4
 
 
 def _ed_value(chart, v0):
@@ -230,13 +226,13 @@ def _ed_value(chart, v0):
 def test_strict_transform_separates_by_delta0():
     alpha = LaurentPoly({-2: 2, -1: 1})
     tree = build_resolution(alpha)
-    r0 = strict_transform(CopySeries(flat("a", alpha, delta0=0)), tree)
-    r1 = strict_transform(CopySeries(flat("b", alpha, delta0=1)), tree)
-    assert r0.meets_ed and r1.meets_ed
-    assert not (r0.point_on_ed == r1.point_on_ed)
+    y0 = CopySeries(flat("a", alpha, delta0=0))
+    y1 = CopySeries(flat("b", alpha, delta0=1))
+    assert strict_transform(y0, tree) == strict_transform(y1, tree) == 4
+    assert not (y0[4] == y1[4])
     # The chart's value map recovers the constant term of the branch.
-    assert _ed_value(tree.ed_chart, r0.point_on_ed) == CycloNum.zero()
-    assert _ed_value(tree.ed_chart, r1.point_on_ed) == CycloNum.one()
+    assert _ed_value(tree.ed_chart, y0[4]) == CycloNum.zero()
+    assert _ed_value(tree.ed_chart, y1[4]) == CycloNum.one()
 
 
 def test_point_is_affine_in_delta0():
@@ -246,9 +242,9 @@ def test_point_is_affine_in_delta0():
         tree = build_resolution(alpha)
 
         def point(d0):
-            res = strict_transform(CopySeries(flat("x", alpha, delta0=d0)), tree)
-            assert res.meets_ed
-            return res.point_on_ed
+            y = CopySeries(flat("x", alpha, delta0=d0))
+            assert strict_transform(y, tree) == 2 * q
+            return y[2 * q]
 
         p0 = point(Fraction(0))
         p1 = point(Fraction(1))
@@ -260,10 +256,10 @@ def test_point_is_affine_in_delta0():
 def test_higher_delta_terms_do_not_move_the_point():
     alpha = LaurentPoly({-2: 1})
     tree = build_resolution(alpha)
-    a = strict_transform(CopySeries(
-        flat("a", alpha, delta=LaurentPoly({0: 3, 1: 5, 2: -1}))), tree)
-    b = strict_transform(CopySeries(flat("b", alpha, delta0=3)), tree)
-    assert a.meets_ed and b.meets_ed and a.point_on_ed == b.point_on_ed
+    a = CopySeries(flat("a", alpha, delta=LaurentPoly({0: 3, 1: 5, 2: -1})))
+    b = CopySeries(flat("b", alpha, delta0=3))
+    assert strict_transform(a, tree) == strict_transform(b, tree) == 4
+    assert a[4] == b[4]
 
 
 def test_verify_corollary_on_unramified_worked_example():
@@ -369,8 +365,8 @@ def reference_oracle(series, alpha):
         for j in range(i + 1, len(shifted)):
             if shifted[i] == shifted[j]:
                 star_polar = False
-    points = [r.point_on_ed for r in (strict_transform(y, tree) for y in series)
-              if r.meets_ed]
+    n = len(tree.steps)
+    points = [y[n] for y in series if strict_transform(y, tree) == n]
     star_blowup = True
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
@@ -497,10 +493,14 @@ def test_lazy_series_equals_the_eager_reference(cyclo):
                 [(c.order, c.coeffs) for c in want]
 
 
-def _result_key(res):
-    point = res.point_on_ed
-    return (res.meets_ed, res.steps_matched,
-            None if point is None else (point.order, point.coeffs))
+def _result_key(y, tree):
+    """The steps the copy matched, and its meeting point with its order when
+    it matched all of them."""
+    n = strict_transform(y, tree)
+    if n < len(tree.steps):
+        return n, None
+    point = y[n]
+    return n, (point.order, point.coeffs)
 
 
 @pytest.mark.parametrize("seed", [70, 71, 72])
@@ -524,8 +524,7 @@ def test_shared_series_equal_fresh_series_per_pair(seed):
         for factor in dec.factors:
             tree = build_resolution(factor.alpha)
             for u, y in zip(dec.copies, shared):
-                assert _result_key(strict_transform(y, tree)) == \
-                    _result_key(strict_transform(CopySeries(u), tree))
+                assert _result_key(y, tree) == _result_key(CopySeries(u), tree)
 
 
 def count_arithmetic(monkeypatch):
@@ -567,8 +566,7 @@ def test_non_member_of_other_pole_order_reads_one_coefficient(monkeypatch):
     # series is needed at all.
     for u, left_at, invs in zip(copies, (1, 2), (1, 0)):
         calls.clear()
-        res = strict_transform(CopySeries(u), tree)
-        assert not res.meets_ed and res.steps_matched == left_at
+        assert strict_transform(CopySeries(u), tree) == left_at
         assert calls["inv"] == invs and calls["mul"] == 0
 
 
@@ -586,9 +584,9 @@ def test_member_work_does_not_grow_with_truncation(monkeypatch):
     for delta in deltas:
         (u,) = unramify([mk("m", q=3, alpha=alpha, delta=delta)])
         calls.clear()
-        res = strict_transform(CopySeries(u), tree)
-        assert res.meets_ed and res.steps_matched == 6
+        y = CopySeries(u)
+        assert strict_transform(y, tree) == 6
+        points.append(y[6])
         muls.append(calls["mul"])
-        points.append(res.point_on_ed)
     assert muls[0] == muls[1] > 0
     assert points[0] == points[1]
