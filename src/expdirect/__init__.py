@@ -9,12 +9,7 @@ exact, over the union of the cyclotomic fields.
 """
 
 from .branch import Branch, UnramifiedBranch, ramification_order, unramify, validate
-from .cyclotomic import (
-    CycloNum,
-    CycloPoly,
-    cyclotomic_polynomial,
-    root_of_unity,
-)
+from .cyclotomic import CycloNum, CycloPoly
 from .decomposition import ExponentialFactor, FormalDecomposition, decompose
 from .laurent import LaurentPoly, subst_root_power
 from .newton import (
@@ -42,8 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Branch", "UnramifiedBranch", "ramification_order", "unramify", "validate",
-    "CycloNum", "CycloPoly", "cyclotomic_polynomial",
-    "root_of_unity",
+    "CycloNum", "CycloPoly",
     "ExponentialFactor", "FormalDecomposition", "decompose",
     "LaurentPoly", "subst_root_power",
     "NewtonPolygon", "irregularity", "polygon_from_branches", "slopes",

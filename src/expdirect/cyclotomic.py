@@ -39,16 +39,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-__all__ = [
-    "CycloNum",
-    "CycloPoly",
-    "cyclotomic_polynomial",
-    "root_of_unity",
-    "totient",
-]
+__all__ = ["CycloNum", "CycloPoly", "totient"]
 
 
-def _check_order(order: int) -> None:
+def _check_order(order: int) -> None:  # bench/tracer.py rebinds it to see orders
     if order < 1:
         raise ValueError(f"order must be a positive integer, got {order}")
 
@@ -73,7 +67,7 @@ def _prime_powers(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def totient(n: int) -> int:
+def totient(n: int) -> int:  # kept for bench/worker.py's value generator
     """Euler's phi function."""
     if n < 1:
         raise ValueError("totient is defined for positive integers")
@@ -97,9 +91,9 @@ def _divisors(n: int) -> list[int]:
 
 def _divmod(num: list, den: list) -> tuple[list, list]:
     """Quotient and remainder of dense polynomials, constant term first,
-    over int, Fraction or CycloNum coefficients; ``den[-1]`` is nonzero.
-    A monic ``den`` scales nothing, so integers stay integers; any other
-    leading coefficient is inverted once, as a Fraction or a CycloNum.
+    over int or Fraction coefficients only; ``den[-1]`` is nonzero.  A monic
+    ``den`` scales nothing, so integers stay integers; any other leading
+    coefficient is inverted once, as a Fraction.
 
     >>> x6_minus_1, phi123 = [-1, 0, 0, 0, 0, 0, 1], [-1, -1, 0, 1, 1]
     >>> _divmod(x6_minus_1, phi123)  # Phi_6 = (x^6 - 1) / (Phi_1 Phi_2 Phi_3)
@@ -213,7 +207,7 @@ class CycloNum:
     takes any integer exponent at any positive order and stores the
     canonical form.
 
-    >>> z = root_of_unity(4, 1)
+    >>> z = CycloNum(4, {1: 1})
     >>> z * z == -1
     True
     >>> CycloNum(6, {1: 1})  # zeta_6 = -zeta_3^2
@@ -261,15 +255,7 @@ class CycloNum:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_rational(self) -> bool:
-        return self.order == 1
-
-    def as_rational(self) -> Fraction:
-        if self.order != 1:
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs.get(0, Fraction(0))
-
-    def lift(self, order: int) -> dict[int, Fraction]:
+    def lift(self, order: int) -> dict[int, Fraction]:  # bench/tracer.py counts it
         """The coefficients embedded at a multiple ``order`` of this order,
         ``{e * order // self.order: c}``: the same value, but not on the
         basis at ``order`` in general."""
@@ -280,7 +266,7 @@ class CycloNum:
         return {e * step: c for e, c in self.coeffs.items()}
 
     def times_root(self, n: int, k: int) -> "CycloNum":
-        """``self * root_of_unity(n, k)``, by shifting exponents.
+        """``self * zeta_n^k``, by shifting exponents.
 
         >>> CycloNum.from_rational(2).times_root(4, 3)
         CycloNum(4, -2*z)
@@ -342,18 +328,6 @@ class CycloNum:
     def __neg__(self):
         return _reduced(self.order, {e: -c for e, c in self.coeffs.items()})
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -378,7 +352,7 @@ class CycloNum:
                 conv[k] = ca * cb if prev is None else prev + ca * cb
         return _canonical(n, _normalised(n, {k: c for k, c in conv.items() if c}))
 
-    __rmul__ = __mul__
+    __rmul__ = __mul__  # kept for bench/tracer.py, which counts it
 
     def _scaled(self, rational: "CycloNum") -> "CycloNum":
         # self times a rational CycloNum: the conductor is kept.
@@ -405,19 +379,7 @@ class CycloNum:
         s = _poly_invert_mod(a, [Fraction(c) for c in _cyclotomic_int_coeffs(n)])
         return _reduced(n, _normalised(n, {i: c for i, c in enumerate(s) if c}))
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inv()
-
-    def __pow__(self, n: int):
+    def __pow__(self, n: int):  # kept for bench/tracer.py, which counts it
         if not isinstance(n, int):
             return NotImplemented
         base = self
@@ -514,25 +476,6 @@ def _poly_invert_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fractio
     return _divmod([x / c for x in s1], modulus)[1]
 
 
-# -- module-level operations -----------------------------------------
-
-
-def cyclotomic_polynomial(n: int) -> "CycloPoly":
-    """The n-th cyclotomic polynomial as a monic polynomial over Q.
-
-    >>> cyclotomic_polynomial(6)
-    CycloPoly([1, -1, 1])
-    """
-    _check_order(n)
-    coeffs = _cyclotomic_int_coeffs(n)
-    return CycloPoly([CycloNum.from_rational(c) for c in coeffs])
-
-
-def root_of_unity(n: int, k: int) -> CycloNum:
-    """zeta_n^k in canonical form."""
-    return _monomial(n, k, Fraction(1))
-
-
 class CycloPoly:
     """Polynomial in one variable over the cyclotomic numbers, constant first.
 
@@ -552,14 +495,6 @@ class CycloPoly:
     def __setattr__(self, name, value):
         raise AttributeError("CycloPoly is immutable")
 
-    @classmethod
-    def one(cls) -> "CycloPoly":
-        return cls([1])
-
-    @classmethod
-    def variable(cls) -> "CycloPoly":
-        return cls([0, 1])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -575,28 +510,7 @@ class CycloPoly:
     def is_monic(self) -> bool:
         return not self.is_zero() and self.leading() == 1
 
-    def __add__(self, other):
-        if not isinstance(other, CycloPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else CycloNum.zero()
-            b = other.coeffs[i] if i < len(other.coeffs) else CycloNum.zero()
-            out.append(a + b)
-        return CycloPoly(out)
-
-    def __neg__(self):
-        return CycloPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, CycloPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloNum)):
-            return CycloPoly([c * other for c in self.coeffs])
         if not isinstance(other, CycloPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -609,26 +523,6 @@ class CycloPoly:
                 out[i + j] = out[i + j] + a * b
         return CycloPoly(out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("CycloPoly powers take nonnegative integers")
-        result = CycloPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __divmod__(self, other: "CycloPoly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        quot, rem = _divmod(self.coeffs, other.coeffs)
-        return CycloPoly(quot), CycloPoly(rem)
-
     def __eq__(self, other):
         if not isinstance(other, CycloPoly):
             return NotImplemented
@@ -638,8 +532,8 @@ class CycloPoly:
 
     def __repr__(self):
         def show(c):
-            if c.is_rational():
-                r = c.as_rational()
+            if c.order == 1:
+                r = c.coeffs.get(0, 0)
                 return str(r.numerator) if r.denominator == 1 else str(r)
             return repr(c)
 

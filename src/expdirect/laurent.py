@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 
 from .cyclotomic import CycloNum
@@ -89,18 +88,7 @@ class LaurentPoly:
             out[e] = c if s is None else s + c
         return LaurentPoly(out)
 
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloNum)):
-            c = _coerce_num(other)
-            return LaurentPoly({e: a * c for e, a in self.terms.items()})
+    def __mul__(self, other):  # kept for bench/worker.py's product kernel
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out: dict[int, CycloNum] = {}
@@ -111,8 +99,6 @@ class LaurentPoly:
                 s = out.get(e)
                 out[e] = p if s is None else s + p
         return LaurentPoly(out)
-
-    __rmul__ = __mul__
 
     def polar_part(self) -> "LaurentPoly":
         return LaurentPoly({e: c for e, c in self.terms.items() if e < 0})

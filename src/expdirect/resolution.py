@@ -362,7 +362,7 @@ def verify_corollary(series: Sequence[CopySeries],
     star_polar = len(constants) == len(by_polar)
     charpoly = None
     if star_blowup:
-        charpoly = meeting[0].zeta if meeting else CycloPoly.one()
+        charpoly = meeting[0].zeta if meeting else CycloPoly([1])
         for u in meeting[1:]:
             charpoly = charpoly * u.zeta
 

@@ -36,7 +36,7 @@ __all__ = [
     "branch_to_json", "branch_from_json",
     "polygon_to_json",
     "decomposition_to_json",
-    "spec_to_json", "spec_from_json",
+    "spec_from_json",
     "roundtrip_to_json",
     "tree_to_json",
     "corollary_to_json",
@@ -224,18 +224,6 @@ def decomposition_to_json(dec: FormalDecomposition) -> dict:
     return out
 
 
-def spec_to_json(spec: FormalModuleSpec) -> dict:
-    return {
-        "p": spec.p,
-        "summands": [
-            {"alpha": laurent_to_json(s.alpha), "rank": s.rank,
-             "charpoly": cyclopoly_to_json(s.charpoly)}
-            for s in spec.summands
-        ],
-        "regular_rank": spec.regular_rank,
-    }
-
-
 def spec_from_json(data, path: str = "$", *, max_order: int) -> FormalModuleSpec:
     obj = _expect_dict(data, path)
     summands = []
@@ -315,21 +303,29 @@ def tree_to_json(tree: ResolutionTree) -> dict:
 
 
 def tree_to_text(tree: ResolutionTree) -> str:
+    """The tree as text: one line per step, component and axis crossing,
+    then the meeting point and the value chart.  Each value is written as
+    its one-line JSON, which ``cyclo_from_json`` reads back."""
+    def value(c: CycloNum) -> str:
+        return json.dumps(cyclo_to_json(c), sort_keys=True)
+
+    def crossing(j: int, tag) -> str:
+        return f"E{j - 1}/E{j}: {tag.kind.value} (u^{tag.pole_u} v^{tag.pole_v})"
+
     n = len(tree.steps)
     lines = [f"resolution of pole order {tree.alpha.pole_order()}: {n} point blow-ups"]
     for j, s in enumerate(tree.steps, 1):
-        tag = s.crossing
-        lines.append(
-            f"  step {j}: chart {CHART}, recenter v by "
-            f"{json.dumps(cyclo_to_json(s.shift), sort_keys=True)}; "
-            f"crossing E{j - 1}/E{j}: "
-            f"{tag.kind.value} (u^{tag.pole_u} v^{tag.pole_v})"
-        )
+        lines.append(f"  step {j}: chart {CHART}, recenter v by {value(s.shift)}; "
+                     f"crossing {crossing(j, s.crossing)}")
     for j, s in enumerate(tree.steps, 1):
         mark = " [distinguished]" if j == n else ""
         lines.append(f"  component E{j}: pole order {s.pole_order}{mark}")
     for ap in tree.axis_points:
         lines.append(f"  axis crossing on E{ap.component}: {ap.tag.kind.value}")
+    lines.append(f"  meeting point {crossing(n, tree.steps[-1].crossing)}")
+    chart = tree.ed_chart
+    lines.append(f"  value chart: num0 {value(chart.num0)}; "
+                 f"numlin {value(chart.numlin)}; den0 {value(chart.den0)}")
     return "\n".join(lines) + "\n"
 
 

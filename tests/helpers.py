@@ -2,13 +2,24 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import mpmath
 
 from expdirect.branch import Branch
-from expdirect.cyclotomic import CycloNum, CycloPoly, root_of_unity, totient
+from expdirect.cyclotomic import CycloNum, CycloPoly, totient
 from expdirect.laurent import LaurentPoly
+from expdirect.serialize import cyclopoly_to_json, laurent_to_json
+
+
+def root(n: int, k: int) -> CycloNum:
+    """zeta_n^k."""
+    return CycloNum(n, {k: 1})
+
+
+def unipotent(m: int) -> CycloPoly:
+    """(x - 1)^m, the charpoly of a unipotent monodromy of rank m."""
+    return CycloPoly([(-1) ** (m - k) * comb(m, k) for k in range(m + 1)])
 
 
 def numeric(a: CycloNum, dps: int = 40) -> mpmath.mpc:
@@ -44,7 +55,7 @@ def rand_cyclo(rng: random.Random, max_order: int = 12, max_num: int = 9) -> Cyc
 
 def rand_root(rng: random.Random, max_order: int = 8) -> CycloNum:
     n = rng.randint(1, max_order)
-    return root_of_unity(n, rng.randint(0, n - 1))
+    return root(n, rng.randint(0, n - 1))
 
 
 def rand_laurent(rng: random.Random, lo=-6, hi=4) -> LaurentPoly:
@@ -61,8 +72,7 @@ def rand_monic(rng: random.Random, degree: int, max_order: int = 6) -> CycloPoly
     for _ in range(degree):
         if rng.random() < 0.5:
             n = rng.randint(1, max_order)
-            coeffs.append(root_of_unity(n, rng.randint(0, n - 1))
-                          * Fraction(rng.randint(-2, 2)))
+            coeffs.append(CycloNum(n, {rng.randint(0, n - 1): rng.randint(-2, 2)}))
         else:
             coeffs.append(CycloNum.from_rational(rng.randint(-3, 3)))
     return CycloPoly(coeffs + [1])
@@ -72,7 +82,7 @@ def mk(label="l", p=1, q=1, alpha=None, delta=None, m=1, zeta=None):
     """Small hand-built branch with sane defaults."""
     alpha = alpha if alpha is not None else LaurentPoly({-q: 1})
     delta = delta if delta is not None else LaurentPoly.zero()
-    zeta = zeta if zeta is not None else CycloPoly([-1, 1]) ** m
+    zeta = zeta if zeta is not None else unipotent(m)
     return Branch(label, p, q, alpha, delta, m, zeta)
 
 
@@ -114,10 +124,17 @@ def worked_example_branches():
     """The frozen two-branch golden instance used across the suite."""
     return [
         Branch("l1", 1, 1, LaurentPoly({-1: 1}), LaurentPoly.zero(), 2,
-               CycloPoly([-1, 1]) ** 2),
+               CycloPoly([1, -2, 1])),
         Branch("l2", 2, 3, LaurentPoly({-3: 1}), LaurentPoly.zero(), 1,
                CycloPoly([1, 1])),
     ]
+
+
+def spec_doc(spec) -> dict:
+    """The ``roundtrip`` input document of a FormalModuleSpec."""
+    return {"p": spec.p, "regular_rank": spec.regular_rank, "summands": [
+        {"alpha": laurent_to_json(s.alpha), "rank": s.rank,
+         "charpoly": cyclopoly_to_json(s.charpoly)} for s in spec.summands]}
 
 
 def map_values(doc, leaf):

@@ -61,7 +61,7 @@ def test_ramification_order():
 
 def test_unramify_single_branch_scaled():
     # One p=1 branch alongside a p=2 branch: its copy rescales t -> t^2.
-    b1 = mk("a", p=1, q=1, m=2, zeta=CycloPoly([-1, 1]) ** 2)
+    b1 = mk("a", p=1, q=1, m=2, zeta=CycloPoly([1, -2, 1]))
     b2 = mk("b", p=2, q=3, m=1, zeta=CycloPoly([1, 1]))
     out = unramify([b1, b2])
     assert len(out) == 3
@@ -139,7 +139,7 @@ def test_delta0_is_the_constant_term_of_the_eager_twist():
             c0 = subst_root_power(b.delta, b.p, u.root_index, p // b.p).coeff(0)
             assert (u.delta0.order, u.delta0.coeffs) == (c0.order, c0.coeffs)
             seen_zero |= c0.is_zero()
-            seen_cyclo |= not c0.is_rational()
+            seen_cyclo |= c0.order != 1
     assert seen_zero and seen_cyclo
 
 

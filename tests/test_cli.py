@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expdirect.cli import main
-from expdirect.cyclotomic import CycloNum, CycloPoly, root_of_unity
+from expdirect.cyclotomic import CycloNum, CycloPoly
 from expdirect.laurent import LaurentPoly
 from expdirect.realization import FormalModuleSpec, FormalSummand
 from expdirect.serialize import (branch_to_json, cyclo_to_json, cyclopoly_to_json,
-                                 laurent_to_json, spec_to_json)
-from tests.helpers import mk, rand_branch, worked_example_branches
+                                 laurent_to_json)
+from tests.helpers import mk, rand_branch, root, spec_doc, worked_example_branches
 from tests.test_realization import INVALID_SPECS, rand_spec
 
 
@@ -571,7 +571,7 @@ def test_report_exit_3_on_mutant_factor(problem_file, monkeypatch, capsys,
                     "factor alpha = LaurentPoly((CycloNum(1, 1))*t^-2): " + want)
 
 
-_nonzero = st.builds(lambda n, i, r: root_of_unity(n, i % n) * r,
+_nonzero = st.builds(lambda n, i, r: root(n, i % n) * r,
                      st.sampled_from([1, 2, 3, 4]), st.integers(0, 3),
                      st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
                                       Fraction(-1, 2)]))
@@ -639,7 +639,7 @@ def test_file_order_limit_does_not_leak_into_the_next_call(tmp_path):
         "options": {"max_order": 3}}))
     assert run_cli("report", "--input", capped) == 0
     # The cap is back at the default as soon as main returns.
-    assert root_of_unity(4, 1) * root_of_unity(4, 1) == -1
+    assert root(4, 1) * root(4, 1) == -1
     order4 = tmp_path / "order4.json"
     order4.write_text(json.dumps({"points": [{"c": "0", "k": 0, "branches": [
         branch_to_json(mk("b", p=4, q=1, alpha=LaurentPoly({-1: 1})))]}]}))
@@ -659,9 +659,9 @@ def _problem(path, *points):
 def test_order_cap(tmp_path, capsys):
     # The cap is checked before any work, once per unit of work: exit 2 with
     # the JSON path, the order bound and the flag that raises the cap.
-    z5, z7 = root_of_unity(5, 1), root_of_unity(7, 1)
+    z5, z7 = root(5, 1), root(7, 1)
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(spec_to_json(FormalModuleSpec(7, (
+    spec.write_text(json.dumps(spec_doc(FormalModuleSpec(7, (
         FormalSummand(LaurentPoly({-1: z5}), 1, CycloPoly([-1, 1])),)))))
     alpha = tmp_path / "alpha.json"
     alpha.write_text(json.dumps(
@@ -690,7 +690,7 @@ def test_order_cap(tmp_path, capsys):
 
     # A declared order above the cap is refused while parsing, at its path.
     eleven = _problem(tmp_path / "eleven.json", [
-        mk("a", alpha=LaurentPoly({-1: root_of_unity(11, 1)}))])
+        mk("a", alpha=LaurentPoly({-1: root(11, 1)}))])
     assert run_cli("report", "--input", eleven, "--max-order", 10) == 2
     assert capsys.readouterr().err == (
         "error: $.points[0].branches[0].alpha.terms.-1.order: order 11 "
@@ -700,8 +700,8 @@ def test_order_cap(tmp_path, capsys):
     # coefficient and an order-103 zeta never meet in one product, but
     # lcm(101, 103) = 10403 is above the default cap.
     apart = _problem(tmp_path / "apart.json", [
-        mk("a", alpha=LaurentPoly({-1: root_of_unity(101, 1)}),
-           zeta=CycloPoly([-root_of_unity(103, 1), 1]))])
+        mk("a", alpha=LaurentPoly({-1: root(101, 1)}),
+           zeta=CycloPoly([-root(103, 1), 1]))])
     assert run_cli("report", "--input", apart, "--oracle", "off") == 2
     assert "$.points[0]: order bound 10403 " in capsys.readouterr().err
     assert run_cli("report", "--input", apart, "--oracle", "off",
@@ -759,8 +759,8 @@ def test_validate_checks_parsed_orders_only(tmp_path, capsys):
     # validate builds no products: a point whose order bound exceeds the cap
     # passes as long as each declared order is within it.
     path = _problem(tmp_path / "two.json", [
-        mk("a", alpha=LaurentPoly({-1: root_of_unity(7, 1)})),
-        mk("b", alpha=LaurentPoly({-1: root_of_unity(5, 1)}))])
+        mk("a", alpha=LaurentPoly({-1: root(7, 1)})),
+        mk("b", alpha=LaurentPoly({-1: root(5, 1)}))])
     assert run_cli("validate", "--input", path, "--max-order", 10) == 0
     assert capsys.readouterr().err == ""
 
@@ -800,7 +800,7 @@ def test_every_order_built_divides_the_preflight_bound(monkeypatch, tmp_path):
         runs.append(("report", _problem(tmp_path / f"branches{i}.json", branches)))
     for i in range(6):
         path = tmp_path / f"spec{i}.json"
-        path.write_text(json.dumps(spec_to_json(rand_spec(rng))))
+        path.write_text(json.dumps(spec_doc(rand_spec(rng))))
         runs.append(("roundtrip", path))
 
     assert len(runs) == 27 + 4 + 6
@@ -1086,12 +1086,12 @@ def test_roundtrip_closes_each_orbit_once(monkeypatch, tmp_path):
     listed = Path(__file__).parent / "golden" / "roundtrip" / "03_p4_orbit_listed.in.json"
     # Three orbit-closed orbits at p = 6; the last one has primitive order 3.
     alphas = [LaurentPoly({-1: 1}), LaurentPoly({-2: 1, -1: 2}),
-              LaurentPoly({-4: root_of_unity(3, 1), -2: 1})]
+              LaurentPoly({-4: root(3, 1), -2: 1})]
     summands = tuple(FormalSummand(a, 1, CycloPoly([-1, 1]))
                      for alpha in alphas for a in closure(6, alpha))
     assert len(summands) == 6 + 6 + 3
     p6 = tmp_path / "p6.json"
-    p6.write_text(json.dumps(spec_to_json(FormalModuleSpec(6, summands))))
+    p6.write_text(json.dumps(spec_doc(FormalModuleSpec(6, summands))))
     for path, orbits in ((listed, 2), (p6, 3)):
         calls.clear()
         assert run_cli("roundtrip", "--input", path,

@@ -11,15 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import expdirect.cyclotomic as cyclotomic
-from expdirect.cyclotomic import (
-    CycloNum,
-    CycloPoly,
-    cyclotomic_polynomial,
-    root_of_unity,
-    totient,
-)
+from expdirect.cyclotomic import CycloNum, CycloPoly, totient
 from expdirect.decomposition import laurent_sort_key
 from expdirect.laurent import LaurentPoly
+from tests.helpers import root
 
 
 def numeric(a: CycloNum, dps: int = 40) -> mpmath.mpc:
@@ -43,44 +38,54 @@ def rand_cyclo(rng: random.Random, max_order: int = 12, max_num: int = 9) -> Cyc
     return CycloNum(order, coeffs)
 
 
+def _poly_mul(f, g) -> list:
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
 def test_cyclotomic_polynomial_small():
-    x = CycloPoly.variable()
-    assert cyclotomic_polynomial(1) == x - CycloPoly.one()
-    assert cyclotomic_polynomial(2) == x + CycloPoly.one()
+    assert cyclotomic._cyclotomic_int_coeffs(1) == (-1, 1)
+    assert cyclotomic._cyclotomic_int_coeffs(2) == (1, 1)
 
 
 def test_cyclotomic_polynomial_6_by_division():
     # Independent derivation: divide x^6 - 1 by the product of the proper
     # divisors' cyclotomic polynomials using exact polynomial division.
-    x6_minus_1 = CycloPoly([-1, 0, 0, 0, 0, 0, 1])
-    prod = CycloPoly.one()
+    x6_minus_1 = [-1, 0, 0, 0, 0, 0, 1]
+    prod = [1]
     for d in (1, 2, 3):
-        prod = prod * cyclotomic_polynomial(d)
-    quot, rem = divmod(x6_minus_1, prod)
-    assert rem.is_zero()
-    assert cyclotomic_polynomial(6) == quot == CycloPoly([1, -1, 1])
+        prod = _poly_mul(prod, cyclotomic._cyclotomic_int_coeffs(d))
+    quot, rem = cyclotomic._divmod(x6_minus_1, prod)
+    assert not any(rem)
+    assert cyclotomic._cyclotomic_int_coeffs(6) == tuple(quot) == (1, -1, 1)
 
 
 @pytest.mark.parametrize("n", range(1, 25))
 def test_cyclotomic_polynomial_divides_xn_minus_1(n):
     xn = [0] * (n + 1)
     xn[0], xn[n] = -1, 1
-    rem = divmod(CycloPoly(xn), cyclotomic_polynomial(n))[1]
-    assert rem.is_zero()
-    assert cyclotomic_polynomial(n).degree == totient(n)
-    assert cyclotomic_polynomial(n).is_monic()
+    phi = cyclotomic._cyclotomic_int_coeffs(n)
+    rem = cyclotomic._divmod(xn, list(phi))[1]
+    assert not any(rem)
+    assert len(phi) - 1 == totient(n)
+    assert phi[-1] == 1 and all(type(c) is int for c in phi)
+    # zeta_n is a root, which x^n - 1's other factors of degree phi(n) lack.
+    assert CycloNum(n, dict(enumerate(phi))) == 0
 
 
 def test_root_of_unity_examples():
-    assert root_of_unity(4, 2) == -1
-    assert root_of_unity(6, 3) == -1
-    assert root_of_unity(5, 7) == root_of_unity(5, 2)
+    assert root(4, 2) == -1
+    assert root(6, 3) == -1
+    assert root(5, 7) == root(5, 2)
 
 
 @pytest.mark.parametrize("n", range(1, 25))
 def test_root_powers(n):
     for k in range(n):
-        assert root_of_unity(n, k) ** n == 1
+        assert root(n, k) ** n == 1
 
 
 def test_lift_examples():
@@ -91,8 +96,8 @@ def test_lift_examples():
     assert minus1.lift(4) == {0: -1}
     assert CycloNum(4, minus1.lift(4)) == -1
 
-    z3 = root_of_unity(3, 1)
-    z6 = root_of_unity(6, 1)
+    z3 = root(3, 1)
+    z6 = root(6, 1)
     assert z3.lift(6) == {2: 1}
     assert CycloNum(6, z3.lift(6)) == z6 * z6 == z3
     assert CycloNum(6, z3.lift(6)) ** 3 == 1
@@ -100,24 +105,24 @@ def test_lift_examples():
     assert CycloNum(3, {}).lift(12) == {}
 
     with pytest.raises(ValueError):
-        root_of_unity(4, 1).lift(6)
+        root(4, 1).lift(6)
 
 
 def test_arithmetic_examples():
-    z4 = root_of_unity(4, 1)
+    z4 = root(4, 1)
     assert z4 * z4 == -1
-    z6 = root_of_unity(6, 1)
+    z6 = root(6, 1)
     assert (z6 + (-z6)).is_zero()
-    z8 = root_of_unity(8, 1)
-    assert z8.inv() == root_of_unity(8, 7)
-    assert z8 * root_of_unity(8, 7) == 1
+    z8 = root(8, 1)
+    assert z8.inv() == root(8, 7)
+    assert z8 * root(8, 7) == 1
     with pytest.raises(ZeroDivisionError):
         CycloNum(3, {}).inv()
 
 
 def test_eq_examples():
-    assert root_of_unity(6, 3) == CycloNum.from_rational(-1)
-    assert not (root_of_unity(3, 1) == root_of_unity(6, 1))
+    assert root(6, 3) == CycloNum.from_rational(-1)
+    assert not (root(3, 1) == root(6, 1))
     assert CycloNum(3, {}) == CycloNum(8, {}) == CycloNum.zero()
 
 
@@ -180,12 +185,13 @@ def test_eq_matches_numeric_on_random_pairs():
     assert agree == 250
 
 
-def test_cyclopoly_division():
-    x = CycloPoly.variable()
-    one = CycloPoly.one()
-    p = (x + one) * (x - one)
-    q, r = divmod(p, x + one)
-    assert r.is_zero() and q == x - one
+def test_cyclopoly_product():
+    # The charpoly product: (x + 1)(x - 1) = x^2 - 1, and over Q(zeta_3)
+    # (x - zeta_3)(x - zeta_3^2) = Phi_3 = x^2 + x + 1.
+    assert CycloPoly([1, 1]) * CycloPoly([-1, 1]) == CycloPoly([-1, 0, 1])
+    assert CycloPoly([-root(3, 1), 1]) * CycloPoly([-root(3, 2), 1]) \
+        == CycloPoly([1, 1, 1])
+    assert (CycloPoly([1, 1]) * CycloPoly()).is_zero()
 
 
 # -- fast paths against the public constructor ------------------------------
@@ -266,7 +272,7 @@ def test_add_neg_sub_match_the_constructor(a, b):
     ra, rb = _raw_at(a, n), _raw_at(b, n)
     neg_rb = {e: -c for e, c in rb.items()}
     assert_canonical(a + b, CycloNum(n, _raw_sum(ra, rb)))
-    assert_canonical(a - b, CycloNum(n, _raw_sum(ra, neg_rb)))
+    assert_canonical(a + (-b), CycloNum(n, _raw_sum(ra, neg_rb)))
     assert_canonical(-a, CycloNum(a.order, {e: -c for e, c in a.coeffs.items()}))
     assert_canonical(a + 0, a)
 
@@ -294,7 +300,7 @@ def test_inv_and_lift_match_the_constructor(a, m):
 
 def _check_twist(c: CycloNum, n: int, k: int) -> None:
     got = c.times_root(n, k)
-    product = c * root_of_unity(n, k)
+    product = c * root(n, k)
     assert (got.order, got.coeffs) == (product.order, product.coeffs)
     order = _lcm(c.order, n)
     raw = {e + k * (order // n): v for e, v in _raw_at(c, order).items()}
@@ -311,7 +317,7 @@ def test_twist_matches_mul_by_root_of_unity(c, n, k):
     CycloNum(5, {0: Fraction(3, 2)}),  # rational, written at an order dividing no n
     CycloNum.from_rational(-2),
     CycloNum(7, {}),
-    root_of_unity(3, 1) - Fraction(1, 2),
+    CycloNum(3, {1: 1, 0: Fraction(-1, 2)}),
     CycloNum(60, {1: 1, 7: Fraction(-2, 3)}),
 ])
 @pytest.mark.parametrize("n", [1, 2, 4, 6, 12])
@@ -420,7 +426,7 @@ def test_operations_equal_mpmath_at_the_minimal_conductor(wa, wb, n, k, power):
     a, b = CycloNum(*wa), CycloNum(*wb)
     va, vb = _value(*wa), _value(*wb)
     with mpmath.workdps(_DPS):
-        results = [(a, va), (b, vb), (a + b, va + vb), (a - b, va - vb),
+        results = [(a, va), (b, vb), (a + b, va + vb), (a + (-b), va - vb),
                    (-a, -va), (a * b, va * vb),
                    (a.times_root(n, k), va * _value(n, {k: Fraction(1)}))]
         if a and _invertible_fast(a):
@@ -441,19 +447,20 @@ def test_one_value_written_at_two_orders_is_identical(w, m, e):
     big = order * m
     raw_big = {x * m: c for x, c in raw.items()}
     raw_big[e] = raw_big.get(e, Fraction(0)) + 1
-    b = CycloNum(big, raw_big) - root_of_unity(big, e)
+    b = CycloNum(big, raw_big) + CycloNum(big, {e: -1})
     assert (a.order, a.coeffs) == (b.order, b.coeffs)
     assert hash(a) == hash(b) and a == b
-    if a.is_rational():
-        assert hash(a) == hash(a.as_rational()) and a == a.as_rational()
+    if a.order == 1:
+        r = a.coeffs.get(0, Fraction(0))
+        assert hash(a) == hash(r) and a == r
 
 
 # Each group holds one value written at several orders.
 _ALIASES = [
-    [root_of_unity(3, 1), CycloNum(6, {2: 1}), CycloNum(12, {4: 1}), CycloNum(15, {5: 1})],
+    [root(3, 1), CycloNum(6, {2: 1}), CycloNum(12, {4: 1}), CycloNum(15, {5: 1})],
     [Fraction(1, 2), CycloNum(4, {0: Fraction(1, 2)}),
      CycloNum(3, {1: Fraction(-1, 2), 2: Fraction(-1, 2)})],
-    [root_of_unity(4, 1), CycloNum(8, {2: 1}), CycloNum(12, {3: 1}), CycloNum(20, {5: 1})],
+    [root(4, 1), CycloNum(8, {2: 1}), CycloNum(12, {3: 1}), CycloNum(20, {5: 1})],
     [-1, CycloNum(2, {1: 1}), CycloNum(12, {4: 1, 8: 1}), CycloNum(5, {1: 1, 2: 1, 3: 1, 4: 1})],
 ]
 _term_specs = st.lists(st.tuples(st.integers(-3, -1), st.integers(0, len(_ALIASES) - 1),
@@ -485,13 +492,12 @@ def test_sort_keys_are_equal_exactly_for_equal_polynomials(data):
 def _power_basis_inverse(a: CycloNum) -> CycloNum:
     """a.inv() through the power basis and ``_poly_invert_mod``."""
     n = a.order
-    dense = [0] * n
+    dense = [Fraction(0)] * n
     for e, c in a.coeffs.items():
         dense[e] = c
-    coords = divmod(CycloPoly(dense), cyclotomic_polynomial(n))[1].coeffs
-    phi = totient(n)
-    vec = [c.as_rational() for c in coords] + [Fraction(0)] * (phi - len(coords))
     modulus = [Fraction(c) for c in cyclotomic._cyclotomic_int_coeffs(n)]
+    vec = cyclotomic._divmod(dense, modulus)[1]
+    assert len(vec) == totient(n)
     return CycloNum(n, dict(enumerate(cyclotomic._poly_invert_mod(vec, modulus))))
 
 
@@ -523,24 +529,15 @@ def test_single_term_values_never_reach_euclid(monkeypatch):
             if len(a.coeffs) == 1:
                 assert a * a.inv() == 1
     assert calls == []
-    (root_of_unity(5, 1) + 2).inv()
+    (root(5, 1) + 2).inv()
     assert calls == [5]
 
 
 # -- the one polynomial division ---------------------------------------------
 
-def _poly_mul(f, g) -> list:
-    out = [0] * max(len(f) + len(g) - 1, 0)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out
-
-
 _COEFFICIENTS = {
     "int": st.integers(-9, 9),
     "fraction": st.fractions(min_value=-9, max_value=9, max_denominator=9),
-    "cyclo": cyclo_nums(),
 }
 
 
@@ -574,9 +571,8 @@ def test_euclid_on_the_stored_vector_equals_euclid_on_the_reduced_one(w):
     stored = [Fraction(0)] * n
     for e, c in a.coeffs.items():
         stored[e] = c
-    reduced = [c.as_rational() for c in
-               divmod(CycloPoly(stored), cyclotomic_polynomial(n))[1].coeffs]
     modulus = [Fraction(c) for c in cyclotomic._cyclotomic_int_coeffs(n)]
+    reduced = cyclotomic._divmod(stored, modulus)[1]
     got, want = (
         {i: c for i, c in enumerate(cyclotomic._poly_invert_mod(v, modulus)) if c}
         for v in (stored, reduced))

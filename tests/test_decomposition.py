@@ -29,11 +29,9 @@ def test_worked_example_full():
     assert alphas == [LaurentPoly({-2: 1}), LaurentPoly({-3: -1}), LaurentPoly({-3: 1})]
     assert [f.rank_branchwise for f in dec.factors] == [2, 1, 1]
     assert [f.rank_distinct for f in dec.factors] == [2, 1, 1]
-    lam = CycloPoly.variable()
-    one = CycloPoly.one()
-    assert dec.factors[0].charpoly == (lam - one) ** 2
-    assert dec.factors[1].charpoly == lam + one
-    assert dec.factors[2].charpoly == lam + one
+    assert dec.factors[0].charpoly == CycloPoly([1, -2, 1])  # (x - 1)^2
+    assert dec.factors[1].charpoly == CycloPoly([1, 1])
+    assert dec.factors[2].charpoly == CycloPoly([1, 1])
 
 
 def test_single_branch_and_empty():
@@ -117,8 +115,7 @@ def test_char_poly_product():
     assert len(dec.factors) == 1
     f = dec.factors[0]
     assert f.rank_branchwise == 2
-    lam = CycloPoly.variable()
-    assert f.charpoly == (lam - CycloPoly.one()) * (lam + CycloPoly.one())
+    assert f.charpoly == CycloPoly([-1, 0, 1])  # (x - 1)(x + 1)
 
 
 def test_no_charpoly_without_separation():
@@ -293,7 +290,7 @@ def _orders(poly):
 def test_single_member_charpoly_is_the_product_with_one():
     # A rational written at order 4 and a zero written at order 3 are stored
     # at order 1, their conductor, so a single member's charpoly is its zeta
-    # as CycloPoly.one() * zeta gives it; the order-3 root stays.
+    # as CycloPoly([1]) * zeta gives it; the order-3 root stays.
     zeta = CycloPoly([CycloNum(4, {0: 2}), CycloNum(3, {}),
                       CycloNum(3, {1: -1}), 1])
     branches = [mk("a", p=1, q=1, m=3, zeta=zeta),
@@ -307,7 +304,7 @@ def test_single_member_charpoly_is_the_product_with_one():
             if f.charpoly is None or len(f.members) != 1:
                 continue
             singles += 1
-            expected = CycloPoly.one() * zetas[f.members[0]]
+            expected = CycloPoly([1]) * zetas[f.members[0]]
             assert _orders(f.charpoly) == _orders(expected)
     assert singles > 0
     pinned = decompose(cases[0]).factors[0]
@@ -339,7 +336,7 @@ def test_decompose_keys_each_copy_once(monkeypatch):
 def _two_pass_decompose(branches):
     """Reference for ``decompose``: the copies are keyed once to group them
     and once more for the separation test; each charpoly is
-    ``CycloPoly.one()`` times every member's zeta in turn."""
+    ``CycloPoly([1])`` times every member's zeta in turn."""
     ub = unramify(branches)
     groups = {}
     for u in ub:
@@ -364,7 +361,7 @@ def _two_pass_decompose(branches):
     for alpha, origins, rank_b, rank_d, members in factors:
         charpoly = None
         if witness is None:
-            charpoly = CycloPoly.one()
+            charpoly = CycloPoly([1])
             for u in members:
                 charpoly = charpoly * u.zeta
         out.append((alpha, origins, rank_b, rank_d, charpoly))

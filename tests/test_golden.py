@@ -6,19 +6,24 @@ bytes written must equal ``NAME.out.json``.  See ``tests/golden/README.md``
 for how the corpus is laid out and regenerated.  Every ``report`` golden is
 also run with ``--oracle off``, which must print the same document without
 its ``oracle`` entries, and under every Galois conjugation of its input,
-which must give the conjugate report.
+which must give the conjugate report.  Two interpreters with different
+``PYTHONHASHSEED`` values write every JSON and SVG golden byte for byte.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
 import pytest
 
+import expdirect
 from expdirect.cli import DEFAULT_ORDER_LIMIT, main
-from expdirect.cyclotomic import CycloNum, root_of_unity
+from expdirect.cyclotomic import CycloNum
 from expdirect.laurent import LaurentPoly
 from expdirect.serialize import branch_to_json, cyclo_from_json, cyclo_to_json, dumps
 from tests.helpers import (conjugated_input, galois_ks, map_values, mk,
@@ -140,7 +145,7 @@ def _shared_coefficient_problem(rng: random.Random) -> dict:
     rest = {x: Fraction(rng.randint(1, 3)) for x in range(-q, 0)
             if x != e and (x == -q or rng.random() < 0.5)}
     branches = [
-        mk(f"z{n}", q=q, alpha=LaurentPoly({**rest, e: root_of_unity(n, 1) * c}),
+        mk(f"z{n}", q=q, alpha=LaurentPoly({**rest, e: CycloNum(n, {1: c})}),
            delta=LaurentPoly({0: n}))
         for n in (3, 4)
     ]
@@ -205,3 +210,47 @@ def test_golden_svg_bytes(case, tmp_path):
     assert sorted(p.name for p in tmp_path.glob("*.svg")) == [p.name for p in expected]
     for path in expected:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes()
+
+
+# Writes every golden output of this corpus under the directory argv[2]: one
+# run per JSON golden, then one per SVG case in argv[3:], its JSON to nowhere.
+_ALL_OUTPUTS = """
+import os, sys
+from pathlib import Path
+from expdirect.cli import main
+
+golden, out = Path(sys.argv[1]), Path(sys.argv[2])
+svg_cases = {Path(a) for a in sys.argv[3:]}
+for case in sorted(golden.glob("*/*.in.json")):
+    stem, cmd = case.name[:-len(".in.json")], case.parent.name
+    (out / cmd).mkdir(exist_ok=True)
+    args = [cmd, "--input", str(case)]
+    assert main(args + ["--output", str(out / cmd / f"{stem}.out.json")]) == 0
+    if case in svg_cases:
+        assert main(args + ["--output", os.devnull,
+                            "--svg", str(out / cmd / f"{stem}.svg")]) == 0
+"""
+
+
+def _files(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def test_outputs_are_byte_identical_across_hash_seeds(tmp_path):
+    # Identical input gives identical bytes in any process: two interpreters
+    # with different string hashing write every JSON and SVG golden.
+    src = str(Path(expdirect.__file__).resolve().parent.parent)
+    runs = []
+    for seed in ("0", "12345"):
+        out = tmp_path / seed
+        out.mkdir()
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-c", _ALL_OUTPUTS, str(GOLDEN), str(out),
+                        *map(str, SVG_CASES)], env=env, check=True)
+        runs.append(_files(out))
+    want = {name: data for name, data in _files(GOLDEN).items()
+            if name.endswith((".out.json", ".svg"))}
+    assert len(want) == 28 + 5
+    assert runs[0] == runs[1] == want

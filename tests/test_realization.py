@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from expdirect.branch import validate
-from expdirect.cyclotomic import CycloNum, CycloPoly, root_of_unity
+from expdirect.cyclotomic import CycloNum, CycloPoly
 from expdirect.decomposition import laurent_sort_key
 from expdirect.laurent import LaurentPoly, subst_root_power
 from expdirect.newton import irregularity, polygon_from_branches
@@ -21,10 +21,7 @@ from expdirect.realization import (
     realize,
     roundtrip_check,
 )
-from tests.helpers import rand_monic, rand_polar
-
-LAM = CycloPoly.variable()
-ONE = CycloPoly.one()
+from tests.helpers import rand_monic, rand_polar, root
 
 
 def test_canonicalize_examples():
@@ -35,14 +32,14 @@ def test_canonicalize_examples():
 
 
 def test_realize_examples():
-    spec = FormalModuleSpec(2, (FormalSummand(LaurentPoly({-3: 1}), 1, LAM + ONE),))
+    spec = FormalModuleSpec(2, (FormalSummand(LaurentPoly({-3: 1}), 1, CycloPoly([1, 1])),))
     (b,) = realize(spec)
     assert (b.p, b.q, b.m) == (2, 3, 1)
     assert b.alpha == LaurentPoly({-3: 1}) and b.delta.is_zero()
-    assert b.zeta == LAM + ONE
+    assert b.zeta == CycloPoly([1, 1])
 
     spec = FormalModuleSpec(1, (FormalSummand(LaurentPoly({-1: 1}), 2,
-                                              (LAM - ONE) ** 2),))
+                                              CycloPoly([1, -2, 1])),))
     (b,) = realize(spec)
     assert (b.p, b.q, b.m) == (1, 1, 2)
 
@@ -50,15 +47,15 @@ def test_realize_examples():
 
 
 def test_realize_canonicalizes_summands():
-    spec = FormalModuleSpec(2, (FormalSummand(LaurentPoly({-2: 1}), 1, LAM - ONE),))
+    spec = FormalModuleSpec(2, (FormalSummand(LaurentPoly({-2: 1}), 1, CycloPoly([-1, 1])),))
     (b,) = realize(spec)
     assert (b.p, b.q) == (1, 1) and b.alpha == LaurentPoly({-1: 1})
 
 
 def test_realize_merges_orbit_closed_summands():
     spec = FormalModuleSpec(2, (
-        FormalSummand(LaurentPoly({-3: 1}), 1, LAM + ONE),
-        FormalSummand(LaurentPoly({-3: -1}), 1, LAM + ONE),
+        FormalSummand(LaurentPoly({-3: 1}), 1, CycloPoly([1, 1])),
+        FormalSummand(LaurentPoly({-3: -1}), 1, CycloPoly([1, 1])),
     ))
     branches = realize(spec)
     assert len(branches) == 1
@@ -67,8 +64,8 @@ def test_realize_merges_orbit_closed_summands():
 
 def test_realize_conflicting_orbit_is_an_error():
     spec = FormalModuleSpec(2, (
-        FormalSummand(LaurentPoly({-3: 1}), 1, LAM + ONE),
-        FormalSummand(LaurentPoly({-3: -1}), 2, (LAM + ONE) ** 2),
+        FormalSummand(LaurentPoly({-3: 1}), 1, CycloPoly([1, 1])),
+        FormalSummand(LaurentPoly({-3: -1}), 2, CycloPoly([1, 2, 1])),
     ))
     with pytest.raises(NormalizationConflictError):
         realize(spec)
@@ -85,18 +82,18 @@ def test_realize_output_validates_without_warnings():
 
 def test_roundtrip_examples():
     r = roundtrip_check(FormalModuleSpec(
-        1, (FormalSummand(LaurentPoly({-1: 1}), 1, LAM - ONE),)))
+        1, (FormalSummand(LaurentPoly({-1: 1}), 1, CycloPoly([-1, 1])),)))
     assert r.ok and not r.missing and not r.extra
 
     r = roundtrip_check(FormalModuleSpec(
-        2, (FormalSummand(LaurentPoly({-3: 1}), 1, LAM + ONE),)))
+        2, (FormalSummand(LaurentPoly({-3: 1}), 1, CycloPoly([1, 1])),)))
     assert r.ok
     assert r.computed_ramification == 2
     assert len(r.decomposition.factors) == 2  # both orbit elements show up
 
     r = roundtrip_check(FormalModuleSpec(2, (
-        FormalSummand(LaurentPoly({-3: 1}), 1, LAM + ONE),
-        FormalSummand(LaurentPoly({-3: -1}), 1, LAM + ONE),
+        FormalSummand(LaurentPoly({-3: 1}), 1, CycloPoly([1, 1])),
+        FormalSummand(LaurentPoly({-3: -1}), 1, CycloPoly([1, 1])),
     )))
     assert r.ok and len(r.matched) == 2
 
@@ -104,7 +101,7 @@ def test_roundtrip_examples():
 def test_roundtrip_matched_names_the_computed_factors():
     # One entry per orbit element, each naming the factor it matched.
     r = roundtrip_check(FormalModuleSpec(
-        2, (FormalSummand(LaurentPoly({-3: 1}), 1, LAM + ONE),)))
+        2, (FormalSummand(LaurentPoly({-3: 1}), 1, CycloPoly([1, 1])),)))
     assert r.ok
     got = sorted(((p0, laurent_sort_key(a), rank) for p0, a, rank in r.matched))
     want = sorted((2, laurent_sort_key(f.alpha), f.rank_branchwise)
@@ -152,8 +149,8 @@ def test_invalid_spec_is_refused_on_construction(case):
 
 def test_roundtrip_reports_conflicts():
     r = roundtrip_check(FormalModuleSpec(2, (
-        FormalSummand(LaurentPoly({-3: 1}), 1, LAM + ONE),
-        FormalSummand(LaurentPoly({-3: -1}), 2, (LAM + ONE) ** 2),
+        FormalSummand(LaurentPoly({-3: 1}), 1, CycloPoly([1, 1])),
+        FormalSummand(LaurentPoly({-3: -1}), 2, CycloPoly([1, 2, 1])),
     )))
     assert not r.ok and r.conflicts
 
@@ -161,7 +158,7 @@ def test_roundtrip_reports_conflicts():
 def test_roundtrip_with_reduced_ramification():
     # Spec at p = 4 whose single summand lives at primitive order 2: the
     # computed decomposition runs at ramification 2 but classes still match.
-    spec = FormalModuleSpec(4, (FormalSummand(LaurentPoly({-6: 1}), 1, LAM - ONE),))
+    spec = FormalModuleSpec(4, (FormalSummand(LaurentPoly({-6: 1}), 1, CycloPoly([-1, 1])),))
     r = roundtrip_check(spec)
     assert r.ok
     assert r.spec_ramification == 4 and r.computed_ramification == 2
@@ -265,9 +262,9 @@ def test_orbit_class_keys_match_one_closure_per_polar_part():
                 if kind < 0.3:
                     terms[e] = r
                 elif kind < 0.7:
-                    terms[e] = root_of_unity(p, rng.randrange(p)) * r
+                    terms[e] = root(p, rng.randrange(p)) * r
                 elif kind < 0.85:
-                    terms[e] = root_of_unity(rng.randint(1, 6), 1) * r
+                    terms[e] = root(rng.randint(1, 6), 1) * r
             if not terms:
                 terms[-1] = Fraction(1)
             orbit = orbit_closure(p, LaurentPoly(terms))
@@ -276,14 +273,14 @@ def test_orbit_class_keys_match_one_closure_per_polar_part():
                 if any(a == b for _, b in listed + rewritten):
                     continue
                 twisted_rational += any(
-                    c.is_rational() and isinstance(terms[e], CycloNum)
-                    and not terms[e].is_rational() for e, c in a.terms.items())
+                    c.order == 1 and isinstance(terms[e], CycloNum)
+                    and terms[e].order != 1 for e, c in a.terms.items())
                 if rng.random() < 0.4 and any(
-                        c.is_rational() for c in a.terms.values()):
+                        c.order == 1 for c in a.terms.values()):
                     orders = [n for n in range(2, 9) if p % n]
                     a = LaurentPoly({
-                        e: CycloNum(rng.choice(orders), {0: c.as_rational()})
-                        if c.is_rational() else c for e, c in a.terms.items()})
+                        e: CycloNum(rng.choice(orders), c.coeffs)
+                        if c.order == 1 else c for e, c in a.terms.items()})
                     rewritten.append((orbit_idx, a))
                 else:
                     listed.append((orbit_idx, a))

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -15,7 +16,7 @@ import pytest
 
 from expdirect.branch import Branch, ramification_order, unramify
 from expdirect.cli import DEFAULT_ORDER_LIMIT, main
-from expdirect.cyclotomic import CycloNum, CycloPoly, root_of_unity
+from expdirect.cyclotomic import CycloNum, CycloPoly
 from expdirect.decomposition import decompose
 from expdirect.laurent import LaurentPoly, NormalFormKind, subst_root_power
 from expdirect.resolution import (
@@ -27,15 +28,15 @@ from expdirect.resolution import (
 from expdirect.serialize import (cyclo_from_json, dumps, laurent_from_json,
                                  tree_to_json, tree_to_text)
 from tests.helpers import (conjugated_input, conjugated_values, galois_ks, mk,
-                           rand_branch, rand_monic, rand_polar, value_orders,
-                           worked_example_branches)
+                           rand_branch, rand_monic, rand_polar, root, unipotent,
+                           value_orders, worked_example_branches)
 
 
 def flat_branch(label, alpha, delta0=None, m=1, zeta=None, delta=None):
     """A p = 1 branch from a polar part and an optional constant term."""
     if delta is None:
         delta = LaurentPoly({0: delta0}) if delta0 is not None else LaurentPoly.zero()
-    zeta = zeta if zeta is not None else CycloPoly([-1, 1]) ** m
+    zeta = zeta if zeta is not None else unipotent(m)
     return Branch(label, 1, alpha.pole_order(), alpha, delta, m, zeta)
 
 
@@ -117,7 +118,7 @@ def chain_alphas(rng: random.Random, count: int) -> list[LaurentPoly]:
         terms = {}
         for e in exps:
             n = rng.choice([1, 3, 4, 5, 6, 8, 12])
-            terms[e] = root_of_unity(n, rng.randrange(n)) * Fraction(
+            terms[e] = root(n, rng.randrange(n)) * Fraction(
                 rng.choice([-1, 1]) * rng.randint(1, 3), rng.randint(1, 3))
         alphas.append(LaurentPoly(terms))
     return alphas
@@ -135,9 +136,9 @@ def test_chain_bytes_equal_the_recorded_digest():
     assert digest.hexdigest() == CHAIN_DIGEST
 
 
-# sha256 of the same 500 trees as ``resolve --text`` writes them, each shift
-# as its one-line JSON value.
-CHAIN_TEXT_DIGEST = "843121601a8e71e2671efee9527b93c22bf5787394cf30e2d9cda506f09c8492"
+# sha256 of the same 500 trees as ``resolve --text`` writes them, each value
+# as its one-line JSON, with the meeting point and the value chart.
+CHAIN_TEXT_DIGEST = "e1db7cceb8b522cae7d99b6dd3b31cffe1b727e4cdc8a22c9649ed6a4a261941"
 
 
 def test_chain_text_equals_the_recorded_digest():
@@ -150,26 +151,48 @@ def test_chain_text_equals_the_recorded_digest():
 RESOLVE_GOLDENS = sorted((Path(__file__).parent / "golden" / "resolve").glob("*.in.json"))
 
 
-def _text_shifts(text: str) -> list[CycloNum]:
-    """The shifts a ``resolve --text`` report writes, one JSON value per
-    step line, read back."""
-    return [cyclo_from_json(json.loads(line.split(" by ", 1)[1].split("; ", 1)[0]),
-                            max_order=DEFAULT_ORDER_LIMIT)
-            for line in text.splitlines() if "recenter v by " in line]
+_MEETING = re.compile(r"  meeting point E(\d+)/E(\d+): (\S+) \(u\^(\d+) v\^(\d+)\)")
+
+
+def _read_text(text: str) -> dict:
+    """The shifts, the meeting point and the value chart that a ``resolve
+    --text`` report writes, read back; each value through its JSON."""
+    def value(data: str) -> CycloNum:
+        return cyclo_from_json(json.loads(data), max_order=DEFAULT_ORDER_LIMIT)
+
+    read = {"shifts": []}
+    for line in text.splitlines():
+        if "recenter v by " in line:
+            read["shifts"].append(value(line.split(" by ", 1)[1].split("; ", 1)[0]))
+        elif m := _MEETING.fullmatch(line):
+            read["meeting_point"] = {
+                "components": [int(m[1]), int(m[2])],
+                "tag": {"kind": m[3], "pole_u": int(m[4]), "pole_v": int(m[5])}}
+        elif line.startswith("  value chart: "):
+            read["value_chart"] = {key: value(data) for key, data in (
+                part.split(" ", 1) for part in line[15:].split("; "))}
+    return read
+
+
+def _tree_as_read(tree) -> dict:
+    doc = tree_to_json(tree)
+    return {"shifts": [s.shift for s in tree.steps],
+            "meeting_point": doc["meeting_point"], "value_chart": doc["value_chart"]}
 
 
 def test_text_shifts_read_back_as_the_chain_shifts(tmp_path):
+    # The shifts, the meeting point and the value chart of the text read
+    # back as the tree's, as tree_to_json writes them.
     for case in RESOLVE_GOLDENS:
         alpha = laurent_from_json(json.loads(case.read_text())["alpha"],
                                   max_order=DEFAULT_ORDER_LIMIT)
         out = tmp_path / "tree.txt"
         assert main(["resolve", "--text", "--input", str(case),
                      "--output", str(out)]) == 0
-        assert _text_shifts(out.read_text()) == \
-            [s.shift for s in build_resolution(alpha).steps]
+        assert _read_text(out.read_text()) == _tree_as_read(build_resolution(alpha))
     for alpha in chain_alphas(random.Random(16), 500):
         tree = build_resolution(alpha)
-        assert _text_shifts(tree_to_text(tree)) == [s.shift for s in tree.steps]
+        assert _read_text(tree_to_text(tree)) == _tree_as_read(tree)
 
 
 @pytest.mark.parametrize("case", RESOLVE_GOLDENS,
@@ -220,7 +243,7 @@ def test_strict_transform_membership():
 
 def _ed_value(chart, v0):
     """The value of g at coordinate v0 of the distinguished component."""
-    return (chart.num0 + chart.numlin * v0) / chart.den0
+    return (chart.num0 + chart.numlin * v0) * chart.den0.inv()
 
 
 def test_strict_transform_separates_by_delta0():
@@ -248,7 +271,7 @@ def test_point_is_affine_in_delta0():
 
         p0 = point(Fraction(0))
         p1 = point(Fraction(1))
-        slope = p1 - p0
+        slope = p1 + (-p0)
         for d0 in (Fraction(5), Fraction(-7, 2), Fraction(13, 3)):
             assert point(d0) == p0 + slope * CycloNum.from_rational(d0)
 
@@ -264,20 +287,19 @@ def test_higher_delta_terms_do_not_move_the_point():
 
 def test_verify_corollary_on_unramified_worked_example():
     # Unramified copies of the golden instance, fed as p = 1 branches.
-    lam = CycloPoly.variable()
-    one = CycloPoly.one()
+    x_plus_1 = CycloPoly([1, 1])
     branches = [
-        flat_branch("l1", LaurentPoly({-2: 1}), m=2, zeta=(lam - one) ** 2),
-        flat_branch("l2x1", LaurentPoly({-3: -1}), zeta=lam + one),
-        flat_branch("l2x2", LaurentPoly({-3: 1}), zeta=lam + one),
+        flat_branch("l1", LaurentPoly({-2: 1}), m=2, zeta=CycloPoly([1, -2, 1])),
+        flat_branch("l2x1", LaurentPoly({-3: -1}), zeta=x_plus_1),
+        flat_branch("l2x2", LaurentPoly({-3: 1}), zeta=x_plus_1),
     ]
     reps = oracle(branches)
     assert all(rep.consistent for rep in reps.values())
     rep = reps[repr(LaurentPoly({-3: 1}))]
     assert rep.members_by_blowup == rep.members_by_polar == ("l2x2#1",)
-    assert rep.rank_by_blowup == 1 and rep.charpoly_by_blowup == lam + one
+    assert rep.rank_by_blowup == 1 and rep.charpoly_by_blowup == x_plus_1
 
-    dup = branches + [flat_branch("dup", LaurentPoly({-3: 1}), zeta=lam + one)]
+    dup = branches + [flat_branch("dup", LaurentPoly({-3: 1}), zeta=x_plus_1)]
     rep3 = oracle(dup)[repr(LaurentPoly({-3: 1}))]
     assert rep3.consistent  # both sides agree the separation fails
     assert not rep3.star_by_blowup and not rep3.star_by_polar
@@ -288,8 +310,7 @@ def test_chi_psi_telescopes():
     # -chi over the distinguished component telescopes to the multiplicity
     # summed over the copies that meet it: verify_corollary's rank.
     alpha = LaurentPoly({-1: 1})
-    lam, one = CycloPoly.variable(), CycloPoly.one()
-    branches = [flat_branch("a", alpha, m=2, zeta=(lam + one) ** 2),
+    branches = [flat_branch("a", alpha, m=2, zeta=CycloPoly([1, 2, 1])),
                 flat_branch("far", LaurentPoly({-2: 1}))]
     reps = oracle(branches)
     rep = reps[repr(alpha)]
@@ -301,14 +322,14 @@ def test_chi_psi_telescopes():
                                 members=(), rank_branchwise=0, charpoly=None)
     rep = verify_corollary([CopySeries(u) for u in dec.copies], empty)
     assert rep.consistent and rep.members_by_blowup == ()
-    assert rep.rank_by_blowup == 0 and rep.charpoly_by_blowup == one
+    assert rep.rank_by_blowup == 0 and rep.charpoly_by_blowup == CycloPoly([1])
 
 
 def test_chi_psi_shared_point_groups_multiplicities():
     # Two branches with equal constant term land on one point: still one
     # marked point, multiplicities added.
     alpha = LaurentPoly({-2: 1})
-    b1 = flat_branch("a", alpha, delta0=0, m=2, zeta=CycloPoly([-1, 1]) ** 2)
+    b1 = flat_branch("a", alpha, delta0=0, m=2, zeta=CycloPoly([1, -2, 1]))
     b2 = flat_branch("b", alpha, delta=LaurentPoly({1: 1}), m=1)
     (rep,) = oracle([b1, b2]).values()
     assert rep.points[0][1] == rep.points[1][1]
@@ -316,10 +337,9 @@ def test_chi_psi_shared_point_groups_multiplicities():
 
 
 def test_zeta_psi_example():
-    lam = CycloPoly.variable()
-    one = CycloPoly.one()
-    (rep,) = oracle([flat_branch("a", LaurentPoly({-1: 1}), zeta=lam + one)]).values()
-    assert rep.consistent and rep.charpoly_by_blowup == lam + one
+    zeta = CycloPoly([1, 1])
+    (rep,) = oracle([flat_branch("a", LaurentPoly({-1: 1}), zeta=zeta)]).values()
+    assert rep.consistent and rep.charpoly_by_blowup == zeta
 
 
 def test_zeta_psi_requires_separation():
@@ -342,7 +362,7 @@ def test_zeta_psi_random_cancellation():
             branches.append(flat_branch(f"b{i}", alpha, delta0=i, m=m,
                                         zeta=rand_monic(rng, m)))
         (rep,) = oracle(branches).values()
-        want = CycloPoly.one()
+        want = CycloPoly([1])
         for b in branches:
             want = want * b.zeta
         assert rep.charpoly_by_blowup == want == rep.factor.charpoly
@@ -557,7 +577,7 @@ def test_chain_inverts_its_slope_once(monkeypatch):
 
 
 def test_non_member_of_other_pole_order_reads_one_coefficient(monkeypatch):
-    z = root_of_unity(5, 1)
+    z = root(5, 1)
     tree = build_resolution(LaurentPoly({-2: z, -1: 3}))
     copies = [flat("lo", LaurentPoly({-1: z * 2}), delta=LaurentPoly({0: 1, 3: 2})),
               flat("hi", LaurentPoly({-3: z, -1: 1}), delta=LaurentPoly({1: 4}))]
@@ -574,7 +594,7 @@ def test_member_work_does_not_grow_with_truncation(monkeypatch):
     # Two branches that differ only past the constant term of their
     # holomorphic parts, one of them known to a far higher order, cost the
     # same arithmetic and meet the distinguished component at one point.
-    z = root_of_unity(7, 2)
+    z = root(7, 2)
     alpha = LaurentPoly({-3: z, -2: 1, -1: z * 3})
     tree = build_resolution(alpha)
     deltas = (LaurentPoly({0: 2, 1: -1, 5: 3}),

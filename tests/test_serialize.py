@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expdirect.cli import DEFAULT_ORDER_LIMIT as CAP
-from expdirect.cyclotomic import CycloNum, CycloPoly, root_of_unity
+from expdirect.cyclotomic import CycloNum, CycloPoly
 from expdirect.laurent import LaurentPoly
 from expdirect.newton import NewtonPolygon
 from expdirect.realization import FormalModuleSpec, FormalSummand
@@ -27,9 +27,8 @@ from expdirect.serialize import (
     rational_from_json,
     rational_to_json,
     spec_from_json,
-    spec_to_json,
 )
-from tests.helpers import rand_branch, rand_cyclo, rand_laurent
+from tests.helpers import rand_branch, rand_cyclo, rand_laurent, root, spec_doc
 
 
 def test_rational_round_trip():
@@ -128,18 +127,16 @@ def test_polygon_to_json():
 
 
 def test_spec_round_trip():
-    lam = CycloPoly.variable()
     spec = FormalModuleSpec(
         p=4,
         summands=(
-            FormalSummand(LaurentPoly({-3: root_of_unity(4, 1)}), 1,
-                          lam + CycloPoly.one()),
+            FormalSummand(LaurentPoly({-3: root(4, 1)}), 1, CycloPoly([1, 1])),
             FormalSummand(LaurentPoly({-2: 1, -1: Fraction(1, 2)}), 2,
-                          (lam + CycloPoly.one()) ** 2),
+                          CycloPoly([1, 2, 1])),
         ),
         regular_rank=3,
     )
-    back = spec_from_json(spec_to_json(spec), "$", max_order=CAP)
+    back = spec_from_json(spec_doc(spec), "$", max_order=CAP)
     assert back.p == spec.p and back.regular_rank == spec.regular_rank
     assert len(back.summands) == 2
     for a, b in zip(back.summands, spec.summands):
@@ -223,7 +220,7 @@ def test_dumps_leaves_no_reference_cycle():
     # until the next collection.
     doc = {"a": [1, {"b": "c", "d": []}, None, True, False], "e": {}}
     values = {"x": [CycloNum(15, {11: Fraction(1, 2)}), CycloPoly([1, 2])],
-              "y": {"z": LaurentPoly({-12: root_of_unity(24, 5), -1: 3})}}
+              "y": {"z": LaurentPoly({-12: root(24, 5), -1: 3})}}
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
