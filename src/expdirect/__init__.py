@@ -31,6 +31,7 @@ from .resolution import (
     build_resolution,
     strict_transform,
     verify_corollary,
+    verify_decomposition,
 )
 
 __version__ = "0.1.0"
@@ -44,5 +45,5 @@ __all__ = [
     "FormalModuleSpec", "FormalSummand", "canonicalize", "realize",
     "roundtrip_check",
     "CopySeries", "ResolutionTree", "build_resolution", "strict_transform",
-    "verify_corollary",
+    "verify_corollary", "verify_decomposition",
 ]

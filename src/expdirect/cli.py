@@ -45,8 +45,7 @@ from .newton import (
     slopes,
 )
 from .realization import NormalizationConflictError, realize, roundtrip_check
-from .resolution import (CopySeries, CorollaryReport, build_resolution,
-                         verify_corollary)
+from .resolution import CorollaryReport, build_resolution, verify_decomposition
 from . import serialize
 from .serialize import SchemaError
 
@@ -157,9 +156,7 @@ def _point_report(c: str, k: int, branches, warnings, keys) -> PointReport:
     if "decomposition" in keys or "oracle" in keys:
         dec = decompose(branches)
     if "oracle" in keys:
-        # One series per copy, shared by every factor's replay.
-        series = [CopySeries(u) for u in dec.copies]
-        oracle = tuple(verify_corollary(series, factor) for factor in dec.factors)
+        oracle = verify_decomposition(dec)
     return PointReport(c=c, k=k, warnings=tuple(warnings), polygon=polygon,
                        decomposition=dec, oracle=oracle)
 

@@ -27,7 +27,12 @@ and scaling by a nonzero rational keep the conductor and skip that step.
 The public constructor ``CycloNum(order, coeffs)`` is where outside input
 enters: it takes any integer exponent at any positive order, checks the
 coefficient types and stores the canonical form.  Arithmetic results are
-built canonical and skip that validation.  ``_check_order`` sees every
+built canonical and skip that validation.  One path, ``_monomial``, builds
+every one-term value at a new exponent: the constructor given one term, a
+product of two one-term values, ``times_root`` and ``inv`` of one term.
+Such a value is c*zeta^e with zeta^e a primitive root of unity: its term
+is put on the basis at the root's own order, with no descent to the
+conductor and no product convolution.  ``_check_order`` sees every
 order a value is written or computed at; the conductor it is stored at
 divides that order.  The kernel caps no order: the command line bounds the
 orders an input can reach before it starts work.
@@ -227,8 +232,12 @@ class CycloNum:
                 e %= order
                 prev = raw.get(e)
                 raw[e] = c if prev is None else prev + c
-        value = _canonical(order, _normalised(
-            order, {e: c for e, c in raw.items() if c}))
+        if len(raw) == 1:
+            (e, c), = raw.items()
+            value = _monomial(order, e, c)
+        else:
+            value = _canonical(order, _normalised(
+                order, {e: c for e, c in raw.items() if c}))
         object.__setattr__(self, "order", value.order)
         object.__setattr__(self, "coeffs", value.coeffs)
 
@@ -277,9 +286,12 @@ class CycloNum:
             return self if k == 0 else -self
         m = self.order
         order = lcm(m, n)
+        step, shift = order // m, k * (order // n)
+        if len(self.coeffs) == 1:
+            (e, c), = self.coeffs.items()
+            return _monomial(order, e * step + shift, c)
         if order != m:
             _check_order(order)
-        step, shift = order // m, k * (order // n)
         raw: dict[int, Fraction] = {}
         for e, c in self.coeffs.items():
             e = e * step + shift
@@ -337,6 +349,12 @@ class CycloNum:
         if self.order == 1:
             return other._scaled(self)
         n = self.order
+        if len(self.coeffs) == 1 and len(other.coeffs) == 1:
+            (i, ca), = self.coeffs.items()
+            (j, cb), = other.coeffs.items()
+            m = other.order
+            n = lcm(n, m)
+            return _monomial(n, i * (n // self.order) + j * (n // m), ca * cb)
         if n == other.order:
             a, b = self.coeffs, other.coeffs
         else:
@@ -372,7 +390,7 @@ class CycloNum:
         n = self.order
         if len(coeffs) == 1:
             (e, c), = coeffs.items()
-            return _reduced(n, _normalised(n, {-e % n: 1 / c}))
+            return _monomial(n, -e, 1 / c)
         a = [Fraction(0)] * n
         for e, c in coeffs.items():
             a[e] = c
@@ -435,9 +453,10 @@ def _reduced(order: int, coeffs: dict[int, Fraction]) -> CycloNum:
 
 
 def _monomial(order: int, e: int, c: Fraction) -> CycloNum:
-    """``CycloNum(order, {e: c})``: zeta_order^e is a primitive n-th root,
-    n = order/gcd(e, order), and at n = 2m, m odd, -zeta_m^(e*(m+1)/2).  So,
-    as in ``inv``, the one term put on the basis at n is canonical."""
+    """``CycloNum(order, {e: c})``, any integer ``e``: zeta_order^e is a
+    primitive n-th root, n = order/gcd(e, order), and at n = 2m, m odd,
+    -zeta_m^(e*(m+1)/2).  A primitive root lies in no smaller cyclotomic
+    field, so the one term put on the basis at n is canonical."""
     _check_order(order)
     if not c:
         return _reduced(1, {})

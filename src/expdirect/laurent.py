@@ -194,9 +194,9 @@ def _content(cols) -> tuple[int, int]:
     """Largest monomial u^a v^b dividing c0 + c1*v, given as its columns
     (c0, c1); (0, 0) for zero."""
     c0, c1 = cols
-    if not (c0 or c1):
-        return 0, 0
-    return min([*c0, *c1]), 0 if c0 else 1
+    if c0:
+        return (min(min(c0), min(c1)) if c1 else min(c0)), 0
+    return (min(c1), 1) if c1 else (0, 0)
 
 
 def _divide_monomial(cols, a: int, b: int):
@@ -224,12 +224,23 @@ def _corner(cols, second: bool) -> tuple[tuple[int, int], bool]:
     """Content (a, b) of c0 + c1*v, the least exponent of each variable,
     and whether a term sits at u^a*v^b: read from the terms u^i*v^j or,
     when ``second``, from their pull-back under u -> u*v, which sends each
-    to the single term u^i*v^(i+j).  A zero form has content (0, 0)."""
-    exps = {(i, i + j if second else j) for j, col in enumerate(cols) for i in col}
-    if not exps:
-        return (0, 0), False
-    corner = min(i for i, _ in exps), min(j for _, j in exps)
-    return corner, corner in exps
+    to the single term u^i*v^(i+j).  A zero form has content (0, 0).
+
+    Within a column both exponents grow with i, so only each column's
+    least term can attain either minimum or sit at the corner."""
+    c0, c1 = cols
+    lows = []
+    if c0:
+        i = min(c0)
+        lows.append((i, i if second else 0))
+    if c1:
+        i = min(c1)
+        lows.append((i, i + 1 if second else 1))
+    if len(lows) < 2:
+        return (lows[0], True) if lows else ((0, 0), False)
+    (a0, b0), (a1, b1) = lows
+    corner = min(a0, a1), min(b0, b1)
+    return corner, corner in lows
 
 
 class BiRational:

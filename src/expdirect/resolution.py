@@ -32,9 +32,17 @@ past y[2q], q the copy's own pole order, and up to there the series depends
 only on the copy's polar part and the constant term of its holomorphic part;
 a read beyond raises IndexError, never a silent wrong value.
 
-``verify_corollary`` checks one factor of the decomposition against the
+``verify_corollary`` checks one factor of the decomposition against its
 chain: its members and their separation, and the rank and monodromy it
 assembles over the distinguished component from the copies that meet it.
+``verify_decomposition`` checks every factor of one point.  The copies of
+a branch are twists of each other: at the common ramification p, copy i
+has the polar part alpha_i0(zeta_p^(i - i0) t) of copy i0, and the chain
+commutes with that twist (``_twist``), which takes no inversion and no
+blow-up.  So one chain is built per branch, for the branch's first factor,
+and each later factor of the branch gets the twist of that chain, used
+only when its polar part is exactly the factor's; otherwise the factor's
+own chain is built.
 """
 
 from __future__ import annotations
@@ -44,13 +52,14 @@ from dataclasses import dataclass
 
 from .branch import UnramifiedBranch
 from .cyclotomic import CycloNum, CycloPoly
-from .decomposition import ExponentialFactor
+from .decomposition import ExponentialFactor, FormalDecomposition
 from .laurent import (
     BiRational,
     ClassificationError,
     LaurentPoly,
     NormalFormKind,
     NormalFormTag,
+    subst_root_power,
 )
 
 __all__ = [
@@ -60,6 +69,7 @@ __all__ = [
     "build_resolution",
     "strict_transform",
     "verify_corollary",
+    "verify_decomposition",
 ]
 
 
@@ -199,6 +209,32 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
             axis_points.append(AxisPointRecord(component=index, tag=tag))
 
 
+def _twist(tree: ResolutionTree, n: int, d: int) -> ResolutionTree:
+    """The chain of alpha(zeta_n^d t), alpha = ``tree.alpha``, from the
+    chain of alpha.
+
+    With zeta = zeta_n^d, the twisted g is g(zeta x, y).  After blow-up j,
+    counting from 1, the twisted form at (u, v) is the original at
+    (zeta u, zeta^-j v), its numerator and denominator scaled by one common
+    root of unity, which is zeta^q on the distinguished component.  So the
+    center of step j, counting from 0, gains zeta^j; the value chart
+    (num0 + numlin*v)/den0, read at zeta^(-2q) v, has num0 and den0 gain
+    zeta^q and numlin zeta^-q; exponents do not change, so every tag, pole
+    order and axis point stays.
+    """
+    q = len(tree.steps) // 2
+    chart = tree.ed_chart
+    return ResolutionTree(
+        subst_root_power(tree.alpha, n, d, 1),
+        tuple(BlowUpStep(step.shift.times_root(n, d * j), step.crossing,
+                         step.pole_order)
+              for j, step in enumerate(tree.steps)),
+        tree.axis_points,
+        EdChart(num0=chart.num0.times_root(n, d * q),
+                numlin=chart.numlin.times_root(n, -d * q),
+                den0=chart.den0.times_root(n, d * q)))
+
+
 class CopySeries:
     """y(t) = t^q / (B(t) + delta0 t^q) of one copy, extended on demand.
 
@@ -308,14 +344,15 @@ class CorollaryReport:
                 and self.rank_agrees and self.charpoly_agrees)
 
 
-def verify_corollary(series: Sequence[CopySeries],
-                     factor: ExponentialFactor) -> CorollaryReport:
-    """Check one exponential factor of the decomposition against the
-    blow-up chain of its polar part.
+def verify_corollary(series: Sequence[CopySeries], factor: ExponentialFactor,
+                     tree: ResolutionTree) -> CorollaryReport:
+    """Check one exponential factor of the decomposition against ``tree``,
+    the blow-up chain of its polar part.
 
     ``series`` holds one CopySeries per unramified copy of the point; the
     same series are passed for every factor, so each coefficient is
-    computed once per point.
+    computed once per point.  A tree of another polar part is refused with
+    ValueError.
 
     The polar side is the factor as decomposed: its members, separated when
     their constant terms are pairwise distinct.  The blow-up side is the
@@ -341,7 +378,8 @@ def verify_corollary(series: Sequence[CopySeries],
     Copies are named ``label#root_index`` in the report; ``steps_matched``
     pairs each name with the number of blow-up centers its copy tracked.
     """
-    tree = build_resolution(factor.alpha)
+    if tree.alpha != factor.alpha:
+        raise ValueError("the chain is not that of the factor's polar part")
     n = len(tree.steps)
     members = set(factor.members)
     by_blowup, by_polar, points, steps, meeting = [], [], [], [], []
@@ -379,3 +417,24 @@ def verify_corollary(series: Sequence[CopySeries],
         rank_by_blowup=sum(u.m for u in meeting),
         charpoly_by_blowup=charpoly,
     )
+
+
+def verify_decomposition(dec: FormalDecomposition) -> tuple[CorollaryReport, ...]:
+    """``verify_corollary`` of every factor of one point's decomposition, in
+    factor order, over one CopySeries per copy.  A factor belongs to the
+    branch of its first member, ``(label, i)``; the branch's first factor,
+    ``(label, i0)``, gets its chain built, and a later one the twist of
+    that chain by zeta_p^(i - i0), p = ``dec.p``, if that is its own."""
+    series = [CopySeries(u) for u in dec.copies]
+    # label -> (root index, chain) of the branch's first factor.
+    chains: dict[str, tuple[int, ResolutionTree]] = {}
+    reports = []
+    for factor in dec.factors:
+        label, i = factor.members[0]
+        first = chains.get(label)
+        tree = None if first is None else _twist(first[1], dec.p, i - first[0])
+        if tree is None or tree.alpha != factor.alpha:
+            tree = build_resolution(factor.alpha)
+            chains.setdefault(label, (i, tree))
+        reports.append(verify_corollary(series, factor, tree))
+    return tuple(reports)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .branch import Branch
-from .cyclotomic import CycloNum, CycloPoly, _monomial
+from .cyclotomic import CycloNum, CycloPoly
 from .decomposition import ExponentialFactor, FormalDecomposition
 from .laurent import LaurentPoly
 from .newton import NewtonPolygon
@@ -115,25 +115,30 @@ def cyclo_to_json(a: CycloNum) -> dict:
 
 def cyclo_from_json(data, path: str = "$", *, max_order: int) -> CycloNum:
     """A cyclotomic number; an ``order`` above ``max_order`` is refused
-    before any value is built, and a single term skips the constructor."""
+    before any value is built.  The paths of its parts are written only
+    into a refusal."""
     if isinstance(data, (int, str)):
         # Bare rationals are accepted as order-1 values.
         return CycloNum.from_rational(rational_from_json(data, path))
     obj = _expect_dict(data, path)
-    order = _expect_int(obj.get("order"), f"{path}.order")
+    order = obj.get("order")
+    if type(order) is not int:
+        order = _expect_int(order, f"{path}.order")
     if order > max_order:
         raise SchemaError(f"{path}.order", f"order {order} exceeds the order "
                                            f"cap {max_order} (--max-order)")
-    coeffs = _expect_dict(obj.get("coeffs", {}), f"{path}.coeffs")
+    coeffs = obj.get("coeffs", {})
+    if type(coeffs) is not dict:
+        coeffs = _expect_dict(coeffs, f"{path}.coeffs")
     terms = {}
     for key, val in coeffs.items():
-        where = f"{path}.coeffs.{key}"
-        e = _int_key(key, where)
-        terms[e] = rational_from_json(val, where)
+        try:
+            terms[int(key)] = rational_from_json(val, path)
+        except ValueError:
+            # Refused: read it again under its own path, which raises.
+            where = f"{path}.coeffs.{key}"
+            terms[_int_key(key, where)] = rational_from_json(val, where)
     try:
-        if len(terms) == 1:
-            (e, c), = terms.items()
-            return _monomial(order, e, c)
         return CycloNum(order, terms)
     except ValueError as err:
         raise SchemaError(path, str(err)) from None

@@ -28,7 +28,7 @@ from expdirect.resolution import (
     CopySeries,
     build_resolution,
     strict_transform,
-    verify_corollary,
+    verify_decomposition,
 )
 from tests.helpers import (
     mk,
@@ -140,8 +140,7 @@ def test_criterion_4_strict_transform_oracle():
         branches, alpha = _unramified_instance(rng)
         dec = decompose(branches)
         series = [CopySeries(u) for u in dec.copies]
-        for factor in dec.factors:
-            rep = verify_corollary(series, factor)
+        for rep in verify_decomposition(dec):
             assert rep.membership_agrees, rep
             assert rep.star_agrees, rep
         # The target need not be a factor: a copy meets its distinguished
@@ -164,11 +163,9 @@ def test_criterion_5_stratified_totals_telescope():
     while chi_checked < 100 or zeta_checked < 100:
         branches, _ = _unramified_instance(rng)
         dec = decompose(branches)
-        series = [CopySeries(u) for u in dec.copies]
-        for factor in dec.factors:
-            rep = verify_corollary(series, factor)
+        for rep in verify_decomposition(dec):
             assert rep.consistent, rep
-            members = [b for b in branches if b.alpha == factor.alpha]
+            members = [b for b in branches if b.alpha == rep.factor.alpha]
             assert rep.rank_by_blowup == sum(b.m for b in members)
             chi_checked += 1
             if rep.star_by_blowup:
@@ -271,10 +268,8 @@ def test_criterion_9_worked_instance_golden():
     # criterion 2 on the polygon, and the blow-up oracle from criterion 4.
     expect = grid_minkowski_vertices([(2, 2), (2, 3)])
     assert [(int(x), int(y)) for x, y in poly.vertices()] == expect
-    series = [CopySeries(u) for u in dec.copies]
-    for factor in dec.factors:
-        rep = verify_corollary(series, factor)
+    for rep in verify_decomposition(dec):
         assert rep.consistent
-        assert rep.rank_by_blowup == factor.rank_branchwise
-        assert rep.charpoly_by_blowup == factor.charpoly
+        assert rep.rank_by_blowup == rep.factor.rank_branchwise
+        assert rep.charpoly_by_blowup == rep.factor.charpoly
     _report(9, "golden two-branch instance reproduces all frozen values")

@@ -18,6 +18,7 @@ from expdirect.cli import main
 from expdirect.cyclotomic import CycloNum, CycloPoly
 from expdirect.laurent import LaurentPoly
 from expdirect.realization import FormalModuleSpec, FormalSummand
+from expdirect.resolution import build_resolution
 from expdirect.serialize import (branch_to_json, cyclo_to_json, cyclopoly_to_json,
                                  laurent_to_json)
 from tests.helpers import mk, rand_branch, root, spec_doc, worked_example_branches
@@ -274,9 +275,9 @@ def test_rational_in_exponent_notation_is_exit_2(tmp_path, capsys):
 ], ids=["order-0", "order-negative", "order-past-the-cap", "key", "key-first"])
 def test_single_term_refusals_are_exit_2_with_their_message(tmp_path, capsys,
                                                              value, where, message):
-    # A single term is parsed by a shortcut past the constructor: it refuses
-    # what the constructor refuses, at the same path and with the same
-    # message, and never divides by a bad order.
+    # A single term takes the constructor's one-term path: it refuses what
+    # the dense path refuses, at the same path and with the same message,
+    # and never divides by a bad order.
     doc = {"points": [{"c": "0", "k": 0, "branches": [
         branch_to_json(mk("a")) | {"alpha": {"terms": {"-1": value}}}]}]}
     path = tmp_path / "in.json"
@@ -460,40 +461,54 @@ def test_verify_subcommand(problem_file, capsys):
 
 
 # Stage calls over problem_file's two points, one of them without branches.
-@pytest.mark.parametrize("args, polygons, decompositions, calls", [
-    pytest.param(["invariants"], 2, 0, 0, id="invariants-0"),
-    pytest.param(["decompose"], 0, 2, 0, id="decompose-0"),
-    pytest.param(["verify"], 0, 2, 3, id="verify-3"),
-    pytest.param(["report"], 2, 2, 3, id="report-3"),
-    pytest.param(["report", "--oracle", "off"], 2, 2, 0, id="report-off-0"),
+@pytest.mark.parametrize("args, polygons, decompositions, calls, chains", [
+    pytest.param(["invariants"], 2, 0, 0, 0, id="invariants-0"),
+    pytest.param(["decompose"], 0, 2, 0, 0, id="decompose-0"),
+    pytest.param(["verify"], 0, 2, 3, 2, id="verify-3"),
+    pytest.param(["report"], 2, 2, 3, 2, id="report-3"),
+    pytest.param(["report", "--oracle", "off"], 2, 2, 0, 0, id="report-off-0"),
 ])
 def test_oracle_runs_only_for_a_view_that_prints_it(
-        problem_file, monkeypatch, capsys, args, polygons, decompositions, calls):
+        problem_file, monkeypatch, capsys, args, polygons, decompositions, calls,
+        chains):
     # Each view runs only the stages it prints: the polygon, the
-    # decomposition, and the oracle once per factor.
+    # decomposition, and the oracle once per factor, with one chain built
+    # per branch that owns a factor: l1 owns one factor, l2 its two copies'.
     import expdirect.cli as cli_mod
+    import expdirect.resolution as resolution_mod
 
     seen = {}
 
-    def spy(name):
-        real, calls_of = getattr(cli_mod, name), seen.setdefault(name, [])
+    def spy(module, name):
+        real, calls_of = getattr(module, name), seen.setdefault(name, [])
 
         def wrapper(*a, **kw):
             calls_of.append(a)
             return real(*a, **kw)
         return wrapper
 
-    for name in ("polygon_from_branches", "decompose", "verify_corollary"):
-        monkeypatch.setattr(cli_mod, name, spy(name))
+    for module, name in ((cli_mod, "polygon_from_branches"), (cli_mod, "decompose"),
+                         (resolution_mod, "verify_corollary"),
+                         (resolution_mod, "build_resolution")):
+        monkeypatch.setattr(module, name, spy(module, name))
     assert run_cli(*args, "--input", problem_file) == 0
     assert [len(calls_of) for calls_of in seen.values()] == \
-        [polygons, decompositions, calls]
+        [polygons, decompositions, calls, chains]
     if calls:
         # One call per factor, in the order the report lists them.
         checks = json.loads(capsys.readouterr().out)["points"][0]["oracle"]
         assert [laurent_to_json(factor.alpha)
-                for _, factor in seen["verify_corollary"]] == \
+                for _, factor, _ in seen["verify_corollary"]] == \
             [check["alpha"] for check in checks]
+        # The chains built are those of each branch's first factor, and
+        # every factor is checked against its own polar part's chain.
+        firsts = {}
+        for _, factor, _ in seen["verify_corollary"]:
+            firsts.setdefault(factor.members[0][0], factor.alpha)
+        assert [alpha for (alpha,) in seen["build_resolution"]] == \
+            list(firsts.values())
+        assert all(tree == build_resolution(factor.alpha)
+                   for _, factor, tree in seen["verify_corollary"])
 
 
 def test_decompose_subcommand(problem_file, capsys):
@@ -517,17 +532,18 @@ def test_report_exit_3_on_oracle_mismatch(problem_file, monkeypatch, capsys, com
     # Force a disagreement through the plumbing: the file-level contract is
     # exit 3 when the independent check contradicts the symbolic result.
     import expdirect.cli as cli_mod
+    import expdirect.resolution as resolution_mod
 
-    real = cli_mod.verify_corollary
+    real = resolution_mod.verify_corollary
 
-    def broken(series, factor):
+    def broken(series, factor, tree):
         # The polar side forgets the factor's first member.
-        rep = real(series, factor)
+        rep = real(series, factor, tree)
         object.__setattr__(rep, "members_by_polar", rep.members_by_polar[1:])
         object.__setattr__(rep, "membership_agrees", False)
         return rep
 
-    monkeypatch.setattr(cli_mod, "verify_corollary", broken)
+    monkeypatch.setattr(resolution_mod, "verify_corollary", broken)
     assert run_cli(command, "--input", problem_file) == 3
     # One line per disputed factor: the point, the factor, and the copy the
     # two sides disagree on with the blow-up steps it matched.
@@ -541,6 +557,33 @@ def test_report_exit_3_on_oracle_mismatch(problem_file, monkeypatch, capsys, com
         "l2#1 is a member by blow-up only (6 of 6 blow-up steps matched)",
         "l2#2 is a member by blow-up only (6 of 6 blow-up steps matched)",
     ]
+
+    # A later factor of a branch takes the twist of the branch's first
+    # chain only when the two polar parts agree: a factor whose polar part
+    # is perturbed gets its own chain, which its member leaves early.
+    monkeypatch.undo()
+    real_decompose = cli_mod.decompose
+
+    def perturbed(branches):
+        dec = real_decompose(branches)
+        factors, owners = list(dec.factors), set()
+        for j, factor in enumerate(factors):
+            if factor.members[0][0] in owners:
+                factors[j] = dataclasses.replace(
+                    factor, alpha=factor.alpha + LaurentPoly({-1: 1}))
+                return dataclasses.replace(dec, factors=tuple(factors))
+            owners.add(factor.members[0][0])
+        return dec
+
+    monkeypatch.setattr(cli_mod, "decompose", perturbed)
+    assert run_cli(command, "--input", problem_file) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (
+        "error: oracle disagreement at point (c='0', k=0), factor alpha = "
+        "LaurentPoly((CycloNum(1, 1))*t^-3 + (CycloNum(1, 1))*t^-1): l2#2 is a "
+        "member by polar part only (5 of 6 blow-up steps matched); rank by "
+        "blow-up 0, by decomposition 1; charpoly by blow-up CycloPoly([1]), by "
+        "decomposition CycloPoly([1, 1])")
 
 
 @pytest.mark.parametrize("mutate, want", [
@@ -639,7 +682,6 @@ def test_file_order_limit_does_not_leak_into_the_next_call(tmp_path):
         "options": {"max_order": 3}}))
     assert run_cli("report", "--input", capped) == 0
     # The cap is back at the default as soon as main returns.
-    assert root(4, 1) * root(4, 1) == -1
     order4 = tmp_path / "order4.json"
     order4.write_text(json.dumps({"points": [{"c": "0", "k": 0, "branches": [
         branch_to_json(mk("b", p=4, q=1, alpha=LaurentPoly({-1: 1})))]}]}))
@@ -1036,36 +1078,47 @@ def test_classification_error_is_exit_3_with_a_message(
 
 def test_report_oracle_inverts_at_most_once_per_copy_and_factor(monkeypatch, tmp_path):
     # Each copy's series inverts its leading coefficient once per point, and
-    # each chain inverts its slope once: inversions inside the oracle are
-    # bounded by copies + factors, however many factors read each copy.
+    # each chain built inverts its slope once; a twisted chain inverts
+    # nothing.  So inversions inside the oracle are bounded by copies +
+    # chains built, and one chain is built per branch that owns a factor,
+    # however many factors read each copy.
     import expdirect.cli as cli_mod
+    import expdirect.resolution as resolution_mod
     from expdirect.cyclotomic import CycloNum
 
-    calls = {"inv": 0, "in_oracle": False}
-    inv, verify = CycloNum.inv, cli_mod.verify_corollary
+    calls = {"inv": 0, "chains": 0, "in_oracle": False}
+    inv, verify = CycloNum.inv, cli_mod.verify_decomposition
+    build = resolution_mod.build_resolution
 
     def counted_inv(self):
         if calls["in_oracle"]:
             calls["inv"] += 1
         return inv(self)
 
-    def counted_verify(series, factor):
+    def counted_verify(dec):
         calls["in_oracle"] = True
         try:
-            return verify(series, factor)
+            return verify(dec)
         finally:
             calls["in_oracle"] = False
 
+    def counted_build(alpha):
+        calls["chains"] += 1
+        return build(alpha)
+
     monkeypatch.setattr(CycloNum, "inv", counted_inv)
-    monkeypatch.setattr(cli_mod, "verify_corollary", counted_verify)
+    monkeypatch.setattr(cli_mod, "verify_decomposition", counted_verify)
+    monkeypatch.setattr(resolution_mod, "build_resolution", counted_build)
     case = Path(__file__).parent / "golden" / "report" / "03_mixed_p_1_2_3_6.in.json"
     out = tmp_path / "report.json"
     assert run_cli("report", "--input", case, "--output", out) == 0
     (point,) = json.loads(out.read_text())["points"]
     factors = point["decomposition"]["factors"]
     copies = sum(len(f["members"]) for f in factors)
-    assert len(factors) > 1 and calls["inv"] > 0
-    assert calls["inv"] <= copies + len(factors)
+    owners = {f["members"][0][0] for f in factors}
+    assert (len(factors), copies, len(owners)) == (12, 12, 4)
+    assert calls["chains"] == len(owners)
+    assert 0 < calls["inv"] <= copies + calls["chains"]
 
 
 def test_roundtrip_closes_each_orbit_once(monkeypatch, tmp_path):

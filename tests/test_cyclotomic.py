@@ -8,34 +8,13 @@ from math import gcd
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import expdirect.cyclotomic as cyclotomic
 from expdirect.cyclotomic import CycloNum, CycloPoly, totient
 from expdirect.decomposition import laurent_sort_key
 from expdirect.laurent import LaurentPoly
-from tests.helpers import root
-
-
-def numeric(a: CycloNum, dps: int = 40) -> mpmath.mpc:
-    """Independent numeric value of a cyclotomic number."""
-    with mpmath.workdps(dps):
-        zeta = mpmath.exp(2j * mpmath.pi / a.order)
-        return mpmath.fsum(
-            [mpmath.mpf(c.numerator) / c.denominator * zeta**e
-             for e, c in sorted(a.coeffs.items())],
-            absolute=False,
-        ) if a.coeffs else mpmath.mpc(0)
-
-
-def rand_cyclo(rng: random.Random, max_order: int = 12, max_num: int = 9) -> CycloNum:
-    order = rng.randint(1, max_order)
-    coeffs = {}
-    for e in range(totient(order)):
-        if rng.random() < 0.5:
-            coeffs[e] = Fraction(rng.randint(-max_num, max_num),
-                                 rng.randint(1, max_num))
-    return CycloNum(order, coeffs)
+from tests.helpers import numeric, rand_cyclo, root
 
 
 def _poly_mul(f, g) -> list:
@@ -311,6 +290,43 @@ def _check_twist(c: CycloNum, n: int, k: int) -> None:
 @given(cyclo_nums(), st.sampled_from(_ORDERS), st.integers(-130, 130))
 def test_twist_matches_mul_by_root_of_unity(c, n, k):
     _check_twist(c, n, k)
+
+
+def _dense(n: int, raw: dict) -> CycloNum:
+    """The dense path: ``raw`` rewritten on the basis at order n, then
+    brought to its conductor."""
+    return cyclotomic._canonical(n, cyclotomic._normalised(n, raw))
+
+
+@st.composite
+def one_terms(draw):
+    """c*zeta_n^e at an order n up to 420, built by the dense path."""
+    n = draw(st.integers(1, 420))
+    c = draw(st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool))
+    a = _dense(n, {draw(st.integers(0, n - 1)): c})
+    assume(len(a.coeffs) == 1)
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_terms(), one_terms(), st.integers(1, 420), st.integers(-840, 840))
+def test_one_term_products_and_twists_equal_the_dense_path(a, b, n, k):
+    # A product of two one-term values and a twist of one are built on the
+    # one-term path; both must equal what the dense path builds from the
+    # same exponent, and the numeric product.
+    (i, ca), = a.coeffs.items()
+    (j, cb), = b.coeffs.items()
+    m = _lcm(a.order, b.order)
+    want = _dense(m, {(i * (m // a.order) + j * (m // b.order)) % m: ca * cb})
+    assert_canonical(a * b, want)
+    with mpmath.workdps(40):
+        assert abs(numeric(a * b) - numeric(a) * numeric(b)) < 1e-30
+    m = _lcm(a.order, n)
+    want = _dense(m, {(i * (m // a.order) + k * (m // n)) % m: ca})
+    assert_canonical(a.times_root(n, k), want)
+    with mpmath.workdps(40):
+        zeta = mpmath.expjpi(mpmath.mpf(2 * k) / n)
+        assert abs(numeric(a.times_root(n, k)) - numeric(a) * zeta) < 1e-30
 
 
 @pytest.mark.parametrize("c", [

@@ -1,7 +1,7 @@
 """The stages ``report`` runs on one point, called one by one with the oracle
 on, over ramified branches with holomorphic parts: ``validate_all`` for the
-warnings, ``decompose``, and ``verify_corollary`` of each factor over one
-``CopySeries`` per copy."""
+warnings, ``decompose``, and ``verify_decomposition``, which checks each
+factor over one ``CopySeries`` per copy."""
 
 import random
 from fractions import Fraction
@@ -10,7 +10,7 @@ from expdirect.branch import validate_all
 from expdirect.cli import DEFAULT_TRUNCATION
 from expdirect.decomposition import decompose
 from expdirect.laurent import LaurentPoly
-from expdirect.resolution import CopySeries, verify_corollary
+from expdirect.resolution import verify_decomposition
 from tests.helpers import mk, rand_branch, worked_example_branches
 
 
@@ -20,8 +20,7 @@ def stages(branches):
     reports = validate_all(branches, DEFAULT_TRUNCATION)
     assert all(r.valid for r in reports), reports
     dec = decompose(branches)
-    series = [CopySeries(u) for u in dec.copies]
-    oracle = [verify_corollary(series, factor) for factor in dec.factors]
+    oracle = verify_decomposition(dec)
     return [w for r in reports for w in r.warnings], dec, oracle
 
 

@@ -20,13 +20,15 @@ from expdirect.cyclotomic import CycloNum, CycloPoly
 from expdirect.decomposition import decompose
 from expdirect.laurent import LaurentPoly, NormalFormKind, subst_root_power
 from expdirect.resolution import (
+    _twist,
     build_resolution,
     strict_transform,
     verify_corollary,
+    verify_decomposition,
     CopySeries,
 )
-from expdirect.serialize import (cyclo_from_json, dumps, laurent_from_json,
-                                 tree_to_json, tree_to_text)
+from expdirect.serialize import (branch_from_json, cyclo_from_json, dumps,
+                                 laurent_from_json, tree_to_json, tree_to_text)
 from tests.helpers import (conjugated_input, conjugated_values, galois_ks, mk,
                            rand_branch, rand_monic, rand_polar, root, unipotent,
                            value_orders, worked_example_branches)
@@ -47,11 +49,10 @@ def flat(*args, **kwargs):
 
 
 def oracle(branches):
-    """``verify_corollary`` on every factor of the branches' decomposition,
-    keyed by the factor's polar part."""
-    dec = decompose(branches)
-    series = [CopySeries(u) for u in dec.copies]
-    return {repr(f.alpha): verify_corollary(series, f) for f in dec.factors}
+    """``verify_decomposition`` of the branches' decomposition, each report
+    keyed by its factor's polar part."""
+    return {repr(rep.factor.alpha): rep
+            for rep in verify_decomposition(decompose(branches))}
 
 
 def test_chain_length_and_shape():
@@ -226,6 +227,70 @@ def test_chain_commutes_with_galois_conjugation():
     assert pairs > 100
 
 
+REPORT_GOLDENS = sorted((Path(__file__).parent / "golden" / "report").glob("*.in.json"))
+
+
+def test_twisted_chain_is_the_chain_of_the_twisted_polar_part():
+    # The chain of alpha(zeta_n^d t) is the twist of alpha's chain: every
+    # shift, value-chart entry and axis point compared, on every factor of
+    # every report golden at its point's ramification (at least 2) and on
+    # seeded chains up to pole order 24 at six orders n.
+    pairs = []
+    for case in REPORT_GOLDENS:
+        for point in json.loads(case.read_text())["points"]:
+            dec = decompose([branch_from_json(b, max_order=DEFAULT_ORDER_LIMIT)
+                             for b in point["branches"]])
+            n = max(dec.p, 2)
+            pairs += [(f.alpha, n, d) for f in dec.factors for d in range(1, n)]
+    rng = random.Random(18)
+    for alpha in chain_alphas(random.Random(19), 40):
+        pairs += [(alpha, n, rng.randrange(1, n)) for n in (2, 3, 5, 6, 7, 12)]
+    assert len(pairs) > 300
+    for alpha, n, d in pairs:
+        twisted = _twist(build_resolution(alpha), n, d)
+        assert twisted == build_resolution(subst_root_power(alpha, n, d, 1)), \
+            (alpha, n, d)
+
+
+def test_oracle_twists_one_chain_per_branch(monkeypatch):
+    # On ramified points, each branch that owns a factor gets one chain
+    # built, and the reports equal those with every chain built.
+    import expdirect.resolution as resolution_mod
+
+    built = []
+    build = resolution_mod.build_resolution
+
+    def counted(alpha):
+        built.append(alpha)
+        return build(alpha)
+
+    monkeypatch.setattr(resolution_mod, "build_resolution", counted)
+    rng = random.Random(63)
+    twisted = 0
+    for _ in range(4):
+        branches = [dataclasses.replace(
+            rand_branch(rng, f"b{pl}", max_q=3, trunc=3, cyclo_coeffs=True), p=pl)
+            for pl in (1, 2, 3, 6)]
+        dec = decompose(branches)
+        built.clear()
+        reports = verify_decomposition(dec)
+        owners = {f.members[0][0] for f in dec.factors}
+        assert len(built) == len(owners) < len(dec.factors)
+        twisted += len(dec.factors) - len(owners)
+        series = [CopySeries(u) for u in dec.copies]
+        assert reports == tuple(verify_corollary(series, f, build(f.alpha))
+                                for f in dec.factors)
+    assert twisted > 20
+
+
+def test_verify_corollary_refuses_the_chain_of_another_polar_part():
+    dec = decompose(worked_example_branches())
+    series = [CopySeries(u) for u in dec.copies]
+    first, second = dec.factors[:2]
+    with pytest.raises(ValueError, match="not that of the factor's polar part"):
+        verify_corollary(series, first, build_resolution(second.alpha))
+
+
 def test_strict_transform_membership():
     alpha = LaurentPoly({-2: 1, -1: 3})
     tree = build_resolution(alpha)
@@ -320,7 +385,8 @@ def test_chi_psi_telescopes():
     dec = decompose(branches)
     empty = dataclasses.replace(dec.factors[0], alpha=LaurentPoly({-3: 1}),
                                 members=(), rank_branchwise=0, charpoly=None)
-    rep = verify_corollary([CopySeries(u) for u in dec.copies], empty)
+    rep = verify_corollary([CopySeries(u) for u in dec.copies], empty,
+                           build_resolution(empty.alpha))
     assert rep.consistent and rep.members_by_blowup == ()
     assert rep.rank_by_blowup == 0 and rep.charpoly_by_blowup == CycloPoly([1])
 
@@ -413,10 +479,9 @@ def test_factor_oracle_equals_the_per_copy_reference(seed):
                 m, rand_monic(rng, m)))
         dec = decompose(branches)
         series = [CopySeries(u) for u in dec.copies]
-        for factor in dec.factors:
-            rep = verify_corollary(series, factor)
+        for rep in verify_decomposition(dec):
             assert (rep.members_by_polar, rep.star_by_polar, rep.star_by_blowup) \
-                == reference_oracle(series, factor.alpha)
+                == reference_oracle(series, rep.factor.alpha)
             assert rep.consistent
             seen.add(rep.star_by_polar)
     assert seen == {True, False}
@@ -426,14 +491,17 @@ def test_mutant_factor_is_inconsistent():
     dec = decompose(worked_example_branches())
     series = [CopySeries(u) for u in dec.copies]
     first, second = dec.factors[:2]
+    tree = build_resolution(first.alpha)
     assert first.charpoly != second.charpoly
-    assert verify_corollary(series, first).consistent
+    assert verify_corollary(series, first, tree).consistent
 
     rep = verify_corollary(
-        series, dataclasses.replace(first, rank_branchwise=first.rank_branchwise + 1))
+        series, dataclasses.replace(first, rank_branchwise=first.rank_branchwise + 1),
+        tree)
     assert not rep.consistent and not rep.rank_agrees and rep.charpoly_agrees
 
-    rep = verify_corollary(series, dataclasses.replace(first, charpoly=second.charpoly))
+    rep = verify_corollary(series, dataclasses.replace(first, charpoly=second.charpoly),
+                           tree)
     assert not rep.consistent and rep.rank_agrees and not rep.charpoly_agrees
     assert rep.charpoly_by_blowup == first.charpoly
 
