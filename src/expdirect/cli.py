@@ -49,18 +49,12 @@ from .resolution import CorollaryReport, build_resolution, verify_decomposition
 from . import serialize
 from .serialize import SchemaError
 
-__all__ = ["main", "run_file", "PointReport", "Options", "DEFAULT_ORDER_LIMIT"]
+__all__ = ["main", "run_file", "PointReport", "DEFAULT_ORDER_LIMIT"]
 
 # Default cap on cyclotomic orders, against phi(N) blow-up.
 DEFAULT_ORDER_LIMIT = 10_000
 # Default declared exactness order of holomorphic parts.
 DEFAULT_TRUNCATION = 8
-
-
-@dataclass(frozen=True)
-class Options:
-    truncation: int = DEFAULT_TRUNCATION
-    max_order: int = DEFAULT_ORDER_LIMIT
 
 
 # One point's stages; a stage that did not run is None.
@@ -78,19 +72,20 @@ class PointReport:
         return all(rep.consistent for rep in self.oracle or ())
 
 
-def _parse_problem(data, options: Options):
+def _parse_problem(data, truncation: int, max_order: int):
+    """(points, truncation, max_order): the file's ``options`` override the
+    command line's values."""
     obj = serialize._expect_dict(data, "$")
     raw_points = serialize._expect_list(obj.get("points", []), "$.points")
     file_opts = serialize._expect_dict(obj.get("options", {}), "$.options")
     truncation = serialize._expect_int(
-        file_opts.get("truncation", options.truncation), "$.options.truncation")
+        file_opts.get("truncation", truncation), "$.options.truncation")
     if truncation < 0:
         raise SchemaError("$.options.truncation", "expected a nonnegative integer")
     max_order = serialize._expect_int(
-        file_opts.get("max_order", options.max_order), "$.options.max_order")
+        file_opts.get("max_order", max_order), "$.options.max_order")
     if max_order < 1:
         raise SchemaError("$.options.max_order", "expected a positive integer")
-    merged = Options(truncation=truncation, max_order=max_order)
 
     points = []
     seen = set()
@@ -110,7 +105,7 @@ def _parse_problem(data, options: Options):
                 pobj.get("branches", []), f"$.points[{i}].branches"))
         ]
         points.append((c, k, branches))
-    return points, merged
+    return points, truncation, max_order
 
 
 def _check_order_bound(path: str, orders, cap: int) -> None:
@@ -199,23 +194,25 @@ def _disagreement(point: PointReport, rep: CorollaryReport) -> str:
             f"factor alpha = {rep.factor.alpha!r}: " + "; ".join(parts))
 
 
-def run_file(path: str, options: Options, keys):
+def run_file(path: str, keys, truncation: int, max_order: int):
     """Process a problem file for a view that prints ``keys``; returns
-    (point reports sorted by point, exit_code).
+    (point reports sorted by point, exit_code).  The file's ``options``
+    override ``truncation`` and ``max_order``.
 
     Exit code 3 comes with one stderr line per factor the oracle disputes.
     """
-    points, merged = _parse_problem(_load_json(path), options)
+    points, truncation, max_order = _parse_problem(_load_json(path),
+                                                   truncation, max_order)
     for i, (_, _, branches) in enumerate(points):
         _check_order_bound(f"$.points[{i}]",
                            [n for b in branches for n in _branch_orders(b)],
-                           merged.max_order)
+                           max_order)
 
     # One validation pass gives both the failures and each point's warnings.
     failures = []
     checked = []
     for c, k, branches in points:
-        reports = validate_all(branches, merged.truncation)
+        reports = validate_all(branches, truncation)
         failures.extend(f"point (c={c!r}, k={k}): branch {r.label}: {e}"
                         for r in reports for e in r.errors)
         checked.append((c, k, branches, _warnings(reports)))
@@ -265,12 +262,13 @@ def _load_json(path: str):
             raise SchemaError("$", f"unreadable JSON: {err}") from None
 
 
-def _cmd_validate(args, options: Options) -> int:
-    points, merged = _parse_problem(_load_json(args.input), options)
+def _cmd_validate(args) -> int:
+    points, truncation, _ = _parse_problem(_load_json(args.input),
+                                           args.truncation, args.max_order)
     doc = {"points": []}
     ok = True
     for c, k, branches in sorted(points, key=lambda t: (t[0], t[1])):
-        reports = validate_all(branches, merged.truncation)
+        reports = validate_all(branches, truncation)
         ok = ok and all(r.valid for r in reports)
         doc["points"].append({
             "c": c, "k": k,
@@ -285,11 +283,11 @@ def _cmd_validate(args, options: Options) -> int:
     return 0 if ok else 2
 
 
-def _cmd_points(args, options: Options) -> int:
+def _cmd_points(args) -> int:
     keys = _VIEWS[args.command]
     if getattr(args, "oracle", "on") == "off":
         keys = tuple(key for key in keys if key != "oracle")
-    reports, code = run_file(args.input, options, keys)
+    reports, code = run_file(args.input, keys, args.truncation, args.max_order)
     svgs = {}
     if getattr(args, "svg", None):
         if not Path(args.svg).name:
@@ -322,13 +320,13 @@ def _cmd_points(args, options: Options) -> int:
     return code
 
 
-def _cmd_resolve(args, options: Options) -> int:
+def _cmd_resolve(args) -> int:
     data = _load_json(args.input)
     obj = serialize._expect_dict(data, "$")
     alpha = serialize.laurent_from_json(obj.get("alpha", {}), "$.alpha",
-                                        max_order=options.max_order)
+                                        max_order=args.max_order)
     _check_order_bound("$.alpha", [c.order for c in alpha.terms.values()],
-                       options.max_order)
+                       args.max_order)
     if alpha.is_zero() or alpha.polar_part() != alpha:
         raise SchemaError("$.alpha", "expected a nonzero purely polar part")
     tree = build_resolution(alpha)
@@ -339,18 +337,17 @@ def _cmd_resolve(args, options: Options) -> int:
     return 0
 
 
-def _load_spec(path: str, options: Options):
-    spec = serialize.spec_from_json(_load_json(path), "$",
-                                    max_order=options.max_order)
+def _load_spec(path: str, max_order: int):
+    spec = serialize.spec_from_json(_load_json(path), "$", max_order=max_order)
     _check_order_bound("$", [spec.p, *(c.order for s in spec.summands
                                        for c in (*s.alpha.terms.values(),
                                                  *s.charpoly.coeffs))],
-                       options.max_order)
+                       max_order)
     return spec
 
 
-def _cmd_realize(args, options: Options) -> int:
-    spec = _load_spec(args.input, options)
+def _cmd_realize(args) -> int:
+    spec = _load_spec(args.input, args.max_order)
     try:
         branches = realize(spec)
     except NormalizationConflictError as err:
@@ -360,8 +357,8 @@ def _cmd_realize(args, options: Options) -> int:
     return 0
 
 
-def _cmd_roundtrip(args, options: Options) -> int:
-    rep = roundtrip_check(_load_spec(args.input, options))
+def _cmd_roundtrip(args) -> int:
+    rep = roundtrip_check(_load_spec(args.input, args.max_order))
     _dump(serialize.roundtrip_to_json(rep), args.output)
     if rep.conflicts:
         # The message realize prints for the same spec.
@@ -432,10 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    options = Options(truncation=getattr(args, "truncation", DEFAULT_TRUNCATION),
-                      max_order=args.max_order)
     try:
-        return _COMMANDS[args.command](args, options)
+        return _COMMANDS[args.command](args)
     except (SchemaError, json.JSONDecodeError, UnicodeDecodeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

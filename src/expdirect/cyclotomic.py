@@ -32,7 +32,10 @@ every one-term value at a new exponent: the constructor given one term, a
 product of two one-term values, ``times_root`` and ``inv`` of one term.
 Such a value is c*zeta^e with zeta^e a primitive root of unity: its term
 is put on the basis at the root's own order, with no descent to the
-conductor and no product convolution.  ``_check_order`` sees every
+conductor and no product convolution.  A value of several terms is
+multiplied by the convolution, ``times_root`` included, and inverted by the
+extended Euclidean algorithm modulo Phi_N, which ``_cyclotomic_int_coeffs``
+builds prime by prime with ``_divmod``.  ``_check_order`` sees every
 order a value is written or computed at; the conductor it is stored at
 divides that order.  The kernel caps no order: the command line bounds the
 orders an input can reach before it starts work.
@@ -82,27 +85,14 @@ def totient(n: int) -> int:  # kept for bench/worker.py's value generator
     return phi
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _divmod(num: list, den: list) -> tuple[list, list]:
     """Quotient and remainder of dense polynomials, constant term first,
     over int or Fraction coefficients only; ``den[-1]`` is nonzero.  A monic
     ``den`` scales nothing, so integers stay integers; any other leading
     coefficient is inverted once, as a Fraction.
 
-    >>> x6_minus_1, phi123 = [-1, 0, 0, 0, 0, 0, 1], [-1, -1, 0, 1, 1]
-    >>> _divmod(x6_minus_1, phi123)  # Phi_6 = (x^6 - 1) / (Phi_1 Phi_2 Phi_3)
-    ([1, -1, 1], [0, 0, 0, 0])
+    >>> _divmod([1, 0, 1, 0, 1], [1, 1, 1])  # Phi_6 = Phi_3(x^2) / Phi_3(x)
+    ([1, -1, 1], [0, 0])
     """
     d = len(den) - 1
     lead = den[-1]
@@ -124,12 +114,20 @@ def _divmod(num: list, den: list) -> tuple[list, list]:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_int_coeffs(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, constant first."""
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n)[:-1]:
-        num, rem = _divmod(num, _cyclotomic_int_coeffs(d))
+    """Integer coefficients of the n-th cyclotomic polynomial, constant
+    first, built prime by prime from Phi_1 = x - 1: Phi_mp(x) =
+    Phi_m(x^p) / Phi_m(x) for each prime p of n, which does not divide m,
+    then Phi_n(x) = Phi_r(x^(n/r)), r the product of those primes."""
+    phi, r = [-1, 1], 1
+    for p, _, _ in _prime_powers(n):
+        spread = [0] * ((len(phi) - 1) * p + 1)
+        spread[::p] = phi
+        phi, rem = _divmod(spread, phi)
         assert not any(rem), "non-exact polynomial division"
-    return tuple(num)
+        r *= p
+    out = [0] * ((len(phi) - 1) * (n // r) + 1)
+    out[::n // r] = phi
+    return tuple(out)
 
 
 def _normalised(n: int, raw: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -275,28 +273,25 @@ class CycloNum:
         return {e * step: c for e, c in self.coeffs.items()}
 
     def times_root(self, n: int, k: int) -> "CycloNum":
-        """``self * zeta_n^k``, by shifting exponents.
+        """``self * zeta_n^k``: zero and a sign at zeta_n^k = +-1 as they
+        are, one term shifted to its new exponent, and any other value
+        multiplied by the root.
 
         >>> CycloNum.from_rational(2).times_root(4, 3)
         CycloNum(4, -2*z)
         """
         _check_order(n)
         k %= n
-        if 2 * k % n == 0:
-            return self if k == 0 else -self
+        if k == 0 or not self.coeffs:
+            return self
+        if 2 * k == n:
+            return -self
+        if len(self.coeffs) > 1:
+            return self * _monomial(n, k, Fraction(1))
+        (e, c), = self.coeffs.items()
         m = self.order
         order = lcm(m, n)
-        step, shift = order // m, k * (order // n)
-        if len(self.coeffs) == 1:
-            (e, c), = self.coeffs.items()
-            return _monomial(order, e * step + shift, c)
-        if order != m:
-            _check_order(order)
-        raw: dict[int, Fraction] = {}
-        for e, c in self.coeffs.items():
-            e = e * step + shift
-            raw[e - order if e >= order else e] = c
-        return _canonical(order, _normalised(order, raw))
+        return _monomial(order, e * (order // m) + k * (order // n), c)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -550,10 +545,6 @@ class CycloPoly:
     __hash__ = None
 
     def __repr__(self):
-        def show(c):
-            if c.order == 1:
-                r = c.coeffs.get(0, 0)
-                return str(r.numerator) if r.denominator == 1 else str(r)
-            return repr(c)
-
-        return f"CycloPoly([{', '.join(show(c) for c in self.coeffs)}])"
+        return "CycloPoly([" + ", ".join(
+            str(c.coeffs.get(0, 0)) if c.order == 1 else repr(c)
+            for c in self.coeffs) + "])"

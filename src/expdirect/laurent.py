@@ -79,15 +79,6 @@ class LaurentPoly:
         c = self.terms.get(exponent)
         return CycloNum.zero() if c is None else c
 
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return LaurentPoly(out)
-
     def __mul__(self, other):  # kept for bench/worker.py's product kernel
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -125,8 +116,8 @@ def subst_root_power(f: LaurentPoly, n: int, i: int, k: int) -> LaurentPoly:
     """Substitute the variable by a root of unity times its k-th power:
     f(t) -> f(zeta_n^i * t^k).
 
-    Each term a*t^e becomes a*zeta_n^(i*e)*t^(e*k), an exponent shift of a
-    (``CycloNum.times_root``), so no power or inverse of the root is ever
+    Each term a*t^e becomes a*zeta_n^(i*e)*t^(e*k), by
+    ``CycloNum.times_root``, so no power or inverse of the root is ever
     formed.
     """
     if k <= 0:
@@ -190,15 +181,6 @@ class NormalFormTag:
     pole_v: int
 
 
-def _content(cols) -> tuple[int, int]:
-    """Largest monomial u^a v^b dividing c0 + c1*v, given as its columns
-    (c0, c1); (0, 0) for zero."""
-    c0, c1 = cols
-    if c0:
-        return (min(min(c0), min(c1)) if c1 else min(c0)), 0
-    return (min(c1), 1) if c1 else (0, 0)
-
-
 def _divide_monomial(cols, a: int, b: int):
     """(c0 + c1*v) / (u^a v^b), for a monomial dividing every term."""
     c0, c1 = (cols[1], {}) if b else cols
@@ -227,20 +209,22 @@ def _corner(cols, second: bool) -> tuple[tuple[int, int], bool]:
     to the single term u^i*v^(i+j).  A zero form has content (0, 0).
 
     Within a column both exponents grow with i, so only each column's
-    least term can attain either minimum or sit at the corner."""
+    least terms, u^i and u^j*v, can attain either minimum or sit at the
+    corner: (min(i, j), 0), at u^i when i <= j; or, read from the
+    pull-back, u^i*v^i when i <= j and u^j*v^(j+1) otherwise."""
     c0, c1 = cols
-    lows = []
-    if c0:
+    if not c1:
+        if not c0:
+            return (0, 0), False
         i = min(c0)
-        lows.append((i, i if second else 0))
-    if c1:
-        i = min(c1)
-        lows.append((i, i + 1 if second else 1))
-    if len(lows) < 2:
-        return (lows[0], True) if lows else ((0, 0), False)
-    (a0, b0), (a1, b1) = lows
-    corner = min(a0, a1), min(b0, b1)
-    return corner, corner in lows
+        return (i, i if second else 0), True
+    j = min(c1)
+    if not c0:
+        return (j, j + 1 if second else 1), True
+    i = min(c0)
+    if second:
+        return ((i, i) if i <= j else (j, j + 1)), True
+    return (min(i, j), 0), i <= j
 
 
 class BiRational:
@@ -258,8 +242,8 @@ class BiRational:
     def __init__(self, num, den):
         if not (den[0] or den[1]):
             raise ZeroDivisionError("zero denominator")
-        na, nb = _content(num)
-        da, db = _content(den)
+        (na, nb), _ = _corner(num, False)
+        (da, db), _ = _corner(den, False)
         ca, cb = min(na, da), min(nb, db)
         if (num[0] or num[1]) and (ca or cb):
             num = _divide_monomial(num, ca, cb)

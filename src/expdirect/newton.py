@@ -122,11 +122,8 @@ def polygon_svg(poly: NewtonPolygon) -> str:
     x = y = Fraction(0)
     for w_e, h_e in poly.edges:
         midx, midy = x + w_e / 2, y + h_e / 2
-        s = h_e / w_e
-        label = f"{s.numerator}" if s.denominator == 1 else f"{s.numerator}/{s.denominator}"
-        lines.append(
-            f'  <text x="{sx(midx)}" y="{sy(midy)}" font-size="12">{label}</text>'
-        )
+        lines.append(f'  <text x="{sx(midx)}" y="{sy(midy)}" font-size="12">'
+                     f'{h_e / w_e}</text>')
         x += w_e
         y += h_e
     lines.append("</svg>")

@@ -240,7 +240,8 @@ class CopySeries:
 
     B is the polynomial t^q * alpha_sub(t), of degree below q, with q the
     copy's own pole order, and delta0 the constant term of its holomorphic
-    part; ``copy`` is the unramified copy itself.  ``self[j]`` is the
+    part; the denominator's terms are B's, plus delta0 at t^q when it is
+    nonzero.  ``copy`` is the unramified copy itself.  ``self[j]`` is the
     coefficient of t^j.  For the full holomorphic part delta, y would be
     t^q / (B + t^q delta); a term delta_e t^e with e >= 1 first changes
     y[2q + e], so through y[2q] this series is exact whatever truncation
@@ -259,8 +260,9 @@ class CopySeries:
 
     def __init__(self, u: UnramifiedBranch):
         q = u.alpha_sub.pole_order()
-        f = u.alpha_sub + LaurentPoly({0: u.delta0})
-        denom: dict[int, CycloNum] = {e + q: c for e, c in f.terms.items()}
+        denom = {e + q: c for e, c in u.alpha_sub.terms.items()}
+        if u.delta0:
+            denom[q] = u.delta0
         c0 = denom.pop(0, None)
         if c0 is None:
             raise ValueError(f"branch {u.label}: alpha has no pole of order q")

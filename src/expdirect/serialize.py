@@ -53,9 +53,7 @@ class SchemaError(ValueError):
 
 
 def rational_to_json(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(x)
 
 
 # "num" or "num/den"; int() refuses digits past sys.get_int_max_str_digits().

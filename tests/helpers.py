@@ -53,6 +53,15 @@ def rand_cyclo(rng: random.Random, max_order: int = 12, max_num: int = 9) -> Cyc
     return CycloNum(order, coeffs)
 
 
+def laurent_sum(*fs: LaurentPoly) -> LaurentPoly:
+    """The sum of Laurent polynomials, term by term."""
+    out = {}
+    for f in fs:
+        for e, c in f.terms.items():
+            out[e] = out[e] + c if e in out else c
+    return LaurentPoly(out)
+
+
 def rand_root(rng: random.Random, max_order: int = 8) -> CycloNum:
     n = rng.randint(1, max_order)
     return root(n, rng.randint(0, n - 1))

@@ -21,7 +21,8 @@ from expdirect.realization import FormalModuleSpec, FormalSummand
 from expdirect.resolution import build_resolution
 from expdirect.serialize import (branch_to_json, cyclo_to_json, cyclopoly_to_json,
                                  laurent_to_json)
-from tests.helpers import mk, rand_branch, root, spec_doc, worked_example_branches
+from tests.helpers import (laurent_sum, mk, rand_branch, root, spec_doc,
+                           worked_example_branches)
 from tests.test_realization import INVALID_SPECS, rand_spec
 
 
@@ -570,7 +571,7 @@ def test_report_exit_3_on_oracle_mismatch(problem_file, monkeypatch, capsys, com
         for j, factor in enumerate(factors):
             if factor.members[0][0] in owners:
                 factors[j] = dataclasses.replace(
-                    factor, alpha=factor.alpha + LaurentPoly({-1: 1}))
+                    factor, alpha=laurent_sum(factor.alpha, LaurentPoly({-1: 1})))
                 return dataclasses.replace(dec, factors=tuple(factors))
             owners.add(factor.members[0][0])
         return dec

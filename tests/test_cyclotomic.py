@@ -42,7 +42,9 @@ def test_cyclotomic_polynomial_6_by_division():
     assert cyclotomic._cyclotomic_int_coeffs(6) == tuple(quot) == (1, -1, 1)
 
 
-@pytest.mark.parametrize("n", range(1, 25))
+# Past 24: square prime factors (36, 72, 100) and three primes (60, 105,
+# 210, 420), which the construction prime by prime spreads and divides.
+@pytest.mark.parametrize("n", [*range(1, 25), 36, 60, 72, 100, 105, 210, 420])
 def test_cyclotomic_polynomial_divides_xn_minus_1(n):
     xn = [0] * (n + 1)
     xn[0], xn[n] = -1, 1

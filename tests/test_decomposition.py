@@ -17,8 +17,8 @@ from expdirect.decomposition import (
 )
 from expdirect.laurent import LaurentPoly
 from expdirect.newton import irregularity, polygon_from_branches, slopes
-from tests.helpers import (mk, numeric_laurent, rand_branch, rand_monic, rand_polar,
-                           worked_example_branches)
+from tests.helpers import (laurent_sum, mk, numeric_laurent, rand_branch, rand_monic,
+                           rand_polar, worked_example_branches)
 
 
 def test_worked_example_full():
@@ -204,7 +204,7 @@ def test_grouping_agrees_with_numeric_clustering():
         assert symbolic == numeric
 
         # The separation data refines by the constant term as well.
-        shifted = [(u.origin, u.alpha_sub + LaurentPoly({0: u.delta0}))
+        shifted = [(u.origin, laurent_sum(u.alpha_sub, LaurentPoly({0: u.delta0})))
                    for u in ub]
         refined = _numeric_partition(shifted, sample_ts)
         assert holds == all(len(cl) == 1 for cl in refined)
@@ -233,7 +233,7 @@ def test_decompose_evaluates_star_condition_once(monkeypatch, twin_delta0, holds
 def _shifted_sum_star_condition(ub):
     """Reference for ``star_condition``: key each copy by its polar part plus
     constant term as one Laurent polynomial."""
-    shifted = [u.alpha_sub + LaurentPoly({0: u.delta0}) for u in ub]
+    shifted = [laurent_sum(u.alpha_sub, LaurentPoly({0: u.delta0})) for u in ub]
     seen = {}
     for u, f in zip(ub, shifted):
         key = laurent_sort_key(f)

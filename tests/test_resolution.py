@@ -29,9 +29,9 @@ from expdirect.resolution import (
 )
 from expdirect.serialize import (branch_from_json, cyclo_from_json, dumps,
                                  laurent_from_json, tree_to_json, tree_to_text)
-from tests.helpers import (conjugated_input, conjugated_values, galois_ks, mk,
-                           rand_branch, rand_monic, rand_polar, root, unipotent,
-                           value_orders, worked_example_branches)
+from tests.helpers import (conjugated_input, conjugated_values, galois_ks,
+                           laurent_sum, mk, rand_branch, rand_monic, rand_polar,
+                           root, unipotent, value_orders, worked_example_branches)
 
 
 def flat_branch(label, alpha, delta0=None, m=1, zeta=None, delta=None):
@@ -444,7 +444,7 @@ def reference_oracle(series, alpha):
     copies = [y.copy for y in series]
     names = [f"{u.label}#{u.root_index}" for u in copies]
     by_polar = tuple(n for n, u in zip(names, copies) if u.alpha_sub == alpha)
-    shifted = [u.alpha_sub + LaurentPoly({0: u.delta0})
+    shifted = [laurent_sum(u.alpha_sub, LaurentPoly({0: u.delta0}))
                for u in copies if u.alpha_sub == alpha]
     star_polar = True
     for i in range(len(shifted)):
