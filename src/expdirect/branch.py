@@ -76,10 +76,13 @@ class UnramifiedBranch:
 @dataclass(frozen=True)
 class ValidationReport:
     label: str
-    valid: bool
     errors: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
     support_divisor: int = 1
+
+    @property
+    def valid(self) -> bool:
+        return not self.errors
 
 
 def validate(b: Branch, truncation: int | None = None) -> ValidationReport:
@@ -112,7 +115,7 @@ def validate(b: Branch, truncation: int | None = None) -> ValidationReport:
     if truncation is not None and any(e > truncation for e in b.delta.terms):
         errors.append(f"delta support exceeds the declared truncation {truncation}")
 
-    if b.zeta.is_zero() or not b.zeta.is_monic():
+    if not b.zeta.is_monic():
         errors.append("zeta must be monic")
     elif b.zeta.degree != b.m:
         errors.append(f"deg(zeta) = {b.zeta.degree} must equal m = {b.m}")
@@ -126,7 +129,6 @@ def validate(b: Branch, truncation: int | None = None) -> ValidationReport:
 
     return ValidationReport(
         label=b.label,
-        valid=not errors,
         errors=tuple(errors),
         warnings=tuple(warnings),
         support_divisor=d if not errors else 1,
@@ -139,8 +141,7 @@ def validate_all(branches, truncation: int | None = None) -> list[ValidationRepo
     if len(set(labels)) != len(labels):
         dupes = sorted({x for x in labels if labels.count(x) > 1})
         reports.append(ValidationReport(
-            label=",".join(dupes), valid=False,
-            errors=(f"duplicate branch labels: {dupes}",),
+            label=",".join(dupes), errors=(f"duplicate branch labels: {dupes}",),
         ))
     return reports
 

@@ -161,9 +161,8 @@ _FIELDS = {
     "k": lambda rep: rep.k,
     "warnings": lambda rep: list(rep.warnings),
     "newton_polygon": lambda rep: serialize.polygon_to_json(rep.polygon),
-    "slopes": lambda rep: [serialize.rational_to_json(s)
-                           for s in sorted(slopes(rep.polygon))],
-    "irregularity": lambda rep: serialize.rational_to_json(irregularity(rep.polygon)),
+    "slopes": lambda rep: [str(s) for s in sorted(slopes(rep.polygon))],
+    "irregularity": lambda rep: str(irregularity(rep.polygon)),
     "decomposition": lambda rep: serialize.decomposition_to_json(rep.decomposition),
     "consistent": lambda rep: rep.consistent,
     "oracle": lambda rep: [serialize.corollary_to_json(r) for r in rep.oracle],
@@ -327,7 +326,7 @@ def _cmd_resolve(args) -> int:
                                         max_order=args.max_order)
     _check_order_bound("$.alpha", [c.order for c in alpha.terms.values()],
                        args.max_order)
-    if alpha.is_zero() or alpha.polar_part() != alpha:
+    if not alpha.is_polar():
         raise SchemaError("$.alpha", "expected a nonzero purely polar part")
     tree = build_resolution(alpha)
     if args.text:

@@ -516,13 +516,8 @@ class CycloPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> CycloNum:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def is_monic(self) -> bool:
-        return not self.is_zero() and self.leading() == 1
+        return not self.is_zero() and self.coeffs[-1] == 1
 
     def __mul__(self, other):
         if not isinstance(other, CycloPoly):

@@ -62,9 +62,12 @@ class FormalDecomposition:
 
     p: int
     factors: tuple[ExponentialFactor, ...]
-    star_holds: bool
     star_witness: tuple[tuple[str, int], tuple[str, int]] | None = None
     copies: tuple[UnramifiedBranch, ...] = ()
+
+    @property
+    def star_holds(self) -> bool:
+        return self.star_witness is None
 
 
 def laurent_sort_key(f: LaurentPoly):
@@ -90,7 +93,7 @@ def exponential_factors(keyed: list[tuple[tuple, UnramifiedBranch]],
     """Partition the keyed copies by exact equality of polar parts.
 
     Factors come back in the canonical order (pole order, then coefficients).
-    ``separated`` is the verdict of ``star_condition`` on the same copies:
+    ``separated`` says ``star_condition`` found no witness on these copies:
     when it holds, each factor's charpoly is the product of its members'
     zetas, in member order; otherwise no factor has one.
     """
@@ -118,19 +121,19 @@ def star_condition(keyed: list[tuple[tuple, UnramifiedBranch]]):
     """Pairwise distinctness of polar part + constant term across the keyed
     copies.
 
-    Returns (holds, witness); the witness is the first violating pair of
-    (label, root index) origins.  A polar part has only negative exponents
-    and the constant term sits at exponent 0, so two sums are equal exactly
-    when both parts are: each copy is keyed by its polar key and its
-    constant term.
+    Returns the witness of a violation, the first colliding pair of
+    (label, root index) origins in input order, or None when it holds.  A
+    polar part has only negative exponents and the constant term sits at
+    exponent 0, so two sums are equal exactly when both parts are: each copy
+    is keyed by its polar key and its constant term.
     """
     seen: dict[tuple, tuple[str, int]] = {}
     for polar_key, u in keyed:
         key = (polar_key, u.delta0)
         if key in seen:
-            return False, (seen[key], u.origin)
+            return seen[key], u.origin
         seen[key] = u.origin
-    return True, None
+    return None
 
 
 def decompose(branches: list[Branch]) -> FormalDecomposition:
@@ -144,9 +147,9 @@ def decompose(branches: list[Branch]) -> FormalDecomposition:
     Empty input is the purely regular case: trivial ramification, no factors.
     Factor order is deterministic and independent of input order.  The
     unramified copies are returned too, for the blow-up oracle to replay.
-    Separation is decided first, so each factor is built once, with its
-    charpoly assembled as it is built: under separation the product of its
-    members' zetas, in member order; otherwise no factor has one.
+    Separation is decided first, and its witness kept, so each factor is
+    built once, with its charpoly: under separation (no witness) the product
+    of its members' zetas, in member order; otherwise no factor has one.
     """
     if not isinstance(branches, _ValidBranches):
         branches = list(branches)
@@ -154,15 +157,14 @@ def decompose(branches: list[Branch]) -> FormalDecomposition:
             if not report.valid:
                 raise ValidationError(report)
     if not branches:
-        return FormalDecomposition(p=1, factors=(), star_holds=True)
+        return FormalDecomposition(p=1, factors=())
     p = ramification_order(branches)
     ub = unramify(branches)
     keyed = keyed_copies(ub)
-    holds, witness = star_condition(keyed)
+    witness = star_condition(keyed)
     return FormalDecomposition(
         p=p,
-        factors=tuple(exponential_factors(keyed, holds)),
-        star_holds=holds,
+        factors=tuple(exponential_factors(keyed, witness is None)),
         star_witness=witness,
         copies=tuple(ub),
     )

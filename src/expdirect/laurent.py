@@ -91,8 +91,8 @@ class LaurentPoly:
                 out[e] = p if s is None else s + p
         return LaurentPoly(out)
 
-    def polar_part(self) -> "LaurentPoly":
-        return LaurentPoly({e: c for e, c in self.terms.items() if e < 0})
+    def is_polar(self) -> bool:
+        return bool(self.terms) and max(self.terms) < 0
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):

@@ -64,13 +64,12 @@ class FormalModuleSpec:
         if self.regular_rank < 0:
             raise ValueError("regular rank must be nonnegative")
         for s in self.summands:
-            if s.alpha.is_zero() or not s.alpha.polar_part() == s.alpha:
+            if not s.alpha.is_polar():
                 raise ValueError("summand polar parts must be nonzero with only "
                                  "negative exponents")
             if s.rank < 1:
                 raise ValueError("summand rank must be positive")
-            if s.charpoly.is_zero() or not s.charpoly.is_monic() \
-                    or s.charpoly.degree != s.rank:
+            if not s.charpoly.is_monic() or s.charpoly.degree != s.rank:
                 raise ValueError("summand charpoly must be monic of degree rank")
         if len({laurent_sort_key(s.alpha) for s in self.summands}) < len(self.summands):
             raise ValueError("summand polar parts must be pairwise distinct")
@@ -87,7 +86,7 @@ def canonicalize(p: int, alpha: LaurentPoly) -> tuple[int, LaurentPoly]:
     >>> canonicalize(2, LaurentPoly({-3: 1})) == canonicalize(4, LaurentPoly({-6: 1}))
     True
     """
-    if alpha.is_zero() or not alpha.polar_part() == alpha:
+    if not alpha.is_polar():
         raise ValueError("alpha must be nonzero and purely polar")
     d = support_gcd(alpha, p)
     if d <= 1:
@@ -176,16 +175,19 @@ class RoundTripReport:
     ``(ramification, alpha, rank)`` entries, alpha primitive: ``matched``
     names each computed factor that matched an element of a spec orbit,
     ``missing`` a spec summand once per unmatched element of its orbit,
-    ``extra`` an unmatched computed factor once."""
+    ``extra`` an unmatched computed factor once.  ``ok``, a property, holds
+    when none is missing or extra and nothing conflicts."""
 
-    ok: bool
     spec_ramification: int
-    computed_ramification: int
     matched: tuple[tuple[int, LaurentPoly, int], ...] = ()
     missing: tuple[tuple[int, LaurentPoly, int], ...] = ()
     extra: tuple[tuple[int, LaurentPoly, int], ...] = ()
     conflicts: tuple[str, ...] = ()
     decomposition: FormalDecomposition | None = None
+
+    @property
+    def ok(self) -> bool:
+        return not (self.missing or self.extra or self.conflicts)
 
 
 def roundtrip_check(spec: FormalModuleSpec) -> RoundTripReport:
@@ -201,10 +203,7 @@ def roundtrip_check(spec: FormalModuleSpec) -> RoundTripReport:
     try:
         branches = _branches(orbits)
     except NormalizationConflictError as err:
-        return RoundTripReport(
-            ok=False, spec_ramification=spec.p, computed_ramification=0,
-            conflicts=(str(err),),
-        )
+        return RoundTripReport(spec_ramification=spec.p, conflicts=(str(err),))
 
     dec = decompose(branches)
 
@@ -232,9 +231,7 @@ def roundtrip_check(spec: FormalModuleSpec) -> RoundTripReport:
     extra = [(p0, a0, rank) for (_, p0, a0, rank, _cp) in remaining]
 
     return RoundTripReport(
-        ok=not missing and not extra,
         spec_ramification=spec.p,
-        computed_ramification=dec.p,
         matched=tuple(matched),
         missing=tuple(missing),
         extra=tuple(extra),

@@ -144,7 +144,7 @@ def build_resolution(alpha: LaurentPoly) -> ResolutionTree:
     alpha must be nonzero and purely polar.  Any failure of the expected
     normal forms raises ClassificationError: it signals a bug, not bad input.
     """
-    if alpha.is_zero() or not alpha.polar_part() == alpha:
+    if not alpha.is_polar():
         raise ValueError("alpha must be nonzero and purely polar")
     q = alpha.pole_order()
 
@@ -319,10 +319,9 @@ def strict_transform(y: CopySeries, tree: ResolutionTree) -> int:
 
 @dataclass(frozen=True)
 class CorollaryReport:
+    """Facts of one factor's check; every verdict is a property of them."""
+
     factor: ExponentialFactor
-    membership_agrees: bool
-    star_agrees: bool
-    members_by_blowup: tuple[str, ...]
     members_by_polar: tuple[str, ...]
     star_by_blowup: bool
     star_by_polar: bool
@@ -330,6 +329,18 @@ class CorollaryReport:
     steps_matched: tuple[tuple[str, int], ...]
     rank_by_blowup: int
     charpoly_by_blowup: CycloPoly | None
+
+    @property
+    def members_by_blowup(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in self.points)
+
+    @property
+    def membership_agrees(self) -> bool:
+        return self.members_by_blowup == self.members_by_polar
+
+    @property
+    def star_agrees(self) -> bool:
+        return self.star_by_blowup == self.star_by_polar
 
     @property
     def rank_agrees(self) -> bool:
@@ -384,7 +395,7 @@ def verify_corollary(series: Sequence[CopySeries], factor: ExponentialFactor,
         raise ValueError("the chain is not that of the factor's polar part")
     n = len(tree.steps)
     members = set(factor.members)
-    by_blowup, by_polar, points, steps, meeting = [], [], [], [], []
+    by_polar, points, steps, meeting = [], [], [], []
     constants = set()
     for y in series:
         u = y.copy
@@ -395,11 +406,9 @@ def verify_corollary(series: Sequence[CopySeries], factor: ExponentialFactor,
             by_polar.append(name)
             constants.add(u.delta0)
         if matched == n:
-            by_blowup.append(name)
             points.append((name, y[n]))
             meeting.append(u)
     star_blowup = len({pt for _, pt in points}) == len(points)
-    star_polar = len(constants) == len(by_polar)
     charpoly = None
     if star_blowup:
         charpoly = meeting[0].zeta if meeting else CycloPoly([1])
@@ -408,12 +417,9 @@ def verify_corollary(series: Sequence[CopySeries], factor: ExponentialFactor,
 
     return CorollaryReport(
         factor=factor,
-        membership_agrees=by_blowup == by_polar,
-        star_agrees=star_blowup == star_polar,
-        members_by_blowup=tuple(by_blowup),
         members_by_polar=tuple(by_polar),
         star_by_blowup=star_blowup,
-        star_by_polar=star_polar,
+        star_by_polar=len(constants) == len(by_polar),
         points=tuple(points),
         steps_matched=tuple(steps),
         rank_by_blowup=sum(u.m for u in meeting),

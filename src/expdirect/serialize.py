@@ -29,7 +29,7 @@ from .resolution import CHART, CorollaryReport, ResolutionTree
 
 __all__ = [
     "SchemaError",
-    "rational_to_json", "rational_from_json",
+    "rational_from_json",
     "cyclo_to_json", "cyclo_from_json",
     "cyclopoly_to_json", "cyclopoly_from_json",
     "laurent_to_json", "laurent_from_json",
@@ -50,10 +50,6 @@ class SchemaError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
-
-
-def rational_to_json(x: Fraction) -> str:
-    return str(x)
 
 
 # "num" or "num/den"; int() refuses digits past sys.get_int_max_str_digits().
@@ -107,7 +103,7 @@ def _int_key(key: str, path: str) -> int:
 def cyclo_to_json(a: CycloNum) -> dict:
     return {
         "order": a.order,
-        "coeffs": {str(e): rational_to_json(c) for e, c in sorted(a.coeffs.items())},
+        "coeffs": {str(e): str(c) for e, c in sorted(a.coeffs.items())},
     }
 
 
@@ -257,7 +253,7 @@ def roundtrip_to_json(rep: RoundTripReport) -> dict:
     out = {
         "ok": rep.ok,
         "spec_ramification": rep.spec_ramification,
-        "computed_ramification": rep.computed_ramification,
+        "computed_ramification": 0 if rep.decomposition is None else rep.decomposition.p,
         "matched": classes(rep.matched),
         "missing": classes(rep.missing),
         "extra": classes(rep.extra),
@@ -350,9 +346,10 @@ def corollary_to_json(rep: CorollaryReport) -> dict:
 
 def dumps(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, for the
-    shapes a document holds: dicts with str keys, lists, str, int, bool and
-    None, and CycloNum, LaurentPoly and CycloPoly leaves, written as their
-    ``*_to_json`` data is.  Anything else (floats, Fractions) raises TypeError.
+    shapes a document holds: values of exact type dict (str keys), list, str
+    and int, bool and None, and CycloNum, LaurentPoly and CycloPoly leaves,
+    written as their ``*_to_json`` data is.  Anything else raises TypeError:
+    floats, Fractions, and subclasses of the exact types too.
 
     With ``indent`` set the stdlib falls back to its pure-Python encoder;
     this emitter builds the same text with one join per container.
@@ -378,8 +375,7 @@ def dumps(doc) -> str:
 
 
 def _emit(o, pad: str) -> str:
-    # Dispatch on the exact type first; bool, None, value leaves and
-    # subclasses of the four fast types take the slower path below.
+    # Dispatch on the exact type; bool, None and value leaves stop here.
     t = type(o)
     if t is not str and t is not dict and t is not list and t is not int:
         if t is CycloNum:
@@ -394,11 +390,7 @@ def _emit(o, pad: str) -> str:
             return "true"
         if o is False:
             return "false"
-        for t in (str, dict, list, int):
-            if isinstance(o, t):
-                break
-        else:
-            raise TypeError(f"{type(o).__name__} is not a report value")
+        raise TypeError(f"{type(o).__name__} is not a report value")
     if t is str:
         return _quote(o)
     if t is int:

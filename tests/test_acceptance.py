@@ -14,7 +14,7 @@ import pytest
 
 from expdirect.branch import ramification_order
 from expdirect.cyclotomic import CycloNum, CycloPoly
-from expdirect.decomposition import decompose, exponential_factors, star_condition
+from expdirect.decomposition import decompose
 from expdirect.laurent import LaurentPoly, NormalFormKind
 from expdirect.newton import (
     NewtonPolygon,

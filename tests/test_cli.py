@@ -419,6 +419,8 @@ def test_roundtrip_conflict_is_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
     assert doc["ok"] is False and doc["conflicts"]
+    # Nothing was decomposed: the computed ramification reads 0.
+    assert doc["computed_ramification"] == 0 and "decomposition" not in doc
     # One line, the one realize prints for the same spec.
     assert captured.err == f"error: $.summands: {doc['conflicts'][0]}\n"
     assert "carries ranks [1, 2]" in captured.err
@@ -541,7 +543,6 @@ def test_report_exit_3_on_oracle_mismatch(problem_file, monkeypatch, capsys, com
         # The polar side forgets the factor's first member.
         rep = real(series, factor, tree)
         object.__setattr__(rep, "members_by_polar", rep.members_by_polar[1:])
-        object.__setattr__(rep, "membership_agrees", False)
         return rep
 
     monkeypatch.setattr(resolution_mod, "verify_corollary", broken)

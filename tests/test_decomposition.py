@@ -88,19 +88,16 @@ def test_rank_divergence_with_distinct_delta0():
 
 def test_star_condition_examples():
     keyed = keyed_copies(unramify(worked_example_branches()))
-    holds, witness = star_condition(keyed)
-    assert holds and witness is None
+    assert star_condition(keyed) is None
 
     twins = [mk("a", p=1, q=1), mk("b", p=1, q=1)]
-    holds, witness = star_condition(keyed_copies(unramify(twins)))
-    assert not holds and witness == (("a", 1), ("b", 1))
+    assert star_condition(keyed_copies(unramify(twins))) == (("a", 1), ("b", 1))
 
     separated = [
         mk("a", p=1, q=1),
         mk("b", p=1, q=1, delta=LaurentPoly({0: 1})),
     ]
-    holds, _ = star_condition(keyed_copies(unramify(separated)))
-    assert holds
+    assert star_condition(keyed_copies(unramify(separated))) is None
 
 
 def test_char_poly_product():
@@ -194,7 +191,7 @@ def test_grouping_agrees_with_numeric_clustering():
     for branches in _corpus(rng, 40):
         ub = unramify(branches)
         keyed = keyed_copies(ub)
-        holds, _ = star_condition(keyed)
+        holds = star_condition(keyed) is None
 
         # Factor grouping keys off the rewritten polar part alone.
         factors = exponential_factors(keyed, holds)
@@ -232,15 +229,16 @@ def test_decompose_evaluates_star_condition_once(monkeypatch, twin_delta0, holds
 
 def _shifted_sum_star_condition(ub):
     """Reference for ``star_condition``: key each copy by its polar part plus
-    constant term as one Laurent polynomial."""
+    constant term as one Laurent polynomial; the first colliding pair, or
+    None."""
     shifted = [laurent_sum(u.alpha_sub, LaurentPoly({0: u.delta0})) for u in ub]
     seen = {}
     for u, f in zip(ub, shifted):
         key = laurent_sort_key(f)
         if key in seen:
-            return False, (seen[key], u.origin)
+            return seen[key], u.origin
         seen[key] = u.origin
-    return True, None
+    return None
 
 
 def test_star_condition_matches_shifted_sum_keying():
@@ -250,7 +248,7 @@ def test_star_condition_matches_shifted_sum_keying():
         ub = unramify(branches)
         result = star_condition(keyed_copies(ub))
         assert result == _shifted_sum_star_condition(ub)
-        outcomes.add(result[0])
+        outcomes.add(result is None)
     assert outcomes == {True, False}
 
 

@@ -6,8 +6,12 @@ bytes written must equal ``NAME.out.json``.  See ``tests/golden/README.md``
 for how the corpus is laid out and regenerated.  Every ``report`` golden is
 also run with ``--oracle off``, which must print the same document without
 its ``oracle`` entries, and under every Galois conjugation of its input,
-which must give the conjugate report.  Two interpreters with different
-``PYTHONHASHSEED`` values write every JSON and SVG golden byte for byte.
+which must give the conjugate report; so must the ``verify`` and
+``decompose`` goldens.  Reordering the points of a file changes no byte of
+any problem-file view, and reordering a point's branches changes a report
+only in the keys README names as following input order.  Two interpreters
+with different ``PYTHONHASHSEED`` values write every JSON and SVG golden
+byte for byte.
 """
 
 import json
@@ -25,7 +29,8 @@ import expdirect
 from expdirect.cli import DEFAULT_ORDER_LIMIT, main
 from expdirect.cyclotomic import CycloNum
 from expdirect.laurent import LaurentPoly
-from expdirect.serialize import branch_to_json, cyclo_from_json, cyclo_to_json, dumps
+from expdirect.serialize import (branch_to_json, cyclo_from_json, cyclo_to_json,
+                                 dumps, laurent_from_json)
 from tests.helpers import (conjugated_input, galois_ks, map_values, mk,
                            value_orders)
 
@@ -66,7 +71,9 @@ def test_report_oracle_off_is_the_golden_without_oracle(case, tmp_path):
 
 
 def _conjugate_report(doc, k, ramification):
-    """sigma_k of a report, as plain JSON with its lists in a canonical order.
+    """sigma_k of a ``report``, ``verify`` or ``decompose`` document, as
+    plain JSON with its lists in a canonical order; a point's decomposition
+    and oracle are read where the view prints them.
 
     sigma_k: zeta_N -> zeta_N^k sends copy i of a branch of ramification p_l
     to the copy whose root is zeta_(p_l)^(k*i), so each copy is renamed by
@@ -89,23 +96,25 @@ def _conjugate_report(doc, k, ramification):
 
     for point in doc["points"]:
         at = (point["c"], point["k"])
-        dec = point["decomposition"]
-        for factor in dec["factors"]:
-            factor["members"] = sorted(list(rename(at, *m)) for m in factor["members"])
-        if "star_witness" in dec:
-            dec["star_witness"] = [list(rename(at, *m)) for m in dec["star_witness"]]
-        dec["factors"] = by_json(dec["factors"])
-        for rep in point["oracle"]:
-            for key in ("members_by_blowup", "members_by_polar"):
-                rep[key] = sorted(name(at, n) for n in rep[key])
-            rep["points"] = by_json({"label": name(at, pt["label"]), "point": pt["point"]}
-                                    for pt in rep["points"])
-        point["oracle"] = by_json(point["oracle"])
+        dec = point.get("decomposition")
+        if dec is not None:
+            for factor in dec["factors"]:
+                factor["members"] = sorted(list(rename(at, *m)) for m in factor["members"])
+            if "star_witness" in dec:
+                dec["star_witness"] = [list(rename(at, *m)) for m in dec["star_witness"]]
+            dec["factors"] = by_json(dec["factors"])
+        if "oracle" in point:
+            for rep in point["oracle"]:
+                for key in ("members_by_blowup", "members_by_polar"):
+                    rep[key] = sorted(name(at, n) for n in rep[key])
+                rep["points"] = by_json({"label": name(at, pt["label"]),
+                                         "point": pt["point"]} for pt in rep["points"])
+            point["oracle"] = by_json(point["oracle"])
     return doc
 
 
-def _check_report_galois(problem, golden, tmp_path):
-    """Run ``report`` on sigma_k(problem), for every k below 2N coprime to
+def _check_report_galois(problem, golden, tmp_path, command="report"):
+    """Run ``command`` on sigma_k(problem), for every k below 2N coprime to
     the lcm N of the problem's coefficient orders and ramification indices,
     and compare with sigma_k(golden)."""
     orders = value_orders(problem)
@@ -119,20 +128,29 @@ def _check_report_galois(problem, golden, tmp_path):
     for k in ks:
         src, out = tmp_path / f"sigma{k}.in.json", tmp_path / f"sigma{k}.out.json"
         src.write_text(json.dumps(conjugated_input(problem, k)))
-        assert main(["report", "--input", str(src), "--output", str(out)]) == 0
+        assert main([command, "--input", str(src), "--output", str(out)]) == 0
         assert _conjugate_report(json.loads(out.read_text()), 1, ramification) == \
             _conjugate_report(golden, k, ramification)
     return len(ks)
 
 
+# The report goldens, and one golden of each other view that prints the
+# decomposition or the oracle.
+CONJUGATED = REPORTS + [GOLDEN / "verify" / "01_cyclo_order3.in.json",
+                        GOLDEN / "decompose" / "01_rank_divergence.in.json"]
+
+
 @pytest.mark.parametrize(
-    "case", REPORTS, ids=[c.name[:-len(".in.json")] for c in REPORTS])
+    "case", CONJUGATED,
+    ids=[c.name[:-len(".in.json")] if c in REPORTS
+         else f"{c.parent.name}/{c.name[:-len('.in.json')]}" for c in CONJUGATED])
 def test_report_commutes_with_galois_conjugation(case, tmp_path):
     # Branch data over Q(zeta_N) conjugated by sigma_k give the conjugate
-    # report: the pipeline is defined over Q.
+    # report, in each view: the pipeline is defined over Q.
     golden = json.loads(case.with_name(case.name.replace(".in.json", ".out.json"))
                         .read_text())
-    _check_report_galois(json.loads(case.read_text()), golden, tmp_path)
+    _check_report_galois(json.loads(case.read_text()), golden, tmp_path,
+                         case.parent.name)
 
 
 def _shared_coefficient_problem(rng: random.Random) -> dict:
@@ -163,6 +181,84 @@ def test_report_commutes_with_galois_conjugation_on_shared_coefficients(seed, tm
     src.write_text(json.dumps(problem))
     assert main(["report", "--input", str(src), "--output", str(out)]) == 0
     assert _check_report_galois(problem, json.loads(out.read_text()), tmp_path) == 8
+
+
+MULTI_POINT = GOLDEN / "report" / "10_multi_point.in.json"
+
+
+@pytest.mark.parametrize("command",
+                         ["validate", "report", "verify", "invariants", "decompose"])
+def test_point_order_does_not_reach_the_bytes(command, tmp_path):
+    # Points are written sorted by (c, k): any order of a file's points gives
+    # the bytes of the file as committed, which are golden for validate and
+    # report (the validate golden has the same input).
+    problem = json.loads(MULTI_POINT.read_text())
+    points = problem["points"]
+    rng = random.Random(command)
+    orders = [points[::-1]] + [rng.sample(points, len(points)) for _ in range(3)]
+    runs = []
+    for i, order in enumerate([points] + orders):
+        src, out = tmp_path / f"{i}.in.json", tmp_path / f"{i}.out.json"
+        src.write_text(json.dumps({**problem, "points": order}))
+        assert main([command, "--input", str(src), "--output", str(out)]) == 0
+        runs.append(out.read_bytes())
+    golden = {"validate": GOLDEN / "validate" / "01_multi_point.out.json",
+              "report": MULTI_POINT.with_name("10_multi_point.out.json")}
+    if command in golden:
+        assert runs[0] == golden[command].read_bytes()
+    assert runs == [runs[0]] * len(runs)
+
+
+def _first_collision(branches, dec):
+    """The ``star_witness`` a point's branches must give, read from the
+    input and the decomposition: the first pair of copies met in input order
+    that share a factor (a polar part) and a constant term, or None."""
+    factor_of = {tuple(m): i for i, f in enumerate(dec["factors"]) for m in f["members"]}
+    seen = {}
+    for b in branches:
+        delta0 = laurent_from_json(b.get("delta", {}), "$",
+                                   max_order=DEFAULT_ORDER_LIMIT).coeff(0)
+        for i in range(1, b["p"] + 1):
+            key = (factor_of[(b["label"], i)], delta0)
+            if key in seen:
+                return [list(seen[key]), [b["label"], i]]
+            seen[key] = (b["label"], i)
+    return None
+
+
+def _branch_order_free(doc, problem):
+    """A report with the parts that follow branch order checked or put in a
+    canonical order: each point's warnings and each oracle entry's meeting
+    points are sorted, and ``star_witness`` is checked against the input and
+    dropped."""
+    inputs = {(pt["c"], pt.get("k", 0)): pt["branches"] for pt in problem["points"]}
+    for point in doc["points"]:
+        dec = point["decomposition"]
+        assert dec.pop("star_witness", None) == \
+            _first_collision(inputs[(point["c"], point["k"])], dec)
+        point["warnings"].sort()
+        for rep in point["oracle"]:
+            rep["points"].sort(key=lambda x: json.dumps(x, sort_keys=True))
+    return doc
+
+
+@pytest.mark.parametrize(
+    "case", REPORTS, ids=[c.name[:-len(".in.json")] for c in REPORTS])
+def test_report_follows_branch_order_only_where_documented(case, tmp_path):
+    # Reversing and shuffling the branches of every point changes a report
+    # only in the keys README names as following input order.
+    problem = json.loads(case.read_text())
+    golden = json.loads(case.with_name(case.name.replace(".in.json", ".out.json"))
+                        .read_text())
+    expected = _branch_order_free(golden, problem)
+    rng = random.Random(case.name)
+    for shuffle in (lambda bs: bs[::-1], lambda bs: rng.sample(bs, len(bs))):
+        permuted = {**problem, "points": [{**pt, "branches": shuffle(pt["branches"])}
+                                          for pt in problem["points"]]}
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps(permuted))
+        assert main(["report", "--input", str(src), "--output", str(out)]) == 0
+        assert _branch_order_free(json.loads(out.read_text()), permuted) == expected
 
 
 def _cyclo_values(doc):

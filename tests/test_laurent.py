@@ -116,27 +116,28 @@ def test_subst_identity():
 
 
 def test_polar_const_split_examples():
-    f = L({-2: 1, 0: 3, 1: 1})
-    assert f.polar_part() == L({-2: 1})
-    assert f.coeff(0) == 3
-    z = LaurentPoly.zero()
-    assert z.polar_part().is_zero() and z.coeff(0).is_zero()
-    g = L({-1: 2})
-    assert g.polar_part() == g and g.coeff(0).is_zero()
+    # A polar part is nonzero with only negative exponents.
+    assert L({-2: 1}).is_polar() and L({-3: 1, -1: root(3, 1)}).is_polar()
+    assert not LaurentPoly.zero().is_polar()
+    assert not L({-2: 1, 0: 3}).is_polar() and not L({-2: 1, 1: 1}).is_polar()
+    assert not L({-2: 1, 0: 3, 1: 1}).is_polar() and not L({0: 3}).is_polar()
+    # Cancelling terms leave no zero coefficient behind.
+    assert L({-1: 1, 0: root(3, 0) + root(3, 1) + root(3, 2)}).is_polar()
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_split_is_exact(seed):
+    # is_polar holds exactly when the value is nonzero and equals its
+    # truncation to negative exponents; the truncation itself is polar
+    # unless it is zero.
     rng = random.Random(seed)
-    f = rand_laurent(rng)
-    const = LaurentPoly({0: f.coeff(0)}) if not f.coeff(0).is_zero() \
-        else LaurentPoly.zero()
-    polar = f.polar_part()
-    assert all(e < 0 for e in polar.terms)
-    # f - polar - const has only positive exponents.
-    assert all(f.coeff(e) == polar.coeff(e) + const.coeff(e)
-               for e in set(f.terms) | set(polar.terms) | {0} if e <= 0)
+    for f in (rand_laurent(rng), rand_laurent(rng, hi=-1), rand_laurent(rng, lo=0)):
+        polar = LaurentPoly({e: c for e, c in f.terms.items() if e < 0})
+        assert f.is_polar() == (not f.is_zero() and f == polar)
+        assert polar.is_polar() == (not polar.is_zero())
+        assert f.is_polar() == (f.pole_order() > 0 and all(
+            f.coeff(e).is_zero() for e in range(0, 5)))
 
 
 def test_support_gcd_examples():

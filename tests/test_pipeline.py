@@ -1,15 +1,20 @@
 """The stages ``report`` runs on one point, called one by one with the oracle
 on, over ramified branches with holomorphic parts: ``validate_all`` for the
 warnings, ``decompose``, and ``verify_decomposition``, which checks each
-factor over one ``CopySeries`` per copy."""
+factor over one ``CopySeries`` per copy; and the records they return, whose
+verdicts are read from their facts."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
-from expdirect.branch import validate_all
-from expdirect.cli import DEFAULT_TRUNCATION
+from expdirect.branch import validate, validate_all
+from expdirect.cli import DEFAULT_ORDER_LIMIT, DEFAULT_TRUNCATION, run_file
+from expdirect.cyclotomic import CycloPoly
 from expdirect.decomposition import decompose
 from expdirect.laurent import LaurentPoly
+from expdirect.realization import FormalModuleSpec, FormalSummand, roundtrip_check
 from expdirect.resolution import verify_decomposition
 from tests.helpers import mk, rand_branch, worked_example_branches
 
@@ -92,3 +97,36 @@ def test_pipeline_matches_worked_example():
     assert consistent(oracle)
     assert dec.p == 2
     assert [f.rank_branchwise for f in dec.factors] == [2, 1, 1]
+
+
+REPORT_GOLDENS = sorted((Path(__file__).parent / "golden" / "report").glob("*.in.json"))
+
+
+def test_records_read_their_facts():
+    # Each verdict is read from the facts its record holds, so a record
+    # with one fact changed reads the verdict that fact gives.
+    factors = 0
+    for case in REPORT_GOLDENS:
+        points, code = run_file(str(case), ("oracle",), DEFAULT_TRUNCATION,
+                                DEFAULT_ORDER_LIMIT)
+        assert code == 0
+        for point in points:
+            for rep in point.oracle:
+                assert rep.membership_agrees and rep.consistent
+                assert rep.members_by_blowup == tuple(name for name, _ in rep.points)
+                # The polar side forgets the factor's first member.
+                dropped = replace(rep, members_by_polar=rep.members_by_polar[1:])
+                assert not dropped.membership_agrees and not dropped.consistent
+                factors += 1
+    assert factors > 30
+
+    r = roundtrip_check(FormalModuleSpec(
+        2, (FormalSummand(LaurentPoly({-3: 1}), 1, CycloPoly([1, 1])),)))
+    assert r.ok and not replace(r, missing=r.matched[:1]).ok
+
+    dec = decompose(worked_example_branches())
+    assert dec.star_holds
+    assert not replace(dec, star_witness=(("l1", 1), ("l2", 1))).star_holds
+
+    report = validate(worked_example_branches()[0])
+    assert report.valid and not replace(report, errors=("m must be >= 1",)).valid

@@ -88,7 +88,7 @@ def test_roundtrip_examples():
     r = roundtrip_check(FormalModuleSpec(
         2, (FormalSummand(LaurentPoly({-3: 1}), 1, CycloPoly([1, 1])),)))
     assert r.ok
-    assert r.computed_ramification == 2
+    assert r.decomposition.p == 2
     assert len(r.decomposition.factors) == 2  # both orbit elements show up
 
     r = roundtrip_check(FormalModuleSpec(2, (
@@ -161,7 +161,7 @@ def test_roundtrip_with_reduced_ramification():
     spec = FormalModuleSpec(4, (FormalSummand(LaurentPoly({-6: 1}), 1, CycloPoly([-1, 1])),))
     r = roundtrip_check(spec)
     assert r.ok
-    assert r.spec_ramification == 4 and r.computed_ramification == 2
+    assert r.spec_ramification == 4 and r.decomposition.p == 2
 
 
 def rand_spec(rng: random.Random, orbit_closed: bool = True) -> FormalModuleSpec:
@@ -227,7 +227,7 @@ def test_each_polar_part_is_put_in_primitive_form_once(monkeypatch):
         r = roundtrip_check(spec)
         assert r.ok
         assert calls == [spec.p] * n + \
-            [r.computed_ramification] * len(r.decomposition.factors)
+            [r.decomposition.p] * len(r.decomposition.factors)
     assert nonempty > 15
 
 
