@@ -10,14 +10,6 @@ stderr) or a blow-up chain breaks its expected normal form
 ``roundtrip`` writes its report first, then exits 2 on an orbit conflict
 or 3 on a failed comparison, with one ``error:`` line.
 
-The order cap (``--max-order``, or a file's ``options.max_order``) is
-checked before any work, as exit 2 naming a JSON path: parsing refuses a
-declared order above it, and every subcommand but ``validate`` refuses a
-unit of work (a point, a ``resolve`` alpha, a spec) whose order bound
-exceeds it.  The bound is the lcm of the unit's coefficient orders and
-ramification indices, and every order the pipeline builds for the unit
-divides it.
-
 ``report``, ``verify``, ``invariants`` and ``decompose`` run one pipeline
 (``run_file``) that prints, per point, the keys ``_VIEWS`` lists for the
 subcommand (``report --oracle off`` drops ``oracle``) and runs only the
@@ -31,7 +23,6 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cache
-from math import lcm
 from pathlib import Path
 
 from .branch import _ValidBranches, validate_all
@@ -47,7 +38,7 @@ from .newton import (
 from .realization import NormalizationConflictError, realize, roundtrip_check
 from .resolution import CorollaryReport, build_resolution, verify_decomposition
 from . import serialize
-from .serialize import SchemaError
+from .serialize import SchemaError, dumps_line
 
 __all__ = ["main", "run_file", "PointReport", "DEFAULT_ORDER_LIMIT"]
 
@@ -70,58 +61,6 @@ class PointReport:
     @property
     def consistent(self) -> bool:
         return all(rep.consistent for rep in self.oracle or ())
-
-
-def _parse_problem(data, truncation: int, max_order: int):
-    """(points, truncation, max_order): the file's ``options`` override the
-    command line's values."""
-    obj = serialize._expect_dict(data, "$")
-    raw_points = serialize._expect_list(obj.get("points", []), "$.points")
-    file_opts = serialize._expect_dict(obj.get("options", {}), "$.options")
-    truncation = serialize._expect_int(
-        file_opts.get("truncation", truncation), "$.options.truncation")
-    if truncation < 0:
-        raise SchemaError("$.options.truncation", "expected a nonnegative integer")
-    max_order = serialize._expect_int(
-        file_opts.get("max_order", max_order), "$.options.max_order")
-    if max_order < 1:
-        raise SchemaError("$.options.max_order", "expected a positive integer")
-
-    points = []
-    seen = set()
-    for i, pt in enumerate(raw_points):
-        pobj = serialize._expect_dict(pt, f"$.points[{i}]")
-        c = pobj.get("c")
-        if not isinstance(c, str) or not c:
-            raise SchemaError(f"$.points[{i}].c", "expected a nonempty string")
-        k = serialize._expect_int(pobj.get("k", 0), f"$.points[{i}].k")
-        if (c, k) in seen:
-            raise SchemaError(f"$.points[{i}]", f"duplicate point (c={c!r}, k={k})")
-        seen.add((c, k))
-        branches = [
-            serialize.branch_from_json(b, f"$.points[{i}].branches[{j}]",
-                                       max_order=max_order)
-            for j, b in enumerate(serialize._expect_list(
-                pobj.get("branches", []), f"$.points[{i}].branches"))
-        ]
-        points.append((c, k, branches))
-    return points, truncation, max_order
-
-
-def _check_order_bound(path: str, orders, cap: int) -> None:
-    """Refuse a unit of work whose order bound, the lcm of ``orders``,
-    exceeds ``cap``.  The lcm is taken one order at a time and refused as
-    soon as it passes the cap, so the number named divides the bound and is
-    at most cap², or a single order that passes the cap by itself."""
-    bound = 1
-    for order in orders:
-        bound = order if order > cap else lcm(bound, order)
-        if bound > cap:
-            raise SchemaError(path, f"order bound {bound} (the lcm of its "
-                                    f"cyclotomic orders and ramification "
-                                    f"indices, or a divisor of it already past "
-                                    f"the cap) exceeds the order cap {cap} "
-                                    f"(--max-order)")
 
 
 def _branch_orders(b) -> list[int]:
@@ -171,7 +110,7 @@ _FIELDS = {
 
 def _disagreement(point: PointReport, rep: CorollaryReport) -> str:
     """One line naming the copies the two membership tests disagree on, and
-    the separation, rank or charpoly values the two sides disagree on."""
+    the separation, rank or charpoly values they disagree on, in JSON."""
     by_blowup, by_polar = set(rep.members_by_blowup), set(rep.members_by_polar)
     chain = 2 * rep.factor.pole_order
     parts = [
@@ -181,16 +120,16 @@ def _disagreement(point: PointReport, rep: CorollaryReport) -> str:
         if (name in by_blowup) != (name in by_polar)
     ]
     if not rep.star_agrees:
-        parts.append(f"separation by blow-up {rep.star_by_blowup}, "
-                     f"by polar part {rep.star_by_polar}")
+        parts.append(f"separation by blow-up {dumps_line(rep.star_by_blowup)}, "
+                     f"by polar part {dumps_line(rep.star_by_polar)}")
     if not rep.rank_agrees:
         parts.append(f"rank by blow-up {rep.rank_by_blowup}, "
                      f"by decomposition {rep.factor.rank_branchwise}")
     if not rep.charpoly_agrees:
-        parts.append(f"charpoly by blow-up {rep.charpoly_by_blowup!r}, "
-                     f"by decomposition {rep.factor.charpoly!r}")
+        parts.append(f"charpoly by blow-up {dumps_line(rep.charpoly_by_blowup)}, "
+                     f"by decomposition {dumps_line(rep.factor.charpoly)}")
     return (f"error: oracle disagreement at point (c={point.c!r}, k={point.k}), "
-            f"factor alpha = {rep.factor.alpha!r}: " + "; ".join(parts))
+            f"factor alpha = {dumps_line(rep.factor.alpha)}: " + "; ".join(parts))
 
 
 def run_file(path: str, keys, truncation: int, max_order: int):
@@ -200,12 +139,12 @@ def run_file(path: str, keys, truncation: int, max_order: int):
 
     Exit code 3 comes with one stderr line per factor the oracle disputes.
     """
-    points, truncation, max_order = _parse_problem(_load_json(path),
-                                                   truncation, max_order)
+    points, truncation, max_order = serialize.problem_from_json(
+        _load_json(path), truncation, max_order)
     for i, (_, _, branches) in enumerate(points):
-        _check_order_bound(f"$.points[{i}]",
-                           [n for b in branches for n in _branch_orders(b)],
-                           max_order)
+        serialize.check_order_bound(
+            f"$.points[{i}]", [n for b in branches for n in _branch_orders(b)],
+            max_order)
 
     # One validation pass gives both the failures and each point's warnings.
     failures = []
@@ -262,8 +201,8 @@ def _load_json(path: str):
 
 
 def _cmd_validate(args) -> int:
-    points, truncation, _ = _parse_problem(_load_json(args.input),
-                                           args.truncation, args.max_order)
+    points, truncation, _ = serialize.problem_from_json(
+        _load_json(args.input), args.truncation, args.max_order)
     doc = {"points": []}
     ok = True
     for c, k, branches in sorted(points, key=lambda t: (t[0], t[1])):
@@ -320,15 +259,8 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_resolve(args) -> int:
-    data = _load_json(args.input)
-    obj = serialize._expect_dict(data, "$")
-    alpha = serialize.laurent_from_json(obj.get("alpha", {}), "$.alpha",
-                                        max_order=args.max_order)
-    _check_order_bound("$.alpha", [c.order for c in alpha.terms.values()],
-                       args.max_order)
-    if not alpha.is_polar():
-        raise SchemaError("$.alpha", "expected a nonzero purely polar part")
-    tree = build_resolution(alpha)
+    tree = build_resolution(serialize.resolve_from_json(
+        _load_json(args.input), max_order=args.max_order))
     if args.text:
         _write(serialize.tree_to_text(tree), args.output)
     else:
@@ -336,17 +268,8 @@ def _cmd_resolve(args) -> int:
     return 0
 
 
-def _load_spec(path: str, max_order: int):
-    spec = serialize.spec_from_json(_load_json(path), "$", max_order=max_order)
-    _check_order_bound("$", [spec.p, *(c.order for s in spec.summands
-                                       for c in (*s.alpha.terms.values(),
-                                                 *s.charpoly.coeffs))],
-                       max_order)
-    return spec
-
-
 def _cmd_realize(args) -> int:
-    spec = _load_spec(args.input, args.max_order)
+    spec = serialize.spec_from_json(_load_json(args.input), max_order=args.max_order)
     try:
         branches = realize(spec)
     except NormalizationConflictError as err:
@@ -357,7 +280,8 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    rep = roundtrip_check(_load_spec(args.input, args.max_order))
+    rep = roundtrip_check(serialize.spec_from_json(_load_json(args.input),
+                                                   max_order=args.max_order))
     _dump(serialize.roundtrip_to_json(rep), args.output)
     if rep.conflicts:
         # The message realize prints for the same spec.

@@ -176,9 +176,13 @@ class NormalFormTag:
     pole_u/pole_v are its orders in each local variable, and the kind says
     whether one or both are positive."""
 
-    kind: NormalFormKind
     pole_u: int
     pole_v: int
+
+    @property
+    def kind(self) -> NormalFormKind:
+        two = self.pole_u and self.pole_v
+        return NormalFormKind.POLE_TWO_VAR if two else NormalFormKind.POLE_ONE_VAR
 
 
 def _divide_monomial(cols, a: int, b: int):
@@ -310,9 +314,7 @@ class BiRational:
             raise ClassificationError("no pole at the origin")
         if pu < 0 or pv < 0 or not num_unit:
             raise ClassificationError("numerator vanishes against a pole")
-        if pu and pv:
-            return NormalFormTag(NormalFormKind.POLE_TWO_VAR, pu, pv)
-        return NormalFormTag(NormalFormKind.POLE_ONE_VAR, pu, pv)
+        return NormalFormTag(pu, pv)
 
     def __repr__(self):
         return f"BiRational({self.num!r}, {self.den!r})"

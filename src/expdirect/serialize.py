@@ -6,10 +6,18 @@ numbers as ``{"order", "coeffs"}`` meaning the sum of coeffs[k] * zeta_order^k
 parsed from any order and any integer exponents), polynomials as
 coefficient lists.  Parsing rejects anything that is not an exact rational (the
 coefficient domain is the union of the cyclotomic fields; floats or symbolic
-strings are errors, not approximands), and every parser that reads a
-cyclotomic number takes the order cap ``max_order`` and refuses a larger
-declared order.  Parse errors carry a JSON-path location for the CLI's
-diagnostics.  Report encodings keep value leaves, which ``dumps`` writes.
+strings are errors, not approximands).  Parse errors carry a JSON-path
+location for the CLI's diagnostics.  Report encodings keep value leaves,
+which ``dumps`` writes.
+
+The order cap ``max_order`` (``--max-order``, or a file's
+``options.max_order``) is checked before any work: every parser that reads a
+cyclotomic number refuses a declared order above it, and
+``check_order_bound`` refuses a unit of work (a point, a ``resolve`` alpha,
+a spec) whose order bound, the lcm of its coefficient orders and
+ramification indices, exceeds it; every order the pipeline builds for the
+unit divides that bound.  The ``resolve`` and spec parsers check their
+unit's bound; the pipeline checks a point's, since ``validate`` skips it.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import lcm
 
 from .branch import Branch
 from .cyclotomic import CycloNum, CycloPoly
@@ -29,18 +38,20 @@ from .resolution import CHART, CorollaryReport, ResolutionTree
 
 __all__ = [
     "SchemaError",
+    "check_order_bound",
     "rational_from_json",
     "cyclo_to_json", "cyclo_from_json",
     "cyclopoly_to_json", "cyclopoly_from_json",
     "laurent_to_json", "laurent_from_json",
     "branch_to_json", "branch_from_json",
+    "problem_from_json", "resolve_from_json",
     "polygon_to_json",
     "decomposition_to_json",
     "spec_from_json",
     "roundtrip_to_json",
     "tree_to_json",
     "corollary_to_json",
-    "dumps",
+    "dumps", "dumps_line",
 ]
 
 
@@ -90,6 +101,12 @@ def _expect_int(data, path: str) -> int:
 def _expect_list(data, path: str) -> list:
     if not isinstance(data, list):
         raise SchemaError(path, f"expected an array, got {type(data).__name__}")
+    return data
+
+
+def _expect_name(data, path: str) -> str:
+    if not isinstance(data, str) or not data:
+        raise SchemaError(path, "expected a nonempty string")
     return data
 
 
@@ -176,11 +193,8 @@ def branch_to_json(b: Branch) -> dict:
 
 def branch_from_json(data, path: str = "$", *, max_order: int) -> Branch:
     obj = _expect_dict(data, path)
-    label = obj.get("label")
-    if not isinstance(label, str) or not label:
-        raise SchemaError(f"{path}.label", "expected a nonempty string")
     return Branch(
-        label=label,
+        label=_expect_name(obj.get("label"), f"{path}.label"),
         p=_expect_int(obj.get("p"), f"{path}.p"),
         q=_expect_int(obj.get("q"), f"{path}.q"),
         alpha=laurent_from_json(obj.get("alpha", {}), f"{path}.alpha",
@@ -191,6 +205,63 @@ def branch_from_json(data, path: str = "$", *, max_order: int) -> Branch:
         zeta=cyclopoly_from_json(obj.get("zeta", []), f"{path}.zeta",
                                  max_order=max_order),
     )
+
+
+def problem_from_json(data, truncation: int, max_order: int):
+    """(points, truncation, max_order), each point ``(c, k, branches)``; the
+    file's ``options`` override ``truncation`` and ``max_order``."""
+    obj = _expect_dict(data, "$")
+    raw_points = _expect_list(obj.get("points", []), "$.points")
+    file_opts = _expect_dict(obj.get("options", {}), "$.options")
+    truncation = _expect_int(file_opts.get("truncation", truncation),
+                             "$.options.truncation")
+    if truncation < 0:
+        raise SchemaError("$.options.truncation", "expected a nonnegative integer")
+    max_order = _expect_int(file_opts.get("max_order", max_order), "$.options.max_order")
+    if max_order < 1:
+        raise SchemaError("$.options.max_order", "expected a positive integer")
+
+    points, seen = [], set()
+    for i, pt in enumerate(raw_points):
+        pobj = _expect_dict(pt, f"$.points[{i}]")
+        c = _expect_name(pobj.get("c"), f"$.points[{i}].c")
+        k = _expect_int(pobj.get("k", 0), f"$.points[{i}].k")
+        if (c, k) in seen:
+            raise SchemaError(f"$.points[{i}]", f"duplicate point (c={c!r}, k={k})")
+        seen.add((c, k))
+        branches = [
+            branch_from_json(b, f"$.points[{i}].branches[{j}]", max_order=max_order)
+            for j, b in enumerate(_expect_list(pobj.get("branches", []),
+                                               f"$.points[{i}].branches"))
+        ]
+        points.append((c, k, branches))
+    return points, truncation, max_order
+
+
+def check_order_bound(path: str, orders, cap: int) -> None:
+    """Refuse a unit of work whose order bound, the lcm of ``orders``,
+    exceeds ``cap``.  The lcm is taken one order at a time and refused as
+    soon as it passes the cap, so the number named divides the bound and is
+    at most cap², or a single order that passes the cap by itself."""
+    bound = 1
+    for order in orders:
+        bound = order if order > cap else lcm(bound, order)
+        if bound > cap:
+            raise SchemaError(path, f"order bound {bound} (the lcm of its cyclotomic "
+                                    f"orders and ramification indices, or a divisor "
+                                    f"of it already past the cap) exceeds the order "
+                                    f"cap {cap} (--max-order)")
+
+
+def resolve_from_json(data, *, max_order: int) -> LaurentPoly:
+    """The polar part ``alpha`` of a ``resolve`` input, refused past the
+    order cap before it is checked to be polar."""
+    alpha = laurent_from_json(_expect_dict(data, "$").get("alpha", {}), "$.alpha",
+                              max_order=max_order)
+    check_order_bound("$.alpha", [c.order for c in alpha.terms.values()], max_order)
+    if not alpha.is_polar():
+        raise SchemaError("$.alpha", "expected a nonzero purely polar part")
+    return alpha
 
 
 def polygon_to_json(poly: NewtonPolygon) -> dict:
@@ -224,6 +295,8 @@ def decomposition_to_json(dec: FormalDecomposition) -> dict:
 
 
 def spec_from_json(data, path: str = "$", *, max_order: int) -> FormalModuleSpec:
+    """A well-formed spec whose order bound (``p`` and every summand
+    coefficient) is within ``max_order``; the bound is refused at ``path``."""
     obj = _expect_dict(data, path)
     summands = []
     for i, s in enumerate(_expect_list(obj.get("summands", []), f"{path}.summands")):
@@ -240,9 +313,13 @@ def spec_from_json(data, path: str = "$", *, max_order: int) -> FormalModuleSpec
     p = _expect_int(obj.get("p"), f"{path}.p")
     regular = _expect_int(obj.get("regular_rank", 0), f"{path}.regular_rank")
     try:
-        return FormalModuleSpec(p=p, summands=tuple(summands), regular_rank=regular)
+        spec = FormalModuleSpec(p=p, summands=tuple(summands), regular_rank=regular)
     except ValueError as err:
         raise SchemaError(path, str(err)) from None
+    check_order_bound(path, [p, *(c.order for s in spec.summands
+                                  for c in (*s.alpha.terms.values(),
+                                            *s.charpoly.coeffs))], max_order)
+    return spec
 
 
 def roundtrip_to_json(rep: RoundTripReport) -> dict:
@@ -305,16 +382,13 @@ def tree_to_text(tree: ResolutionTree) -> str:
     """The tree as text: one line per step, component and axis crossing,
     then the meeting point and the value chart.  Each value is written as
     its one-line JSON, which ``cyclo_from_json`` reads back."""
-    def value(c: CycloNum) -> str:
-        return json.dumps(cyclo_to_json(c), sort_keys=True)
-
     def crossing(j: int, tag) -> str:
         return f"E{j - 1}/E{j}: {tag.kind.value} (u^{tag.pole_u} v^{tag.pole_v})"
 
     n = len(tree.steps)
     lines = [f"resolution of pole order {tree.alpha.pole_order()}: {n} point blow-ups"]
     for j, s in enumerate(tree.steps, 1):
-        lines.append(f"  step {j}: chart {CHART}, recenter v by {value(s.shift)}; "
+        lines.append(f"  step {j}: chart {CHART}, recenter v by {dumps_line(s.shift)}; "
                      f"crossing {crossing(j, s.crossing)}")
     for j, s in enumerate(tree.steps, 1):
         mark = " [distinguished]" if j == n else ""
@@ -323,8 +397,8 @@ def tree_to_text(tree: ResolutionTree) -> str:
         lines.append(f"  axis crossing on E{ap.component}: {ap.tag.kind.value}")
     lines.append(f"  meeting point {crossing(n, tree.steps[-1].crossing)}")
     chart = tree.ed_chart
-    lines.append(f"  value chart: num0 {value(chart.num0)}; "
-                 f"numlin {value(chart.numlin)}; den0 {value(chart.den0)}")
+    lines.append(f"  value chart: num0 {dumps_line(chart.num0)}; "
+                 f"numlin {dumps_line(chart.numlin)}; den0 {dumps_line(chart.den0)}")
     return "\n".join(lines) + "\n"
 
 
@@ -372,6 +446,16 @@ def dumps(doc) -> str:
     }
     """
     return _emit(doc, "")
+
+
+def dumps_line(value) -> str:
+    """``dumps(value)`` on one line, with ``json.dumps``'s separators; each
+    value leaf's ``*_from_json`` parser reads it back.
+
+    >>> dumps_line([CycloNum(4, {3: Fraction(-1, 2)}), None, True])
+    '[{"coeffs": {"1": "1/2"}, "order": 4}, null, true]'
+    """
+    return json.dumps(json.loads(dumps(value)), sort_keys=True)
 
 
 def _emit(o, pad: str) -> str:

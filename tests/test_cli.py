@@ -19,8 +19,8 @@ from expdirect.cyclotomic import CycloNum, CycloPoly
 from expdirect.laurent import LaurentPoly
 from expdirect.realization import FormalModuleSpec, FormalSummand
 from expdirect.resolution import build_resolution
-from expdirect.serialize import (branch_to_json, cyclo_to_json, cyclopoly_to_json,
-                                 laurent_to_json)
+from expdirect.serialize import (branch_to_json, cyclo_to_json, cyclopoly_from_json,
+                                 cyclopoly_to_json, laurent_from_json, laurent_to_json)
 from tests.helpers import (laurent_sum, mk, rand_branch, root, spec_doc,
                            worked_example_branches)
 from tests.test_realization import INVALID_SPECS, rand_spec
@@ -552,7 +552,7 @@ def test_report_exit_3_on_oracle_mismatch(problem_file, monkeypatch, capsys, com
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 3
     assert all(line.startswith("error: oracle disagreement at point "
-                               "(c='0', k=0), factor alpha = LaurentPoly(")
+                               "(c='0', k=0), factor alpha = {\"terms\": {")
                for line in lines)
     assert sorted(line.split(": ")[-1] for line in lines) == [
         "l1#1 is a member by blow-up only (4 of 4 blow-up steps matched)",
@@ -565,6 +565,7 @@ def test_report_exit_3_on_oracle_mismatch(problem_file, monkeypatch, capsys, com
     # is perturbed gets its own chain, which its member leaves early.
     monkeypatch.undo()
     real_decompose = cli_mod.decompose
+    disputed = []
 
     def perturbed(branches):
         dec = real_decompose(branches)
@@ -573,6 +574,7 @@ def test_report_exit_3_on_oracle_mismatch(problem_file, monkeypatch, capsys, com
             if factor.members[0][0] in owners:
                 factors[j] = dataclasses.replace(
                     factor, alpha=laurent_sum(factor.alpha, LaurentPoly({-1: 1})))
+                disputed.append(factors[j])
                 return dataclasses.replace(dec, factors=tuple(factors))
             owners.add(factor.members[0][0])
         return dec
@@ -582,18 +584,33 @@ def test_report_exit_3_on_oracle_mismatch(problem_file, monkeypatch, capsys, com
     (line,) = capsys.readouterr().err.splitlines()
     assert line == (
         "error: oracle disagreement at point (c='0', k=0), factor alpha = "
-        "LaurentPoly((CycloNum(1, 1))*t^-3 + (CycloNum(1, 1))*t^-1): l2#2 is a "
+        '{"terms": {"-1": {"coeffs": {"0": "1"}, "order": 1}, '
+        '"-3": {"coeffs": {"0": "1"}, "order": 1}}}: l2#2 is a '
         "member by polar part only (5 of 6 blow-up steps matched); rank by "
-        "blow-up 0, by decomposition 1; charpoly by blow-up CycloPoly([1]), by "
-        "decomposition CycloPoly([1, 1])")
+        "blow-up 0, by decomposition 1; charpoly by blow-up "
+        '[{"coeffs": {"0": "1"}, "order": 1}], by decomposition '
+        '[{"coeffs": {"0": "1"}, "order": 1}, {"coeffs": {"0": "1"}, "order": 1}]')
+    # Each value is JSON that its parser reads back as the factor holds it.
+    (factor,) = disputed
+
+    def value_after(marker, parse):
+        start = line.rindex(marker) + len(marker)
+        data, _ = json.JSONDecoder().raw_decode(line, start)
+        return parse(data, max_order=12)
+
+    assert value_after("factor alpha = ", laurent_from_json) == factor.alpha
+    assert value_after("charpoly by blow-up ", cyclopoly_from_json) == CycloPoly([1])
+    assert value_after("by decomposition ", cyclopoly_from_json) == factor.charpoly
 
 
 @pytest.mark.parametrize("mutate, want", [
     (lambda fs: [dataclasses.replace(fs[0], rank_branchwise=3), *fs[1:]],
      "rank by blow-up 2, by decomposition 3"),
     (lambda fs: [dataclasses.replace(fs[0], charpoly=fs[1].charpoly), *fs[1:]],
-     "charpoly by blow-up CycloPoly([1, -2, 1]), "
-     "by decomposition CycloPoly([1, 1])"),
+     'charpoly by blow-up [{"coeffs": {"0": "1"}, "order": 1}, '
+     '{"coeffs": {"0": "-2"}, "order": 1}, {"coeffs": {"0": "1"}, "order": 1}], '
+     'by decomposition [{"coeffs": {"0": "1"}, "order": 1}, '
+     '{"coeffs": {"0": "1"}, "order": 1}]'),
 ], ids=["rank", "charpoly"])
 def test_report_exit_3_on_mutant_factor(problem_file, monkeypatch, capsys,
                                         mutate, want):
@@ -612,8 +629,8 @@ def test_report_exit_3_on_mutant_factor(problem_file, monkeypatch, capsys,
     monkeypatch.setattr(cli_mod, "decompose", mutant)
     assert run_cli("report", "--input", problem_file) == 3
     (line,) = capsys.readouterr().err.splitlines()
-    assert line == ("error: oracle disagreement at point (c='0', k=0), "
-                    "factor alpha = LaurentPoly((CycloNum(1, 1))*t^-2): " + want)
+    assert line == ("error: oracle disagreement at point (c='0', k=0), factor alpha "
+                    '= {"terms": {"-2": {"coeffs": {"0": "1"}, "order": 1}}}: ' + want)
 
 
 _nonzero = st.builds(lambda n, i, r: root(n, i % n) * r,
@@ -815,11 +832,11 @@ def test_every_order_built_divides_the_preflight_bound(monkeypatch, tmp_path):
     # exception is parsing: the constructor rewrites an input value at the
     # order the file declares, which the parser caps, and stores it at its
     # conductor, which divides the bound.
-    import expdirect.cli as cli_mod
     import expdirect.cyclotomic as cyclotomic
+    import expdirect.serialize as serialize_mod
 
     orders, bounds = set(), []
-    check_order, check_bound = cyclotomic._check_order, cli_mod._check_order_bound
+    check_order, check_bound = cyclotomic._check_order, serialize_mod.check_order_bound
 
     def recorded_order(order):
         check_order(order)
@@ -830,7 +847,7 @@ def test_every_order_built_divides_the_preflight_bound(monkeypatch, tmp_path):
         check_bound(path, values, cap)
 
     monkeypatch.setattr(cyclotomic, "_check_order", recorded_order)
-    monkeypatch.setattr(cli_mod, "_check_order_bound", recorded_bound)
+    monkeypatch.setattr(serialize_mod, "check_order_bound", recorded_bound)
 
     # validate checks no bound; its input is a copy of a report golden.
     runs = [(case.parent.name, case) for case in sorted(

@@ -38,11 +38,11 @@ UNENTERED = {
     "cyclotomic.CycloPoly.__setattr__": "immutability guard: charpolys are shared",
     "laurent.LaurentPoly.__setattr__": "immutability guard: polar parts are shared",
     "laurent.BiRational.__setattr__": "immutability guard: chain forms are shared",
-    "cyclotomic.CycloNum.__repr__": "repr: printed inside the charpoly repr",
-    "cyclotomic.CycloPoly.__repr__":
-        "repr: the exit-3 oracle disagreement line prints a charpoly",
+    "cyclotomic.CycloNum.__repr__": "repr: printed inside the Laurent repr",
+    "cyclotomic.CycloPoly.__repr__": "repr: for debugging",
     "laurent.LaurentPoly.__repr__":
-        "repr: the exit-3 oracle disagreement line names the factor",
+        "repr: the orbit-conflict message of realize and roundtrip names the "
+        "orbit by it, and realization does not import serialize",
     "laurent.BiRational.__repr__": "repr: for debugging the chain",
 }
 REASONS = ("bench-bound:", "error path:", "immutability guard:", "repr:")

@@ -20,7 +20,7 @@ from expdirect.laurent import (
     subst_root_power,
     support_gcd,
 )
-from tests.helpers import root
+from tests.helpers import rand_laurent, root
 
 
 def L(terms):
@@ -54,14 +54,6 @@ def cols_at(cols, u: CycloNum, v: CycloNum) -> CycloNum:
 
 def rational_at(g: BiRational, u: CycloNum, v: CycloNum) -> CycloNum:
     return cols_at(g.num, u, v) * cols_at(g.den, u, v).inv()
-
-
-def rand_laurent(rng: random.Random, lo=-6, hi=4) -> LaurentPoly:
-    terms = {}
-    for e in range(lo, hi + 1):
-        if rng.random() < 0.4:
-            terms[e] = Fraction(rng.randint(-5, 5))
-    return LaurentPoly(terms)
 
 
 def test_add_mul_examples():
@@ -251,8 +243,7 @@ def _reference_classify(num: dict, den: dict) -> NormalFormTag:
         raise ClassificationError("no pole at the origin")
     if pu < 0 or pv < 0 or residual_at_origin(num, na, nb).is_zero():
         raise ClassificationError("numerator vanishes against a pole")
-    kind = NormalFormKind.POLE_TWO_VAR if pu and pv else NormalFormKind.POLE_ONE_VAR
-    return NormalFormTag(kind, pu, pv)
+    return NormalFormTag(pu, pv)
 
 
 def _outcome(classify):
